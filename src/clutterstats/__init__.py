@@ -5,13 +5,13 @@ from .distributions import (
     KAmplitude, Maxwell, MomentDoesNotExistError, Nakagami, Rayleigh,
     StripError, Weibull, WeibullNakagami, chf2_analytic, classical_moment,
     components, log_chf2_analytic, log_cumulants_analytic, make_spec, pdf,
-    strip, texture_only_log_cumulants,
+    strip,
 )
 from .estimation import (
-    EmpiricalLogStats, FitOptions, FitResult, NoSolutionError,
-    OutOfRangeError, SolverNonConvergenceError, TooFewSamplesError,
-    ZeroSamplesError, empirical_log_stats, fit_molc, invert_polygamma,
-    texture_log_cumulants,
+    EmpiricalLogStats, FitOptions, FitResult, NonFiniteSamplesError,
+    NoSolutionError, OutOfRangeError, SolverNonConvergenceError,
+    TooFewSamplesError, ZeroSamplesError, empirical_log_stats, fit_molc,
+    invert_polygamma, texture_log_cumulants,
 )
 from .mellin import (
     LogStats, NonConvergenceError, QuadratureConfig, central_log_moments,

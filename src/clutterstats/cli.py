@@ -284,8 +284,9 @@ def main(argv=None) -> int:
     except (UsageError, dist.StripError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (estimation.ZeroSamplesError, estimation.TooFewSamplesError,
-            estimation.NoSolutionError, estimation.OutOfRangeError) as exc:
+    except (estimation.ZeroSamplesError, estimation.NonFiniteSamplesError,
+            estimation.TooFewSamplesError, estimation.NoSolutionError,
+            estimation.OutOfRangeError) as exc:
         print(f"estimation error: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
     except estimation.SolverNonConvergenceError as exc:

@@ -25,14 +25,15 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import specfun
-from ._quad import adaptive_quad
+from ._quad import adaptive_quad  # noqa: F401  bound for bench/tracing.py
+from ._quad import log_trapezoid
 
 __all__ = [
     "GammaPower", "Nakagami", "Maxwell", "Weibull", "Rayleigh",
     "GammaGamma", "KAmplitude", "WeibullNakagami", "Fisher", "InverseGamma",
     "DistributionSpec", "StripError", "MomentDoesNotExistError",
     "pdf", "chf2_analytic", "log_chf2_analytic", "classical_moment",
-    "log_cumulants_analytic", "texture_only_log_cumulants", "components",
+    "log_cumulants_analytic", "components",
     "strip", "FAMILY_TAGS", "family_tag", "make_spec",
 ]
 
@@ -329,8 +330,7 @@ def log_cumulants_analytic(spec: DistributionSpec, n_max: int) -> list[float]:
 
     For the compound families these are the full derivatives of the
     transform, i.e. they include the speckle gamma-term contribution as well
-    as the texture one (see texture_only_log_cumulants for the reduced
-    variant).
+    as the texture one.
     """
     if not isinstance(n_max, (int, np.integer)) or isinstance(n_max, bool) \
             or not 1 <= n_max <= 6:
@@ -342,26 +342,6 @@ def log_cumulants_analytic(spec: DistributionSpec, n_max: int) -> list[float]:
         out.append(sum(c ** n * specfun.polygamma(n - 1, a)
                        for a, c in form.terms))
     return out
-
-
-def texture_only_log_cumulants(spec: DistributionSpec, n_max: int) -> list[float]:
-    """Reduced log-cumulants keeping only the texture polygamma term at
-    orders >= 2 (the first order is the full value).
-
-    Only meaningful for KAmplitude and WeibullNakagami, where the reduced
-    and the full form differ by the speckle shape contribution; the
-    Monte-Carlo oracle sides with the full form, this variant is kept for
-    documentation parity.
-    """
-    if not isinstance(spec, (KAmplitude, WeibullNakagami)):
-        raise ValueError(
-            "texture_only_log_cumulants is defined for KAmplitude and "
-            f"WeibullNakagami only, got {family_tag(spec)}"
-        )
-    full = log_cumulants_analytic(spec, n_max)
-    alpha = spec.alpha
-    return full[:1] + [0.5 ** n * specfun.polygamma(n - 1, alpha)
-                       for n in range(2, n_max + 1)]
 
 
 def components(
@@ -398,61 +378,26 @@ def pdf(spec: DistributionSpec, x):
 
 
 def _pdf_zero_limit(spec: DistributionSpec) -> float:
-    """Density limit at x -> 0+."""
-    match spec:
-        case GammaPower(L=L, mu=mu):
-            if L > 1:
-                return 0.0
-            if L == 1:
-                return 1.0 / mu
-            return math.inf
-        case Nakagami(L=L, mu=mu):
-            if L > 0.5:
-                return 0.0
-            if L == 0.5:
-                return 2.0 / math.exp(specfun.ln_gamma(0.5)) * math.sqrt(L) / mu
-            return math.inf
-        case Maxwell():
-            return 0.0
-        case Weibull(z=z, b=b):
-            if b > 1:
-                return 0.0
-            if b == 1:
-                return 1.0 / z
-            return math.inf
-        case Rayleigh():
-            return 0.0
-        case GammaGamma(L=L, M=M, mu=mu):
-            lo, hi = min(L, M), max(L, M)
-            if lo > 1:
-                return 0.0
-            if lo == 1:
-                return math.inf if hi == 1 else L * M / (mu * (hi - 1.0))
-            return math.inf
-        case KAmplitude(alpha=alpha, b=b):
-            if alpha > 0.5:
-                return 0.0
-            if alpha == 0.5:
-                return 2.0 * math.sqrt(b)
-            return math.inf
-        case WeibullNakagami(c=c, alpha=alpha, b=b):
-            if c > 1:
-                return 0.0
-            if c == 1:
-                if alpha <= 0.5:
-                    return math.inf
-                return math.sqrt(b) * math.exp(
-                    specfun.ln_gamma(alpha - 0.5) - specfun.ln_gamma(alpha))
-            return math.inf
-        case Fisher(L=L, mu=mu):
-            if L > 1:
-                return 0.0
-            if L == 1:
-                return 1.0 / mu
-            return math.inf
-        case InverseGamma():
-            return 0.0
-    raise TypeError(f"not a distribution spec: {spec!r}")
+    """Density limit at x -> 0+, read off the rightmost pole s0 of Phi.
+
+    Near 0 the density behaves as x^(-s0): s0 < 0 gives 0, s0 > 0 or a
+    double pole gives infinity, and a simple pole at s0 = 0 gives the
+    residue of Phi there.
+    """
+    form = _mellin_form(spec)
+    poles = [1.0 - a / c if c > 0 else -math.inf for a, c in form.terms]
+    s0 = max(poles)
+    if s0 < 0.0:
+        return 0.0
+    if s0 > 0.0 or poles.count(s0) > 1:
+        return math.inf
+    i = poles.index(s0)
+    a_i, c_i = form.terms[i]
+    value = math.exp(-specfun.ln_gamma(a_i)) / (form.scale * c_i)
+    for j, (a, c) in enumerate(form.terms):
+        if j != i:
+            value *= _gamma_ratio(a, -c)
+    return value
 
 
 def _pdf_array(spec: DistributionSpec, x: np.ndarray) -> np.ndarray:
@@ -508,8 +453,12 @@ def _pdf_positive(spec: DistributionSpec, x: np.ndarray) -> np.ndarray:
             logpdf = (math.log(4.0) + 0.5 * (alpha + 1.0) * math.log(b)
                       + alpha * np.log(x) - specfun.ln_gamma(alpha) + logk)
             return np.exp(logpdf)
-        case WeibullNakagami():
-            return np.array([_wn_pdf_scalar(spec, float(r)) for r in x])
+        case WeibullNakagami(c=c, alpha=alpha, b=b):
+            log_r = np.log(x)
+            logpdf = (math.log(2.0 * c) + alpha * math.log(b)
+                      - specfun.ln_gamma(alpha) + (c - 1.0) * log_r
+                      + _wn_log_texture_integral(c, alpha, b, log_r))
+            return np.exp(logpdf)
         case Fisher(L=L, M=M, mu=mu):
             lam = L / (M * mu) * x
             logpdf = (specfun.ln_gamma(L + M) - specfun.ln_gamma(L)
@@ -524,48 +473,42 @@ def _pdf_positive(spec: DistributionSpec, x: np.ndarray) -> np.ndarray:
     raise TypeError(f"not a distribution spec: {spec!r}")
 
 
-def _wn_pdf_scalar(spec: WeibullNakagami, r: float) -> float:
-    """Weibull-Nakagami density by adaptive quadrature over u = log z.
+def _wn_log_texture_integral(c: float, alpha: float, b: float,
+                             log_r: np.ndarray) -> np.ndarray:
+    """log integral(exp(p(u)), u over the real line) per abscissa, where
 
-    No closed form exists; the texture-scale integral is evaluated to a
-    relative tolerance of 1e-8 after factoring out the integrand peak.
+        p(u) = (2 alpha - c) u - exp(c (log r - u)) - b exp(2u)
+
+    is the log of the Weibull-Nakagami mixture integrand over u = log z.
+    p'' = -c^2 exp(c (log r - u)) - 4b exp(2u) < 0, so p has one peak.
+    The integrand is analytic for |Im u| < min(pi/4, pi/(2c)).
     """
-    c, alpha, b = spec.c, spec.alpha, spec.b
-    log_r = math.log(r)
+    slope = 2.0 * alpha - c
+    # The peak solves c exp(c (log r - u)) + slope+ = 2b exp(2u) + slope-.
+    # In logs, F(u) = log(left side) - log(right side) is monotone, convex
+    # or concave, and |F'| lies in [min(2, c), 2 + c], so Newton's method
+    # converges from any start without overflow.
+    log_plus = math.log(slope) if slope > 0.0 else -math.inf
+    log_minus = math.log(-slope) if slope < 0.0 else -math.inf
+    log_c, log_2b = math.log(c), math.log(2.0 * b)
+    u = (c * log_r + log_c - log_2b) / (c + 2.0)
+    for _ in range(100):
+        e1 = log_c + c * (log_r - u)
+        e2 = log_2b + 2.0 * u
+        left, right = np.logaddexp(e1, log_plus), np.logaddexp(e2, log_minus)
+        step = (left - right) / (c * np.exp(e1 - left)
+                                 + 2.0 * np.exp(e2 - right))
+        u = u + step
+        if np.all(np.abs(step) <= 1e-15 * np.maximum(1.0, np.abs(u))):
+            break
 
-    def p(u):
-        return ((2.0 * alpha - c) * u - np.exp(c * (log_r - u))
-                - b * np.exp(2.0 * u))
+    with np.errstate(over="ignore"):
+        t1, t2 = np.exp(c * (log_r - u)), b * np.exp(2.0 * u)
 
-    u_lo = log_r - 60.0 / c
-    u_hi = 0.5 * math.log((60.0 + 20.0 * max(1.0, abs(2.0 * alpha - c))) / b) + 2.0
-    if u_lo >= u_hi:
-        u_lo, u_hi = min(u_lo, u_hi) - 1.0, max(u_lo, u_hi) + 1.0
+    def exponent(d, t1, t2):
+        # p(u + d) - p(u) without cancellation at small d
+        return slope * d - t1 * np.expm1(-c * d) - t2 * np.expm1(2.0 * d)
 
-    # locate the integrand peak by a scan plus two zoom rounds
-    grid = np.linspace(u_lo, u_hi, 513)
-    values = p(grid)
-    u_peak = float(grid[np.argmax(values)])
-    span = float(grid[1] - grid[0])
-    for _ in range(2):
-        grid = np.linspace(u_peak - span, u_peak + span, 65)
-        values = p(grid)
-        u_peak = float(grid[np.argmax(values)])
-        span = float(grid[1] - grid[0])
-    p_max = float(np.max(values))
-    if not math.isfinite(p_max):
-        return 0.0
-
-    def integrand(u):
-        return np.exp(p(u) - p_max)
-
-    edges = [u_peak + w for w in (-8 * span, -span, 0.0, span, 8 * span)]
-    value, _ = adaptive_quad(integrand, u_lo, u_hi, rel_tol=1e-9,
-                             abs_tol=1e-300, max_subdivisions=500,
-                             initial_edges=edges)
-    if value <= 0.0:
-        return 0.0
-    log_pdf = (math.log(2.0 * c) + alpha * math.log(b)
-               - specfun.ln_gamma(alpha) + (c - 1.0) * log_r
-               + p_max + math.log(value))
-    return math.exp(log_pdf)
+    return (slope * u - t1 - t2
+            + log_trapezoid(exponent, 1.0 / np.sqrt(c * c * t1 + 4.0 * t2),
+                            min(0.25 * math.pi, 0.5 * math.pi / c), t1, t2))

@@ -19,7 +19,8 @@ from .specfun import digamma, polygamma
 
 __all__ = [
     "EmpiricalLogStats", "FitOptions", "FitResult",
-    "ZeroSamplesError", "TooFewSamplesError", "OutOfRangeError",
+    "ZeroSamplesError", "NonFiniteSamplesError", "TooFewSamplesError",
+    "OutOfRangeError",
     "NoSolutionError", "SolverNonConvergenceError",
     "empirical_log_stats", "invert_polygamma", "fit_molc",
     "texture_log_cumulants",
@@ -36,6 +37,17 @@ class ZeroSamplesError(ValueError):
         super().__init__(
             f"ZeroSamples: {count} sample(s) <= 0; log statistics are "
             "undefined (samples are rejected, not clamped)"
+        )
+        self.count = count
+
+
+class NonFiniteSamplesError(ValueError):
+    """Log statistics are undefined for infinite or NaN samples."""
+
+    def __init__(self, count: int):
+        super().__init__(
+            f"NonFiniteSamples: {count} sample(s) are inf or nan; log "
+            "statistics are undefined (samples are rejected, not dropped)"
         )
         self.count = count
 
@@ -88,7 +100,8 @@ def empirical_log_stats(batch, n_max: int = 4) -> EmpiricalLogStats:
     """Empirical log-moments/log-cumulants with 10-way split standard errors.
 
     Accepts a SampleBatch or a plain array of positive values; requires at
-    least 30 samples and raises ZeroSamplesError if any value is <= 0.
+    least 30 samples, raises NonFiniteSamplesError if any value is inf or
+    nan and ZeroSamplesError if any value is <= 0.
     """
     values = batch.values if isinstance(batch, SampleBatch) else batch
     x = np.asarray(values, dtype=float).ravel()
@@ -98,7 +111,10 @@ def empirical_log_stats(batch, n_max: int = 4) -> EmpiricalLogStats:
     if x.size < 30:
         raise TooFewSamplesError(
             f"need at least 30 samples for log statistics, got {x.size}")
-    bad = int(np.count_nonzero(~(x > 0.0)))
+    bad = int(np.count_nonzero(~np.isfinite(x)))
+    if bad:
+        raise NonFiniteSamplesError(bad)
+    bad = int(np.count_nonzero(x <= 0.0))
     if bad:
         raise ZeroSamplesError(bad)
 

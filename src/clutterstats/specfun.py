@@ -1,15 +1,19 @@
-"""Scalar special-function kernel: log-gamma, digamma, polygamma, Bessel K.
+"""Special-function kernel: log-gamma, digamma, polygamma, Bessel K.
 
-Self-contained (no dependency on the rest of the package beyond the shared
-quadrature engine) and accurate enough for everything downstream:
+Self-contained (no dependency on the rest of the package beyond the
+latent-integral kernel in ``_quad``) and accurate enough for everything
+downstream:
 
 * ``ln_gamma``  -- Stirling series after an upward recurrence shift,
   absolute accuracy a few ulp of the result over [1e-3, 1e6].
 * ``digamma`` / ``polygamma`` -- Bernoulli asymptotic series, shifted
   upward until the argument is >= 10.
-* ``bessel_k`` -- exponentially scaled adaptive quadrature of
-  integral(exp(-x*cosh t) * cosh(nu*t), t=0..inf); half-integer orders use
-  the finite closed form.
+* ``log_bessel_k_batch`` -- log K_nu for a whole abscissa array: the
+  peak-centred trapezoid rule ``_quad.log_trapezoid`` on
+  1/2 integral(exp(nu t - x cosh t)) over the real line, good to a few
+  1e-13 in log over x in [1e-90, 1e18]; half-integer orders use the
+  finite closed form.  ``log_bessel_k`` and ``bessel_k`` are its scalar
+  forms.
 
 All functions are pure and reentrant.
 """
@@ -21,7 +25,8 @@ import sys
 
 import numpy as np
 
-from ._quad import adaptive_quad
+from ._quad import adaptive_quad  # noqa: F401  bound for bench/tracing.py
+from ._quad import log_trapezoid
 
 __all__ = ["ln_gamma", "digamma", "polygamma", "bessel_k", "log_bessel_k",
            "log_bessel_k_batch"]
@@ -116,63 +121,6 @@ def polygamma(order: int, x: float) -> float:
     return sign * (acc + body)
 
 
-def _log_cosh(u):
-    u = np.abs(u)
-    return u + np.log1p(np.exp(-2.0 * u)) - math.log(2.0)
-
-
-def _sech_squared(u: float) -> float:
-    # 1/cosh(u)^2 without overflow for large |u|
-    e = math.exp(-abs(u))
-    sech = 2.0 * e / (1.0 + e * e)
-    return sech * sech
-
-
-def _log_bessel_k_quadrature(nu: float, x: float) -> float:
-    """log K_nu(x) through the scaled cosh-integral representation."""
-    nu = abs(nu)
-
-    # locate the integrand peak (t* solves nu tanh(nu t) = x sinh t)
-    t_peak = math.asinh(nu / x) if nu > 0.0 else 0.0
-    for _ in range(50):
-        d1 = nu * math.tanh(nu * t_peak) - x * math.sinh(t_peak)
-        d2 = nu * nu * _sech_squared(nu * t_peak) - x * math.cosh(t_peak)
-        if d2 >= 0.0:
-            break
-        step = d1 / d2
-        t_new = t_peak - step
-        if t_new < 0.0:
-            t_new = 0.5 * t_peak
-        if abs(t_new - t_peak) <= 1e-13 * max(1.0, t_peak):
-            t_peak = t_new
-            break
-        t_peak = t_new
-    log_cosh_peak = float(_log_cosh(nu * t_peak))
-    g_max = log_cosh_peak - x * math.cosh(t_peak)
-
-    def g_scaled(t):
-        # g(t) - g(t_peak) without cancellation for large x:
-        # cosh t - cosh tp = 2 sinh((t+tp)/2) sinh((t-tp)/2)
-        gap = 2.0 * np.sinh(0.5 * (t + t_peak)) * np.sinh(0.5 * (t - t_peak))
-        return _log_cosh(nu * t) - log_cosh_peak - x * gap
-
-    # upper limit: march until the integrand dropped by e^-45
-    t_hi = max(t_peak, 1.0)
-    while t_hi < 705.0 and float(g_scaled(np.array([t_hi]))[0]) > -45.0:
-        t_hi = 1.5 * t_hi + 0.5
-
-    def integrand(t):
-        return np.exp(g_scaled(t))
-
-    # seed panels around the peak so the adaptive pass cannot miss it
-    width = 1.0 / math.sqrt(max(x * math.cosh(t_peak), 1e-8))
-    edges = [t_peak + w for w in (-4 * width, -width, 0.0, width, 4 * width)]
-    value, _ = adaptive_quad(integrand, 0.0, t_hi, rel_tol=1e-12,
-                             abs_tol=1e-300, max_subdivisions=600,
-                             initial_edges=edges)
-    return g_max + math.log(value)
-
-
 def _half_integer_order(nu: float) -> int | None:
     n = abs(nu) - 0.5
     n_round = round(n)
@@ -181,14 +129,45 @@ def _half_integer_order(nu: float) -> int | None:
     return None
 
 
-def _log_bessel_k_half_integer(n: int, x: float) -> float:
+def _log_bessel_k_half_integer(n: int, x: np.ndarray) -> np.ndarray:
     # K_{n+1/2}(x) = sqrt(pi/(2x)) e^-x sum_{k=0}^{n} (n+k)!/((n-k)! k! (2x)^k)
-    term = 1.0
-    total = 1.0
+    term = np.ones_like(x)
+    total = np.ones_like(x)
     for k in range(n):
         term *= (n - k) * (n + k + 1) / ((k + 1) * 2.0 * x)
         total += term
-    return 0.5 * math.log(math.pi / (2.0 * x)) - x + math.log(total)
+    return 0.5 * np.log(math.pi / (2.0 * x)) - x + np.log(total)
+
+
+def _bessel_exponent(d, nu, x, t_peak):
+    # nu t - x cosh t at t = t_peak + d, less its peak value; the product
+    # keeps the digits that cosh t - cosh t_peak loses once x > 1e16
+    return nu * d - 2.0 * x * np.sinh(t_peak + 0.5 * d) * np.sinh(0.5 * d)
+
+
+def log_bessel_k_batch(nu: float, x) -> np.ndarray:
+    """log K_nu over an array of positive abscissas (shared order).
+
+    K_nu(x) = 1/2 integral(exp(nu t - x cosh t), t over the real line).
+    The exponent peaks at t* = asinh(nu/x) with curvature -hypot(x, nu);
+    its strip of analyticity is |Im t| < pi/2.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    if flat.size and (not np.all(np.isfinite(flat)) or np.any(flat <= 0.0)):
+        raise ValueError("log_bessel_k_batch requires finite x > 0")
+    nu = abs(float(nu))
+    if not math.isfinite(nu):
+        raise ValueError(f"log_bessel_k_batch requires finite order, got {nu!r}")
+    n = _half_integer_order(nu)
+    if n is not None:
+        return _log_bessel_k_half_integer(n, flat).reshape(x.shape)
+    t_peak = np.arcsinh(nu / flat)
+    curvature = np.hypot(flat, nu)
+    out = (nu * t_peak - curvature - math.log(2.0)
+           + log_trapezoid(_bessel_exponent, 1.0 / np.sqrt(curvature),
+                           0.5 * math.pi, nu, flat, t_peak))
+    return out.reshape(x.shape)
 
 
 def log_bessel_k(nu: float, x: float) -> float:
@@ -197,13 +176,7 @@ def log_bessel_k(nu: float, x: float) -> float:
     Safe where K itself would overflow or underflow double precision.
     """
     x = _require_positive_finite("log_bessel_k", x)
-    nu = float(nu)
-    if not math.isfinite(nu):
-        raise ValueError(f"log_bessel_k requires finite order, got {nu!r}")
-    n = _half_integer_order(nu)
-    if n is not None:
-        return _log_bessel_k_half_integer(n, x)
-    return _log_bessel_k_quadrature(nu, x)
+    return float(log_bessel_k_batch(nu, x))
 
 
 def bessel_k(nu: float, x: float) -> float:
@@ -221,109 +194,3 @@ def bessel_k(nu: float, x: float) -> float:
     return math.exp(log_value)
 
 
-# batched evaluation ---------------------------------------------------------
-#
-# Density evaluation feeds whole abscissa arrays through K_nu at a shared
-# order, which is far too slow one adaptive quadrature at a time.  The
-# batch path lays out a fixed panel set per element (geometric panels
-# resolving the integrand peak plus a uniform cover out to the decay
-# point), evaluates all panels in one vectorized pass and falls back to
-# the adaptive scalar route for the rare element whose embedded error
-# estimate is not tiny.
-
-_GK_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-])
-_GK_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
-])
-_GK_WG = np.zeros(15)
-_GK_WG[1::2] = [0.129484966168870, 0.279705391489277, 0.381830050505119,
-                0.417959183673469, 0.381830050505119, 0.279705391489277,
-                0.129484966168870]
-
-_BATCH_CHUNK = 256
-
-
-def _log_bessel_k_batch_chunk(nu: float, x: np.ndarray) -> np.ndarray:
-    t_peak = np.arcsinh(nu / x) if nu > 0.0 else np.zeros_like(x)
-    log_cosh_peak = _log_cosh(nu * t_peak)
-    x_cosh_peak = np.hypot(x, nu)          # x cosh(asinh(nu/x)) exactly
-    g_max = log_cosh_peak - x_cosh_peak
-    width = np.minimum(1.0 / np.sqrt(x_cosh_peak), 1.0)
-
-    def g_scaled(t):
-        gap = 2.0 * np.sinh(0.5 * (t + t_peak[..., None, None])) \
-            * np.sinh(0.5 * (t - t_peak[..., None, None]))
-        return (_log_cosh(nu * t) - log_cosh_peak[..., None, None]
-                - x[..., None, None] * gap)
-
-    # decay point: g_scaled(t_hi) <= -45
-    t_hi = np.maximum(t_peak, 1.0)
-    for _ in range(64):
-        live = g_scaled(t_hi[:, None, None])[:, 0, 0] > -45.0
-        if not live.any():
-            break
-        t_hi[live] = np.minimum(1.5 * t_hi[live] + 0.5, 705.0)
-
-    powers = width[:, None] * 2.0 ** np.arange(15)[None, :]
-    uniform = t_peak[:, None] + (t_hi - t_peak)[:, None] \
-        * np.linspace(0.0, 1.0, 33)[None, :]
-    edges = np.concatenate([
-        np.zeros((x.size, 1)),
-        np.clip(t_peak[:, None] - powers[:, ::-1], 0.0, t_hi[:, None]),
-        np.clip(t_peak[:, None] + powers, 0.0, t_hi[:, None]),
-        uniform,
-        t_hi[:, None],
-    ], axis=1)
-    edges.sort(axis=1)
-
-    half = 0.5 * (edges[:, 1:] - edges[:, :-1])          # (n, panels)
-    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-    nodes = mid[..., None] + half[..., None] * _GK_NODES  # (n, panels, 15)
-    f = np.exp(g_scaled(nodes))
-    kron = (f @ _GK_WK) * half
-    gauss = (f @ _GK_WG) * half
-    total = kron.sum(axis=1)
-    err = np.abs(kron - gauss).sum(axis=1)
-
-    out = g_max + np.log(total)
-    bad = err > 1e-10 * total
-    for i in np.flatnonzero(bad):
-        out[i] = _log_bessel_k_quadrature(nu, float(x[i]))
-    return out
-
-
-def log_bessel_k_batch(nu: float, x) -> np.ndarray:
-    """log K_nu over an array of positive abscissas (shared order)."""
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    if flat.size and (not np.all(np.isfinite(flat)) or np.any(flat <= 0.0)):
-        raise ValueError("log_bessel_k_batch requires finite x > 0")
-    nu = abs(float(nu))
-    if not math.isfinite(nu):
-        raise ValueError(f"log_bessel_k_batch requires finite order, got {nu!r}")
-    n = _half_integer_order(nu)
-    if n is not None:
-        term = np.ones_like(flat)
-        total = np.ones_like(flat)
-        for k in range(n):
-            term *= (n - k) * (n + k + 1) / ((k + 1) * 2.0 * flat)
-            total += term
-        out = 0.5 * np.log(math.pi / (2.0 * flat)) - flat + np.log(total)
-        return out.reshape(x.shape)
-    out = np.empty_like(flat)
-    for start in range(0, flat.size, _BATCH_CHUNK):
-        stop = start + _BATCH_CHUNK
-        out[start:stop] = _log_bessel_k_batch_chunk(nu, flat[start:stop])
-    return out.reshape(x.shape)

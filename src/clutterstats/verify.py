@@ -202,8 +202,8 @@ def monte_carlo_checks(families=None, seed: int = DEFAULT_MC_SEED,
                        n: int = 10**6, z_limit: float = 4.0
                        ) -> list[CheckOutcome]:
     """Empirical log-cumulants of 10^6 draws within z_limit standard errors
-    of the analytic values.  This is the check that settles the full-versus
-    texture-only derivative question for the K and Weibull-Nakagami forms."""
+    of the analytic values.  For the K and Weibull-Nakagami forms it confirms
+    that the log-cumulants carry the speckle term as well as the texture one."""
     wanted = None if families is None else set(families)
     out = []
     for index, (family, spec) in enumerate(MC_SPECS):

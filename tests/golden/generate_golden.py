@@ -65,6 +65,47 @@ def check_reference_sanity() -> None:
     for x in [0.05, 1.0, 9.0]:
         closed = mp.sqrt(mp.pi / (2 * mp.mpf(x))) * mp.exp(-mp.mpf(x))
         assert abs(closed - mp.besselk(mp.mpf(1) / 2, x)) / closed < mp.mpf(10) ** -45
+    # the Weibull-Nakagami integral at c = 2 is the K density
+    # 4 b^((alpha+1)/2) r^alpha K_(alpha-1)(2 sqrt(b) r) / Gamma(alpha)
+    for alpha, b, r in [(0.6, 0.5, 0.3), (2.5, 2.0, 1.7), (7.0, 1.0, 4.0)]:
+        alpha, b, r = mp.mpf(alpha), mp.mpf(b), mp.mpf(r)
+        k_pdf = 4 * b ** ((alpha + 1) / 2) * r ** alpha \
+            * mp.besselk(alpha - 1, 2 * mp.sqrt(b) * r) / mp.gamma(alpha)
+        assert abs(wnak_pdf(2, alpha, b, r) - k_pdf) / k_pdf < mp.mpf(10) ** -35
+
+
+def wnak_pdf(c, alpha, b, r):
+    """Weibull-Nakagami density: the Weibull(z, c) density at r mixed over
+    a Nakagami texture z (z^2 gamma with shape alpha and rate b), written as
+    an integral over u = log z.  The integral runs between the points where
+    the integrand fell by e^-200 on each side of its peak, split at powers
+    of two times the peak's width."""
+    c, alpha, b, r = (mp.mpf(v) for v in (c, alpha, b, r))
+    log_r = mp.log(r)
+
+    def p(u):
+        return (2 * alpha - c) * u - mp.exp(c * (log_r - u)) - b * mp.exp(2 * u)
+
+    def dp(u):
+        return (2 * alpha - c) + c * mp.exp(c * (log_r - u)) - 2 * b * mp.exp(2 * u)
+
+    start = (c * log_r + mp.log(c / (2 * b))) / (c + 2)
+    span = mp.mpf(1)
+    while dp(start - span) <= 0 or dp(start + span) >= 0:
+        span *= 2
+    peak = mp.findroot(dp, (start - span, start + span), solver="illinois",
+                       verify=False)
+    width = 1 / mp.sqrt(c * c * mp.exp(c * (log_r - peak)) + 4 * b * mp.exp(2 * peak))
+    p_max = p(peak)
+    edges = [peak]
+    for side in (-1, 1):
+        k = 1
+        while p(peak + side * k * width) - p_max > -200:
+            edges.append(peak + side * k * width)
+            k *= 2
+        edges.append(peak + side * k * width)
+    mass = mp.quad(lambda u: mp.exp(p(u) - p_max), sorted(edges))
+    return 2 * c * b ** alpha / mp.gamma(alpha) * r ** (c - 1) * mp.exp(p_max) * mass
 
 
 def build_tables() -> dict:
@@ -84,6 +125,17 @@ def build_tables() -> dict:
         (12.0, 0.01), (12.0, 4.0), (12.0, 50.0),
         (20.0, 1e-4), (20.0, 1.0), (20.0, 12.0), (20.0, 50.0),
     ]
+    # log K where K itself leaves the double range or the kernel's grid
+    # runs widest: x from 1e-90 to 1e18, including a near-zero order
+    log_bk_pairs = [
+        (0.01, 1e-18), (0.01, 1e17), (0.0, 1e-90), (3.05, 1.6),
+        (20.0, 1e-90), (60.0, 1e-90), (60.0, 1e18),
+    ]
+    # the last point has its peak far from where the two exponentials of
+    # the integrand balance (small c, large alpha)
+    wn_points = [(c, alpha, b, r) for c in (0.8, 1.0, 3.0)
+                 for alpha, b in ((0.6, 0.5), (2.5, 2.0))
+                 for r in (0.05, 0.5, 1.5, 4.0)] + [(0.05, 100.0, 1e-6, 1.0)]
     tables = {
         "_generated_by": "tests/golden/generate_golden.py (mpmath, 50 digit working precision)",
         "ln_gamma": [[x, float(mp.loggamma(mp.mpf(x)))] for x in lg_points],
@@ -91,6 +143,10 @@ def build_tables() -> dict:
         "polygamma": [[m, x, float(mp.polygamma(m, mp.mpf(x)))]
                       for m in range(1, 6) for x in pg_x],
         "bessel_k": [[nu, x, float(mp.besselk(nu, mp.mpf(x)))] for nu, x in bk_pairs],
+        "log_bessel_k": [[nu, x, float(mp.log(mp.besselk(nu, mp.mpf(x))))]
+                         for nu, x in log_bk_pairs],
+        "wnak_pdf": [[c, alpha, b, r, float(wnak_pdf(c, alpha, b, r))]
+                     for c, alpha, b, r in wn_points],
         "splitmix64": {
             "seed_0": [hex(v) for v in splitmix64_outputs(0, 8)],
             "seed_42": [hex(v) for v in splitmix64_outputs(42, 8)],

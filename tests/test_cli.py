@@ -129,6 +129,14 @@ class TestEstimate:
         assert code == 3
         assert "ZeroSamples" in err
 
+    def test_non_finite_value_exit_3(self, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x\n1.0\ninf\n2.0\n" + "1.5\n" * 40)
+        code, _, err = run(capsys, "estimate", "--family", "gamma",
+                           "--input", str(bad))
+        assert code == 3
+        assert "NonFiniteSamples: 1 sample(s)" in err
+
     def test_infeasible_exit_3(self, capsys, tmp_path):
         # sub-Rayleigh log-variance: the K fit has no solution
         bad = tmp_path / "norm.csv"

@@ -1,7 +1,12 @@
 import math
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clutterstats import distributions as dist
 from clutterstats._quad import adaptive_quad
@@ -96,6 +101,36 @@ class TestPdf:
                                       initial_edges=np.linspace(-39, 39, 79))
             assert dist.pdf(spec, r) == pytest.approx(oracle, rel=1e-7)
 
+    def test_wn_pdf_golden_table(self):
+        golden = json.loads((Path(__file__).parent / "golden" /
+                             "specfun_golden.json").read_text())
+        for c, alpha, b, r, ref in golden["wnak_pdf"]:
+            got = dist.pdf(WeibullNakagami(c, alpha, b), r)
+            assert abs(got - ref) <= 1e-12 * ref, (c, alpha, b, r)
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(alpha=st.floats(0.2, 20.0), log10_b=st.floats(-2.0, 2.0),
+           log10_q=st.floats(-3.0, 1.0))
+    def test_wn_at_c_two_is_k(self, alpha, log10_b, log10_q):
+        # the same law reached through the Bessel-K and the wnak integrals
+        b = 10.0 ** log10_b
+        r = 10.0 ** log10_q * math.sqrt(alpha / b)
+        wn = dist.pdf(WeibullNakagami(2.0, alpha, b), r)
+        k = dist.pdf(KAmplitude(alpha, b), r)
+        assert wn == pytest.approx(k, rel=1e-12, abs=1e-300)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(c=st.floats(0.05, 50.0), alpha=st.floats(0.05, 100.0),
+           log10_b=st.floats(-6.0, 6.0), log10_x=st.floats(-300.0, 300.0))
+    def test_latent_densities_finite_over_box(self, c, alpha, log10_b,
+                                              log10_x):
+        b, x = 10.0 ** log10_b, 10.0 ** log10_x
+        for spec in (WeibullNakagami(c, alpha, b), KAmplitude(alpha, b)):
+            value = dist.pdf(spec, x)
+            assert math.isfinite(value) and value >= 0.0, spec
+
     def test_zero_limits(self):
         assert dist.pdf(Weibull(2.0, 1.0), 0.0) == 0.5
         assert dist.pdf(Weibull(1.0, 0.5), 0.0) == math.inf
@@ -107,6 +142,20 @@ class TestPdf:
         limit = dist.pdf(spec, 0.0)
         assert limit == pytest.approx(1.0)
         assert dist.pdf(spec, 1e-9) == pytest.approx(limit, rel=1e-3)
+        # boundary shapes where the rightmost pole of Phi sits at s = 0
+        assert dist.pdf(GammaGamma(1.0, 1.0, 2.0), 0.0) == math.inf
+        boundary = [
+            (GammaGamma(1.0, 2.0, 3.0), 2.0 / 3.0),
+            (KAmplitude(0.5, 1.0), 2.0),
+            (WeibullNakagami(1.0, 2.5, 3.0),
+             math.sqrt(3.0) * math.gamma(2.0) / math.gamma(2.5)),
+            (Fisher(1.0, 2.0, 4.0), 0.25),
+            (Nakagami(0.5, 2.0), math.sqrt(2.0 / math.pi) / 2.0),
+        ]
+        for spec, want in boundary:
+            limit = dist.pdf(spec, 0.0)
+            assert limit == pytest.approx(want, rel=1e-12), spec
+            assert dist.pdf(spec, 1e-9) == pytest.approx(limit, rel=1e-3), spec
 
     def test_array_and_scalar_agree(self):
         xs = np.array([0.0, 0.5, 1.0, 3.0])
@@ -280,20 +329,6 @@ class TestLogCumulants:
             dist.log_cumulants_analytic(GammaPower(1.0, 1.0), 0)
         with pytest.raises(ValueError):
             dist.log_cumulants_analytic(GammaPower(1.0, 1.0), 7)
-
-    def test_texture_only_variant(self):
-        spec = KAmplitude(2.0, 1.0)
-        full = dist.log_cumulants_analytic(spec, 4)
-        reduced = dist.texture_only_log_cumulants(spec, 4)
-        assert reduced[0] == full[0]
-        for n in range(2, 5):
-            assert reduced[n - 1] == pytest.approx(
-                0.5**n * polygamma(n - 1, 2.0), rel=1e-12)
-            # the full form carries the speckle polygamma term on top
-            assert full[n - 1] == pytest.approx(
-                reduced[n - 1] + 0.5**n * polygamma(n - 1, 1.0), rel=1e-12)
-        with pytest.raises(ValueError):
-            dist.texture_only_log_cumulants(GammaPower(1.0, 1.0), 2)
 
 
 class TestRayleighWeibullIdentity:

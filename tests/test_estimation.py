@@ -6,7 +6,8 @@ import pytest
 
 from clutterstats import distributions as dist
 from clutterstats.estimation import (EmpiricalLogStats, FitOptions,
-                                     NoSolutionError, OutOfRangeError,
+                                     NonFiniteSamplesError, NoSolutionError,
+                                     OutOfRangeError,
                                      TooFewSamplesError, ZeroSamplesError,
                                      empirical_log_stats, fit_molc,
                                      invert_polygamma, texture_log_cumulants)
@@ -39,6 +40,15 @@ class TestEmpiricalLogStats:
         with pytest.raises(ZeroSamplesError) as info:
             empirical_log_stats(values)
         assert info.value.count == 3
+
+    def test_non_finite_samples_rejected_with_count(self):
+        values = np.ones(50)
+        values[[2, 5]] = math.inf
+        values[8] = math.nan
+        values[11] = -math.inf
+        with pytest.raises(NonFiniteSamplesError) as info:
+            empirical_log_stats(values)
+        assert info.value.count == 4
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamplesError):

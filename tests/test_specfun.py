@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clutterstats.specfun import (bessel_k, digamma, ln_gamma, log_bessel_k,
                                   log_bessel_k_batch, polygamma)
@@ -201,6 +203,24 @@ class TestBesselK:
             batch = log_bessel_k_batch(nu, xs)
             scalar = np.array([log_bessel_k(nu, float(v)) for v in xs])
             assert np.max(np.abs(batch - scalar)) <= 1e-10
+
+    def test_log_golden_table(self):
+        # orders and abscissas where K leaves the double range
+        for nu, x, ref in GOLDEN["log_bessel_k"]:
+            err = abs(log_bessel_k(nu, x) - ref) / max(1.0, abs(ref))
+            assert err <= 1e-12, (nu, x)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(nu=st.floats(1.0, 20.0), log10_x=st.floats(-6.0, 3.0))
+    def test_recurrence_over_box(self, nu, log10_x):
+        # K_(nu+1) = K_(nu-1) + (2 nu / x) K_nu, all terms positive; each
+        # log K is good to about 4e-13, so three of them to about 1.3e-12
+        x = 10.0 ** log10_x
+        lhs = log_bessel_k(nu + 1.0, x)
+        rhs = np.logaddexp(log_bessel_k(nu - 1.0, x),
+                           math.log(2.0 * nu / x) + log_bessel_k(nu, x))
+        assert abs(lhs - rhs) <= 2e-12 * max(1.0, abs(lhs))
 
     def test_batch_domain(self):
         with pytest.raises(ValueError):
