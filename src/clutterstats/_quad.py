@@ -141,6 +141,7 @@ def adaptive_quad(
 # peak-centred trapezoid rule ------------------------------------------------
 
 _DROP = 46.0   # the grid ends where the integrand fell below e^-46 ~ 1e-20
+LOG_FLOOR = -700.0   # log of the least weight kept for an exponent term
 _GAUSSIAN = 1e-10   # narrower integrands are Gaussian to double precision
 _CHUNK = 256   # problems per pass; bounds the (problems x nodes) work arrays
 

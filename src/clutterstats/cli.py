@@ -134,6 +134,8 @@ def _cmd_table(args) -> int:
             moment = f"{dist.classical_moment(spec, n):.12g}"
         except dist.MomentDoesNotExistError:
             moment = "undefined (n >= M)"
+        except OverflowError:
+            moment = "overflow"
         cumulant = f"{cumulants[n - 1]:.12g}" if n <= len(cumulants) else ""
         print(f"{n:2d}  {moment:>20s}  {cumulant:>20s}")
     return EXIT_OK

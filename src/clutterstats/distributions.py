@@ -8,25 +8,31 @@ factorization of the product model ``X = U * Z``.
 
 Internally every family is reduced to the same canonical transform shape
 
-    Phi(s) = scale^(s-1) * prod_i Gamma(a_i + c_i (s-1)) / Gamma(a_i)
+    Phi(s) = scale^(s-1) * prod_i Gamma(a_i + c_i (s-1)) / Gamma(a_i),
 
-which yields the log form, the strip of analyticity and all log-cumulant
-orders from one description:
+the transform of X = scale * prod_i G_i^c_i over independent unit gammas
+G_i ~ Gamma(a_i).  The six simple families state their form; a compound
+form multiplies the forms of its ``components``.  The form yields the log
+form, the strip of analyticity, the log-cumulants
 
     k1 = log(scale) + sum_i c_i psi(a_i)
     kn = sum_i c_i^n psi^(n-1)(a_i),   n >= 2
+
+and the density, by its shape: generalized gamma (one term), Bessel-K law
+(two, equal c), beta prime (c1 = -c2) or a latent integral (any other pair).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import specfun
 from ._quad import adaptive_quad  # noqa: F401  bound for bench/tracing.py
-from ._quad import log_trapezoid
+from ._quad import LOG_FLOOR, log_trapezoid
 
 __all__ = [
     "GammaPower", "Nakagami", "Maxwell", "Weibull", "Rayleigh",
@@ -236,17 +242,15 @@ def _mellin_form(spec: DistributionSpec) -> _MellinForm:
             return _MellinForm(z, ((1.0, 1.0 / b),))
         case Rayleigh(z=z):
             return _mellin_form(Weibull(z, 2.0))
-        case GammaGamma(L=L, M=M, mu=mu):
-            return _MellinForm(mu / (L * M), ((L, 1.0), (M, 1.0)))
-        case KAmplitude(alpha=alpha, b=b):
-            return _MellinForm(b ** -0.5, ((1.0, 0.5), (alpha, 0.5)))
-        case WeibullNakagami(c=c, alpha=alpha, b=b):
-            return _MellinForm(b ** -0.5, ((1.0, 1.0 / c), (alpha, 0.5)))
-        case Fisher(L=L, M=M, mu=mu):
-            return _MellinForm(M * mu / L, ((L, 1.0), (M, -1.0)))
         case InverseGamma(shape=a, scale=scale):
             return _MellinForm(scale, ((a, -1.0),))
-    raise TypeError(f"not a distribution spec: {spec!r}")
+    parts = components(spec)
+    if parts is None:
+        raise TypeError(f"not a distribution spec: {spec!r}")
+    # X = U * Z multiplies the transforms (Mellin convolution theorem)
+    speckle, texture = map(_mellin_form, parts)
+    return _MellinForm(speckle.scale * texture.scale,
+                       speckle.terms + texture.terms)
 
 
 def strip(spec: DistributionSpec) -> tuple[float, float]:
@@ -269,36 +273,65 @@ def _check_strip(spec: DistributionSpec, s: float) -> None:
         raise StripError(family_tag(spec), s, lo, hi)
 
 
-def _gamma_ratio(a: float, d: float) -> float:
-    """Gamma(a + d) / Gamma(a); exact product for small integer d."""
+def _exp2_parts(log2_value: float) -> tuple[float, int]:
+    """2**log2_value as (m, e) with value m * 2**e, past the double range."""
+    e = math.floor(log2_value)
+    return 2.0 ** (log2_value - e), e
+
+
+def _power_parts(scale: float, delta: float) -> tuple[float, int]:
+    """scale**delta as (m, e) with value m * 2**e, past the double range."""
+    try:
+        m, e = math.frexp(scale ** delta)
+        if m and e > -1022:            # a normal double
+            return m, e
+    except OverflowError:
+        pass
+    # scale = m 2^e: m^delta to a few ulp, 2^(e delta) exact for integer delta
+    m, e = math.frexp(scale)
+    m_part, e_part = _exp2_parts(delta * math.log2(m))
+    m_whole, e_whole = _exp2_parts(e * delta)
+    return m_part * m_whole, e_part + e_whole
+
+
+def _gamma_ratio(a: float, d: float) -> tuple[float, int]:
+    """Gamma(a + d) / Gamma(a) as (m, e) with value m * 2**e; exact
+    product for small integer d, rounded as the plain product in range."""
     n = round(d)
     if d == n and abs(n) <= 64:
         n = int(n)
-        if n >= 0:
-            out = 1.0
-            for j in range(n):
-                out *= a + j
-            return out
-        out = 1.0
-        for j in range(1, -n + 1):
-            out *= a - j
-        return 1.0 / out
-    return math.exp(specfun.ln_gamma(a + d) - specfun.ln_gamma(a))
+        m, e = 1.0, 0
+        for j in range(n) if n >= 0 else range(1, -n + 1):
+            m, k = math.frexp(m * (a + j if n >= 0 else a - j))
+            e += k
+        return (m, e) if n >= 0 else (1.0 / m, -e)
+    log_ratio = specfun.ln_gamma(a + d) - specfun.ln_gamma(a)
+    if abs(log_ratio) < 708.0:
+        return math.frexp(math.exp(log_ratio))
+    return _exp2_parts(log_ratio / math.log(2.0))
 
 
 def chf2_analytic(spec: DistributionSpec, s: float) -> float:
     """Second-kind characteristic function Phi(s) = E[X^(s-1)].
 
     Phi(1) = 1 exactly by construction.  Raises StripError outside the
-    family's strip of analyticity.
+    family's strip of analyticity, and OverflowError where Phi(s) exceeds
+    the double range; values below it underflow towards 0.
     """
     _check_strip(spec, s)
     form = _mellin_form(spec)
     delta = float(s) - 1.0
-    value = form.scale ** delta
+    m, e = _power_parts(form.scale, delta)
     for a, c in form.terms:
-        value *= _gamma_ratio(a, c * delta)
-    return value
+        m_ratio, e_ratio = _gamma_ratio(a, c * delta)
+        m, k = math.frexp(m * m_ratio)
+        e += e_ratio + k
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        raise OverflowError(f"chf2_analytic: Phi(s={s:g}) of "
+                            f"{family_tag(spec)} exceeds the double range "
+                            f"(~2**{e})") from None
 
 
 def log_chf2_analytic(spec: DistributionSpec, s: float) -> float:
@@ -372,9 +405,15 @@ def pdf(spec: DistributionSpec, x):
     arr = np.asarray(x, dtype=float)
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):
         raise ValueError("pdf requires finite x >= 0")
-    scalar = arr.ndim == 0
-    out = _pdf_array(spec, np.atleast_1d(arr))
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    zero = arr.ravel() == 0.0
+    form = _mellin_form(spec)
+    log_x = np.log(np.where(zero, 1.0, arr.ravel()))
+    log_density = _log_density(form.terms, log_x - math.log(form.scale))
+    with np.errstate(over="ignore"):   # densities past the double range
+        out = np.exp(log_density - log_x)
+    if zero.any():
+        out[zero] = _pdf_zero_limit(spec)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _pdf_zero_limit(spec: DistributionSpec) -> float:
@@ -396,119 +435,77 @@ def _pdf_zero_limit(spec: DistributionSpec) -> float:
     value = math.exp(-specfun.ln_gamma(a_i)) / (form.scale * c_i)
     for j, (a, c) in enumerate(form.terms):
         if j != i:
-            value *= _gamma_ratio(a, -c)
+            value *= math.ldexp(*_gamma_ratio(a, -c))
     return value
 
 
-def _pdf_array(spec: DistributionSpec, x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    zero = x == 0.0
-    if zero.any():
-        out[zero] = _pdf_zero_limit(spec)
-    pos = ~zero
-    if pos.any():
-        out[pos] = _pdf_positive(spec, x[pos])
-    return out
+def _log_density(terms, v: np.ndarray) -> np.ndarray:
+    """log density of V = log(X / scale) = sum c_i log G_i at v, where
+    log G_i has density exp(a_i u - e^u) / Gamma(a_i)."""
+    if len(terms) == 1:                # generalized gamma
+        (a, c), = terms
+        t = v / c
+        return (a * t - np.exp(np.minimum(t, 709.0))   # e^709: density 0
+                - specfun.ln_gamma(a) - math.log(abs(c)))
+    (a1, c1), (a2, c2) = terms
+    norm = specfun.ln_gamma(a1) + specfun.ln_gamma(a2) + math.log(abs(c1))
+    if c1 == -c2:                      # beta prime law of G1 / G2
+        t = v / c1
+        return (a1 * t - (a1 + a2) * np.logaddexp(0.0, t)
+                + specfun.ln_gamma(a1 + a2) - norm)
+    if c1 != c2:
+        return _log_latent_integral(a1, c1, a2, c2, v) - norm
+    # Bessel-K law of G1 G2: 2 w^((a1+a2)/2) K_(a1-a2)(2 sqrt(w)) at log w = t
+    t = v / c1
+    with np.errstate(over="ignore"):
+        arg = 2.0 * np.exp(0.5 * t)
+    inside = (arg >= sys.float_info.min) & (arg < np.inf)
+    out = (math.log(2.0) + 0.5 * (a1 + a2) * t
+           + specfun.log_bessel_k_batch(a1 - a2, np.where(inside, arg, 1.0)))
+    if not inside.all():   # the same integral in logs; -inf on overflow
+        out[~inside] = _log_latent_integral(a1, c1, a2, c2, v[~inside])
+    return out - norm
 
 
-def _pdf_positive(spec: DistributionSpec, x: np.ndarray) -> np.ndarray:
-    match spec:
-        case GammaPower(L=L, mu=mu):
-            lam = L / mu
-            logpdf = (L * math.log(lam) - specfun.ln_gamma(L)
-                      + (L - 1.0) * np.log(x) - lam * x)
-            return np.exp(logpdf)
-        case Nakagami(L=L, mu=mu):
-            decay = np.exp(np.minimum(
-                2.0 * np.log(x) + math.log(L / (mu * mu)), 709.0))
-            logpdf = (math.log(2.0) + L * math.log(L / (mu * mu))
-                      - specfun.ln_gamma(L)
-                      + (2.0 * L - 1.0) * np.log(x) - decay)
-            return np.exp(logpdf)
-        case Maxwell(sigma=sigma):
-            # quadratic exponent in log space, capped below exp overflow
-            decay = np.exp(np.minimum(
-                2.0 * np.log(x) - math.log(2.0 * sigma * sigma), 709.0))
-            logpdf = (0.5 * math.log(2.0 / math.pi) - 3.0 * math.log(sigma)
-                      + 2.0 * np.log(x) - decay)
-            return np.exp(logpdf)
-        case Weibull(z=z, b=b):
-            log_t = np.log(x) - math.log(z)
-            logpdf = (math.log(b / z) + (b - 1.0) * log_t
-                      - np.exp(np.minimum(b * log_t, 709.0)))
-            return np.exp(logpdf)
-        case Rayleigh(z=z):
-            return _pdf_positive(Weibull(z, 2.0), x)
-        case GammaGamma(L=L, M=M, mu=mu):
-            q = L * M / mu
-            arg = 2.0 * np.sqrt(q * x)
-            logk = specfun.log_bessel_k_batch(M - L, arg)
-            logpdf = (math.log(2.0) + math.log(q)
-                      - specfun.ln_gamma(L) - specfun.ln_gamma(M)
-                      + 0.5 * (L + M - 2.0) * np.log(q * x) + logk)
-            return np.exp(logpdf)
-        case KAmplitude(alpha=alpha, b=b):
-            arg = 2.0 * np.sqrt(b) * x
-            logk = specfun.log_bessel_k_batch(alpha - 1.0, arg)
-            logpdf = (math.log(4.0) + 0.5 * (alpha + 1.0) * math.log(b)
-                      + alpha * np.log(x) - specfun.ln_gamma(alpha) + logk)
-            return np.exp(logpdf)
-        case WeibullNakagami(c=c, alpha=alpha, b=b):
-            log_r = np.log(x)
-            logpdf = (math.log(2.0 * c) + alpha * math.log(b)
-                      - specfun.ln_gamma(alpha) + (c - 1.0) * log_r
-                      + _wn_log_texture_integral(c, alpha, b, log_r))
-            return np.exp(logpdf)
-        case Fisher(L=L, M=M, mu=mu):
-            lam = L / (M * mu) * x
-            logpdf = (specfun.ln_gamma(L + M) - specfun.ln_gamma(L)
-                      - specfun.ln_gamma(M) + math.log(L / (M * mu))
-                      + (L - 1.0) * np.log(lam)
-                      - (L + M) * np.log1p(lam))
-            return np.exp(logpdf)
-        case InverseGamma(shape=a, scale=scale):
-            logpdf = (a * math.log(scale) - specfun.ln_gamma(a)
-                      - (a + 1.0) * np.log(x) - scale / x)
-            return np.exp(logpdf)
-    raise TypeError(f"not a distribution spec: {spec!r}")
-
-
-def _wn_log_texture_integral(c: float, alpha: float, b: float,
-                             log_r: np.ndarray) -> np.ndarray:
-    """log integral(exp(p(u)), u over the real line) per abscissa, where
-
-        p(u) = (2 alpha - c) u - exp(c (log r - u)) - b exp(2u)
-
-    is the log of the Weibull-Nakagami mixture integrand over u = log z.
-    p'' = -c^2 exp(c (log r - u)) - 4b exp(2u) < 0, so p has one peak.
-    The integrand is analytic for |Im u| < min(pi/4, pi/(2c)).
+def _log_latent_integral(a1: float, c1: float, a2: float, c2: float,
+                         v: np.ndarray) -> np.ndarray:
+    """log density of V = c1 log G1 + c2 log G2 (c1, c2 > 0) at v, plus
+    ln Gamma(a1) + ln Gamma(a2) + log c1, as an integral over w = log G2:
+    a1 T + log integral(exp(p(w)) dw), p(w) = k w - exp(T - q w) - exp(w),
+    T = v / c1, q = c2 / c1, k = a2 - a1 q.  p'' < 0 (one peak), and the
+    integrand is analytic for |Im w| < min(pi/2, pi/(2q)).
     """
-    slope = 2.0 * alpha - c
-    # The peak solves c exp(c (log r - u)) + slope+ = 2b exp(2u) + slope-.
-    # In logs, F(u) = log(left side) - log(right side) is monotone, convex
-    # or concave, and |F'| lies in [min(2, c), 2 + c], so Newton's method
-    # converges from any start without overflow.
+    q, slope = c2 / c1, a2 - a1 * c2 / c1
+    big_t = v / c1
+    # The peak solves q exp(T - q w) + k+ = exp(w) + k-; in logs the sides
+    # differ by a monotone, convex or concave F(w) with |F'| in
+    # [min(1, q), 1 + q], so Newton's method converges from any start.
     log_plus = math.log(slope) if slope > 0.0 else -math.inf
     log_minus = math.log(-slope) if slope < 0.0 else -math.inf
-    log_c, log_2b = math.log(c), math.log(2.0 * b)
-    u = (c * log_r + log_c - log_2b) / (c + 2.0)
+    log_q = math.log(q)
+    w = (log_q + big_t) / (1.0 + q)
     for _ in range(100):
-        e1 = log_c + c * (log_r - u)
-        e2 = log_2b + 2.0 * u
-        left, right = np.logaddexp(e1, log_plus), np.logaddexp(e2, log_minus)
-        step = (left - right) / (c * np.exp(e1 - left)
-                                 + 2.0 * np.exp(e2 - right))
-        u = u + step
-        if np.all(np.abs(step) <= 1e-15 * np.maximum(1.0, np.abs(u))):
+        e1 = log_q + big_t - q * w
+        left, right = np.logaddexp(e1, log_plus), np.logaddexp(w, log_minus)
+        step = (left - right) / (q * np.exp(e1 - left) + np.exp(w - right))
+        w = w + step
+        if np.all(np.abs(step) <= 1e-15 * np.maximum(1.0, np.abs(w))):
             break
 
-    with np.errstate(over="ignore"):
-        t1, t2 = np.exp(c * (log_r - u)), b * np.exp(2.0 * u)
+    # the two exponentials at the peak, held in [e^-700, e^700]: above, the
+    # result is below -e^700 anyway; below, the exponent is shifted to match
+    log_t = (big_t - q * w, w)
+    clipped = [np.clip(lt, LOG_FLOOR, -LOG_FLOOR) for lt in log_t]
+    t1, t2 = np.exp(clipped)
+    shifts = (clipped[0] - log_t[0], clipped[1] - log_t[1])
+    return (a1 * big_t + slope * w - t1 - t2
+            + log_trapezoid(_latent_exponent, 1.0 / np.sqrt(q * q * t1 + t2),
+                            min(0.5 * math.pi, 0.5 * math.pi / q), q, slope,
+                            t1, t2, *(shifts if np.any(shifts) else ())))
 
-    def exponent(d, t1, t2):
-        # p(u + d) - p(u) without cancellation at small d
-        return slope * d - t1 * np.expm1(-c * d) - t2 * np.expm1(2.0 * d)
 
-    return (slope * u - t1 - t2
-            + log_trapezoid(exponent, 1.0 / np.sqrt(c * c * t1 + 4.0 * t2),
-                            min(0.25 * math.pi, 0.5 * math.pi / c), t1, t2))
+def _latent_exponent(d, q, slope, t1, t2, *shifts):
+    # p(w + d) - p(w) without cancellation at small d; a term raised to
+    # e^-700 takes its exponential at d - shift, the same wherever it counts
+    d1, d2 = (-q * d - shifts[0], d - shifts[1]) if shifts else (-q * d, d)
+    return slope * d - t1 * np.expm1(d1) - t2 * np.expm1(d2)

@@ -11,9 +11,9 @@ downstream:
 * ``log_bessel_k_batch`` -- log K_nu for a whole abscissa array: the
   peak-centred trapezoid rule ``_quad.log_trapezoid`` on
   1/2 integral(exp(nu t - x cosh t)) over the real line, good to a few
-  1e-13 in log over x in [1e-90, 1e18]; half-integer orders use the
-  finite closed form.  ``log_bessel_k`` and ``bessel_k`` are its scalar
-  forms.
+  1e-13 in log over x in [1e-90, 1e18] and defined down to the smallest
+  subnormal x; order 1/2 uses its closed form.  ``log_bessel_k`` and
+  ``bessel_k`` are its scalar forms.
 
 All functions are pure and reentrant.
 """
@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from ._quad import adaptive_quad  # noqa: F401  bound for bench/tracing.py
-from ._quad import log_trapezoid
+from ._quad import LOG_FLOOR, log_trapezoid
 
 __all__ = ["ln_gamma", "digamma", "polygamma", "bessel_k", "log_bessel_k",
            "log_bessel_k_batch"]
@@ -107,9 +107,14 @@ def polygamma(order: int, x: float) -> float:
     while y < _SHIFT_THRESHOLD:
         acc += fact_m / y ** (m + 1)
         y += 1.0
-    body = fact_m1 / y**m + fact_m / (2.0 * y ** (m + 1))
+    sign = 1.0 if m % 2 == 1 else -1.0
+    try:
+        body = fact_m1 / y**m + fact_m / (2.0 * y ** (m + 1))
+        t = 1.0 / y ** (m + 2)  # 1/y^(2k + m) at k = 1
+    except OverflowError:
+        # past y^(m+2) = DBL_MAX only the leading term counts; it underflows
+        return sign * fact_m1 * (1.0 / y) ** m
     z = 1.0 / (y * y)
-    t = 1.0 / y ** (m + 2)  # 1/y^(2k + m) at k = 1
     for k, b in enumerate(_B2K, start=1):
         # R_k = (2k + m - 1)! / (2k)! as a float product
         r = 1.0
@@ -117,40 +122,27 @@ def polygamma(order: int, x: float) -> float:
             r *= j
         body += b * r * t
         t *= z
-    sign = 1.0 if m % 2 == 1 else -1.0
     return sign * (acc + body)
 
 
-def _half_integer_order(nu: float) -> int | None:
-    n = abs(nu) - 0.5
-    n_round = round(n)
-    if abs(n - n_round) < 1e-12 and 0 <= n_round <= 30:
-        return int(n_round)
-    return None
-
-
-def _log_bessel_k_half_integer(n: int, x: np.ndarray) -> np.ndarray:
-    # K_{n+1/2}(x) = sqrt(pi/(2x)) e^-x sum_{k=0}^{n} (n+k)!/((n-k)! k! (2x)^k)
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(n):
-        term *= (n - k) * (n + k + 1) / ((k + 1) * 2.0 * x)
-        total += term
-    return 0.5 * np.log(math.pi / (2.0 * x)) - x + np.log(total)
-
-
-def _bessel_exponent(d, nu, x, t_peak):
-    # nu t - x cosh t at t = t_peak + d, less its peak value; the product
-    # keeps the digits that cosh t - cosh t_peak loses once x > 1e16
-    return nu * d - 2.0 * x * np.sinh(t_peak + 0.5 * d) * np.sinh(0.5 * d)
+def _bessel_exponent(d, nu, root_2b, *shift):
+    # nu t - x cosh t at t = t* + d less its peak value nu t* - h is, by
+    # x sinh t* = nu and x cosh t* = h, -nu (e^d - 1 - d) - 2B sinh^2(d/2)
+    # with B = x e^-t*: two terms <= 0, so nothing cancels (d is capped so
+    # nu = 0 gives 0).  A B below e^-700 is raised to e^-700 with sinh at
+    # |d| - shift, shift = log(e^-700 / B): the same wherever it counts.
+    half = 0.5 * (np.maximum(np.abs(d) - shift[0], 0.0) if shift else d)
+    return -(nu * (np.expm1(np.minimum(d, 709.0)) - d)
+             + (root_2b * np.sinh(half)) ** 2)
 
 
 def log_bessel_k_batch(nu: float, x) -> np.ndarray:
     """log K_nu over an array of positive abscissas (shared order).
 
     K_nu(x) = 1/2 integral(exp(nu t - x cosh t), t over the real line).
-    The exponent peaks at t* = asinh(nu/x) with curvature -hypot(x, nu);
-    its strip of analyticity is |Im t| < pi/2.
+    The exponent peaks at t* = log(nu + h) - log x, h = hypot(x, nu), with
+    curvature -h; its strip of analyticity is |Im t| < pi/2.  Everything
+    is formed from log x, nu and h, so subnormal x works too.
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
@@ -159,14 +151,19 @@ def log_bessel_k_batch(nu: float, x) -> np.ndarray:
     nu = abs(float(nu))
     if not math.isfinite(nu):
         raise ValueError(f"log_bessel_k_batch requires finite order, got {nu!r}")
-    n = _half_integer_order(nu)
-    if n is not None:
-        return _log_bessel_k_half_integer(n, flat).reshape(x.shape)
-    t_peak = np.arcsinh(nu / flat)
-    curvature = np.hypot(flat, nu)
-    out = (nu * t_peak - curvature - math.log(2.0)
-           + log_trapezoid(_bessel_exponent, 1.0 / np.sqrt(curvature),
-                           0.5 * math.pi, nu, flat, t_peak))
+    log_x = np.log(flat)
+    if nu == 0.5:                            # K_1/2(x) = sqrt(pi/(2x)) e^-x
+        return (0.5 * (math.log(0.5 * math.pi) - log_x) - flat).reshape(
+            x.shape)
+    h = np.hypot(flat, nu)
+    log_a = np.log(nu + h)                   # log(x e^t*)
+    b, floor = flat / (nu + h) * flat, math.exp(LOG_FLOOR)   # B = x e^-t*
+    params = [nu, math.sqrt(2.0) * np.sqrt(np.maximum(b, floor))]
+    if np.any(b < floor):
+        params.append(np.maximum(LOG_FLOOR - (2.0 * log_x - log_a), 0.0))
+    out = (nu * (log_a - log_x) - h - math.log(2.0)
+           + log_trapezoid(_bessel_exponent, 1.0 / np.sqrt(h), 0.5 * math.pi,
+                           *params))
     return out.reshape(x.shape)
 
 

@@ -33,6 +33,24 @@ class TestTable:
         assert code == 0
         assert "undefined (n >= M)" in out
 
+    def test_moment_past_double_range_prints_overflow(self, capsys):
+        code, out, _ = run(capsys, "table", "--family", "gamma",
+                           "--params", "L=1,mu=1e300", "--orders", "3")
+        assert code == 0
+        rows = [ln.split() for ln in out.splitlines()[2:]]
+        assert rows[0][1] == "1e+300"
+        assert [r[1] for r in rows[1:]] == ["overflow", "overflow"]
+
+    def test_huge_shape_prints_defined_cells(self, capsys):
+        # polygamma(n, 1e300) underflows instead of overflowing y**n
+        code, out, _ = run(capsys, "table", "--family", "gamma",
+                           "--params", "L=1e300,mu=1", "--orders", "4")
+        assert code == 0
+        rows = [ln.split() for ln in out.splitlines()[2:]]
+        assert [float(r[1]) for r in rows] == pytest.approx([1.0] * 4)
+        assert [abs(float(r[2])) for r in rows[1:]] == \
+            pytest.approx([1e-300, 0.0, 0.0], rel=1e-12, abs=1e-320)
+
     def test_invalid_params_exit_2(self, capsys):
         code, _, err = run(capsys, "table", "--family", "gamma",
                            "--params", "L=-1,mu=2")

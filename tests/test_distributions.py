@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clutterstats import distributions as dist
@@ -16,6 +16,32 @@ from clutterstats.distributions import (Fisher, GammaGamma, GammaPower,
                                         Rayleigh, StripError, Weibull,
                                         WeibullNakagami)
 from clutterstats.specfun import bessel_k, polygamma
+
+# parameter kinds per family: shapes are drawn from [0.05, 100] and
+# scales (rates for k and wnak) from [1e-6, 1e6]
+FAMILY_FIELDS = {
+    "gamma": (GammaPower, ("shape", "scale")),
+    "nakagami": (Nakagami, ("shape", "scale")),
+    "maxwell": (Maxwell, ("scale",)),
+    "weibull": (Weibull, ("scale", "shape")),
+    "rayleigh": (Rayleigh, ("scale",)),
+    "ggamma": (GammaGamma, ("shape", "shape", "scale")),
+    "k": (KAmplitude, ("shape", "scale")),
+    "wnak": (WeibullNakagami, ("shape", "shape", "scale")),
+    "fisher": (Fisher, ("shape", "shape", "scale")),
+    "invgamma": (InverseGamma, ("shape", "scale")),
+}
+
+
+def latent_pdf(spec, x):
+    """Density of a two-term form through the latent-integral route."""
+    form = dist._mellin_form(spec)
+    (a1, c1), (a2, c2) = form.terms
+    v = np.array([math.log(x) - math.log(form.scale)])
+    log_density = (dist._log_latent_integral(a1, c1, a2, c2, v)[0]
+                   - math.lgamma(a1) - math.lgamma(a2) - math.log(c1))
+    return math.exp(log_density - math.log(x))
+
 
 ALL_SPECS = [
     GammaPower(4.0, 1.0), GammaPower(0.3, 2.0), GammaPower(1.0, 1.0),
@@ -113,12 +139,26 @@ class TestPdf:
     @given(alpha=st.floats(0.2, 20.0), log10_b=st.floats(-2.0, 2.0),
            log10_q=st.floats(-3.0, 1.0))
     def test_wn_at_c_two_is_k(self, alpha, log10_b, log10_q):
-        # the same law reached through the Bessel-K and the wnak integrals
+        # wnak at c = 2 has the K form, and the latent integral run on
+        # that form at q = 1 meets the Bessel-K route
         b = 10.0 ** log10_b
         r = 10.0 ** log10_q * math.sqrt(alpha / b)
-        wn = dist.pdf(WeibullNakagami(2.0, alpha, b), r)
         k = dist.pdf(KAmplitude(alpha, b), r)
-        assert wn == pytest.approx(k, rel=1e-12, abs=1e-300)
+        assert dist.pdf(WeibullNakagami(2.0, alpha, b), r) == k
+        assert latent_pdf(KAmplitude(alpha, b), r) == pytest.approx(
+            k, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 10.0])
+    def test_latent_integral_far_left(self, q):
+        # slope k = 0: p(w) = -exp(T - q w) - exp(w) is flat between walls at
+        # w = T/q and w = 0, and its integral is -T/q - gamma (1 + 1/q) up
+        # to terms of order e^(T min(1, 1/q)).  At T = -2000 both
+        # exponentials at the peak lie below e^-700.
+        big_t = -2000.0
+        value = dist._log_latent_integral(1.0, 1.0, q, q, np.array([big_t]))
+        euler = 0.5772156649015329
+        want = math.log(-big_t / q - euler * (1.0 + 1.0 / q))
+        assert value[0] - big_t == pytest.approx(want, rel=1e-12)
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
@@ -130,6 +170,73 @@ class TestPdf:
         for spec in (WeibullNakagami(c, alpha, b), KAmplitude(alpha, b)):
             value = dist.pdf(spec, x)
             assert math.isfinite(value) and value >= 0.0, spec
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(family=st.sampled_from(sorted(FAMILY_FIELDS, key=str)),
+           shapes=st.lists(st.floats(0.05, 100.0), min_size=3, max_size=3),
+           log10_scale=st.floats(-6.0, 6.0),
+           log10_x=st.one_of(st.none(), st.floats(-323.3, 308.23)))
+    @example(family="k", shapes=[2.0] * 3, log10_scale=6.0,
+             log10_x=-323.3)
+    @example(family="k", shapes=[2.0] * 3, log10_scale=6.0,
+             log10_x=308.23)
+    @example(family="k", shapes=[1.01] * 3, log10_scale=-6.0,
+             log10_x=-323.3)
+    @example(family="wnak", shapes=[1.0, 0.5, 1.0], log10_scale=-6.0,
+             log10_x=-323.3)
+    @example(family="wnak", shapes=[0.05, 100.0, 1.0], log10_scale=6.0,
+             log10_x=308.23)
+    def test_every_family_finite_over_box(self, family, shapes, log10_scale,
+                                          log10_x):
+        cls, kinds = FAMILY_FIELDS[family]
+        shape_iter = iter(shapes)
+        spec = cls(*(next(shape_iter) if kind == "shape"
+                     else 10.0 ** log10_scale for kind in kinds))
+        x = 0.0 if log10_x is None else 10.0 ** log10_x
+        value = dist.pdf(spec, x)
+        assert not math.isnan(value) and value >= 0.0, (spec, x)
+
+    @pytest.mark.parametrize("spec, log_reference", [
+        (GammaPower(0.3, 2.0), lambda x: (
+            0.3 * math.log(0.15) - math.lgamma(0.3) - 0.7 * math.log(x)
+            - 0.15 * x)),
+        (GammaPower(4.0, 1.0), lambda x: (
+            4.0 * math.log(4.0) - math.lgamma(4.0) + 3.0 * math.log(x)
+            - 4.0 * x)),
+        (Nakagami(5.5, 2.0), lambda x: (
+            math.log(2.0) + 5.5 * math.log(5.5 / 4.0) - math.lgamma(5.5)
+            + 10.0 * math.log(x) - 5.5 * x * x / 4.0)),
+        (Maxwell(0.4), lambda x: (
+            0.5 * math.log(2.0 / math.pi) - 3.0 * math.log(0.4)
+            + 2.0 * math.log(x) - x * x / (2.0 * 0.16))),
+        (Weibull(2.0, 0.8), lambda x: (
+            math.log(0.4) - 0.2 * math.log(x / 2.0) - (x / 2.0) ** 0.8)),
+        (Rayleigh(3.0), lambda x: (
+            math.log(2.0 * x / 9.0) - x * x / 9.0)),
+        (InverseGamma(3.0, 2.0), lambda x: (
+            3.0 * math.log(2.0) - math.lgamma(3.0) - 4.0 * math.log(x)
+            - 2.0 / x)),
+        (Fisher(3.0, 4.0, 1.0), lambda x: (
+            math.lgamma(7.0) - math.lgamma(3.0) - math.lgamma(4.0)
+            + math.log(0.75) + 2.0 * math.log(0.75 * x)
+            - 7.0 * math.log1p(0.75 * x))),
+    ])
+    def test_textbook_densities(self, spec, log_reference):
+        for x in np.logspace(-3.0, 3.0, 61):
+            log_want = log_reference(float(x))
+            if log_want < -700.0:
+                continue
+            assert dist.pdf(spec, x) == pytest.approx(math.exp(log_want),
+                                                      rel=1e-12), (spec, x)
+
+    def test_fisher_at_smallest_subnormal(self):
+        # lam = L x / (M mu) underflows; the density itself is ~1.7e161
+        x = 5e-324
+        log_want = (math.lgamma(2.5) - math.lgamma(0.5) - math.lgamma(2.0)
+                    + 0.5 * math.log(0.25) - 0.5 * math.log(x))
+        assert dist.pdf(Fisher(0.5, 2.0, 1.0), x) == pytest.approx(
+            math.exp(log_want), rel=1e-12)
 
     def test_zero_limits(self):
         assert dist.pdf(Weibull(2.0, 1.0), 0.0) == 0.5
@@ -207,6 +314,16 @@ class TestChf2:
         value = dist.log_chf2_analytic(spec, 3.0)
         assert math.isfinite(value)
 
+    def test_past_the_double_range(self):
+        # Phi(500) = prod_j (1 + j/1e4), j < 499: an in-range value whose
+        # scale power underflows and whose gamma ratio overflows
+        want = math.exp(math.fsum(math.log1p(j / 1e4) for j in range(499)))
+        assert dist.chf2_analytic(GammaPower(1e4, 1.0), 500.0) == \
+            pytest.approx(want, rel=1e-10)
+        with pytest.raises(OverflowError, match=r"s=3\b.*gamma"):
+            dist.chf2_analytic(GammaPower(1.0, 1e300), 3.0)
+        assert dist.chf2_analytic(GammaPower(1.0, 1e-300), 3.0) == 0.0
+
     def test_strip_errors(self):
         with pytest.raises(StripError, match="strip"):
             dist.chf2_analytic(GammaPower(0.5, 1.0), 0.3)
@@ -233,6 +350,11 @@ class TestClassicalMoments:
             for n in range(7):
                 assert dist.classical_moment(spec, n) == \
                     mu**n * math.factorial(n)
+
+    def test_huge_shape_moment(self):
+        # (mu/L)^6 underflows and L^6 overflows; their product is ~1
+        assert dist.classical_moment(GammaPower(1e60, 1.0), 6) == \
+            pytest.approx(1.0, rel=1e-14)
 
     def test_rayleigh_m2(self):
         assert dist.classical_moment(Rayleigh(1.0), 2) == 1.0

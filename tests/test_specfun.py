@@ -125,6 +125,13 @@ class TestPolygamma:
                 rhs = (-1.0) ** m * fact / x ** (m + 1)
                 assert abs(lhs - rhs) <= 1e-9 * abs(polygamma(m, x))
 
+    def test_huge_argument_underflows(self):
+        # y**m would overflow; the leading term (m-1)!/x^m is all there is
+        assert polygamma(1, 1e300) == pytest.approx(1e-300, rel=1e-15)
+        assert polygamma(2, 1e100) == pytest.approx(-1e-200, rel=1e-15)
+        assert polygamma(2, 1e300) == 0.0
+        assert polygamma(5, 1e300) == 0.0
+
     def test_trigamma_strictly_decreasing(self):
         grid = np.logspace(-2, 3, 80)
         values = [polygamma(1, x) for x in grid]
@@ -221,6 +228,30 @@ class TestBesselK:
         rhs = np.logaddexp(log_bessel_k(nu - 1.0, x),
                            math.log(2.0 * nu / x) + log_bessel_k(nu, x))
         assert abs(lhs - rhs) <= 2e-12 * max(1.0, abs(lhs))
+
+    def test_subnormal_arguments_match_leading_term(self):
+        # K_nu(x) ~ Gamma(nu) 2^(nu-1) x^-nu; the next term is O(x^2)
+        nu = 5.0
+        xs = np.array([1e-310, 5e-324])
+        got = log_bessel_k_batch(nu, xs)
+        for x, value in zip(xs, got):
+            want = (math.lgamma(nu) + (nu - 1.0) * math.log(2.0)
+                    - nu * math.log(x))
+            assert abs(value - want) <= 1e-12 * abs(want), x
+
+    def test_small_order_at_subnormal_argument(self):
+        # K_0(x) = -log(x/2) - gamma + O(x^2 log x); for small nu the
+        # second power of the series, Gamma(-nu) (x/2)^nu / 2, still counts
+        x = 5e-324
+        log_half_x = math.log(x) - math.log(2.0)
+        k0 = -log_half_x - 0.5772156649015329
+        assert log_bessel_k_batch(0.0, [x])[0] == pytest.approx(
+            math.log(k0), rel=1e-13)
+        nu = 0.01
+        series = 0.5 * (math.gamma(nu) * math.exp(-nu * log_half_x)
+                        + math.gamma(-nu) * math.exp(nu * log_half_x))
+        assert log_bessel_k_batch(nu, [x])[0] == pytest.approx(
+            math.log(series), rel=1e-12)
 
     def test_batch_domain(self):
         with pytest.raises(ValueError):
