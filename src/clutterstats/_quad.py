@@ -151,12 +151,14 @@ def log_trapezoid(g, width, strip: float, *params) -> np.ndarray:
 
     ``g(d, *cols)`` is a strictly concave exponent measured from its peak,
     so ``g(0) = 0``; ``d`` has shape (k, m) and each of ``cols`` is a
-    (k, 1) column of the matching per-problem array in ``params``.
+    (k, 1) column of the matching per-problem array in ``params``, or the
+    scalar itself.
     ``width`` is the Laplace width 1/sqrt(-g''(0)) per problem and
     ``strip`` the half-width of the strip around the real line on which
     the integrand is analytic.  The step is min(width/2, strip/6) with the
     width capped at 1, and the grid runs out to where g has fallen by
-    about 46 on each side, found by doubling and then bisecting.
+    about 46 on each side, found by doubling from 8 widths (where a
+    Gaussian has fallen by 32) and then bisecting to within four steps.
 
     Below a width of 1e-10 the result is Laplace's log(sqrt(2 pi) width).
     For the exponents here (built from exp and cosh, whose higher
@@ -165,15 +167,15 @@ def log_trapezoid(g, width, strip: float, *params) -> np.ndarray:
     itself can no longer be placed to within a width.
     """
     width = np.minimum(np.asarray(width, dtype=float), 1.0)
-    params = [np.broadcast_to(np.asarray(p, dtype=float), width.shape)
-              for p in params]
+    params = [np.asarray(p, dtype=float) for p in params]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = 0.5 * math.log(2.0 * math.pi) + np.log(width)
         rows = np.flatnonzero(width >= _GAUSSIAN)
         for start in range(0, rows.size, _CHUNK):
             part = rows[start:start + _CHUNK]
             out[part] = _log_trapezoid_chunk(
-                g, width[part], strip, [p[part][:, None] for p in params])
+                g, width[part], strip,
+                [p[part][:, None] if p.ndim else p for p in params])
     return out
 
 
@@ -186,9 +188,9 @@ def _log_trapezoid_chunk(g, width, strip, cols):
     def above(dist):   # (k, 2) distances to the left and right of the peak
         return g(dist * _SIDES, *cols) > -_DROP
 
-    # bracket each end: g(lo) > -46 >= g(hi), then narrow it to one step
+    # bracket each end: g(lo) > -46 >= g(hi), then narrow it to four steps
     lo = np.zeros((width.size, 2))
-    hi = np.repeat(width[:, None], 2, axis=1)
+    hi = np.repeat(8.0 * width[:, None], 2, axis=1)
     for _ in range(64):
         live = above(hi)
         if not live.any():
@@ -196,7 +198,7 @@ def _log_trapezoid_chunk(g, width, strip, cols):
         lo = np.where(live, hi, lo)
         hi = np.where(live, 2.0 * hi, hi)
     for _ in range(64):
-        wide = hi - lo > step
+        wide = hi - lo > 4.0 * step
         if not wide.any():
             break
         mid = 0.5 * (lo + hi)

@@ -18,14 +18,14 @@ form, the strip of analyticity, the log-cumulants
     k1 = log(scale) + sum_i c_i psi(a_i)
     kn = sum_i c_i^n psi^(n-1)(a_i),   n >= 2
 
-and the density, by its shape: generalized gamma (one term), Bessel-K law
-(two, equal c), beta prime (c1 = -c2) or a latent integral (any other pair).
+and the density, by its shape: generalized gamma (one term), beta prime
+(c1 = -c2) or a latent integral over one of the two gammas (c1, c2 > 0).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -230,27 +230,33 @@ class _MellinForm:
     terms: tuple[tuple[float, float], ...]   # (a_i, c_i) gamma-ratio factors
 
 
+@functools.lru_cache(maxsize=64)
 def _mellin_form(spec: DistributionSpec) -> _MellinForm:
     match spec:
         case GammaPower(L=L, mu=mu):
-            return _MellinForm(mu / L, ((L, 1.0),))
+            form = _MellinForm(mu / L, ((L, 1.0),))
         case Nakagami(L=L, mu=mu):
-            return _MellinForm(mu / math.sqrt(L), ((L, 0.5),))
+            form = _MellinForm(mu / math.sqrt(L), ((L, 0.5),))
         case Maxwell(sigma=sigma):
-            return _MellinForm(math.sqrt(2.0) * sigma, ((1.5, 0.5),))
+            form = _MellinForm(math.sqrt(2.0) * sigma, ((1.5, 0.5),))
         case Weibull(z=z, b=b):
-            return _MellinForm(z, ((1.0, 1.0 / b),))
+            form = _MellinForm(z, ((1.0, 1.0 / b),))
         case Rayleigh(z=z):
-            return _mellin_form(Weibull(z, 2.0))
+            form = _mellin_form(Weibull(z, 2.0))
         case InverseGamma(shape=a, scale=scale):
-            return _MellinForm(scale, ((a, -1.0),))
-    parts = components(spec)
-    if parts is None:
-        raise TypeError(f"not a distribution spec: {spec!r}")
-    # X = U * Z multiplies the transforms (Mellin convolution theorem)
-    speckle, texture = map(_mellin_form, parts)
-    return _MellinForm(speckle.scale * texture.scale,
-                       speckle.terms + texture.terms)
+            form = _MellinForm(scale, ((a, -1.0),))
+        case _:
+            parts = components(spec)
+            if parts is None:
+                raise TypeError(f"not a distribution spec: {spec!r}")
+            # X = U * Z multiplies the transforms (Mellin convolution theorem)
+            speckle, texture = map(_mellin_form, parts)
+            form = _MellinForm(speckle.scale * texture.scale,
+                               speckle.terms + texture.terms)
+    if not 0.0 < form.scale < math.inf:
+        raise ValueError(f"{family_tag(spec)}: canonical scale {form.scale:g} "
+                         f"of {spec!r} is outside the double range")
+    return form
 
 
 def strip(spec: DistributionSpec) -> tuple[float, float]:
@@ -453,18 +459,7 @@ def _log_density(terms, v: np.ndarray) -> np.ndarray:
         t = v / c1
         return (a1 * t - (a1 + a2) * np.logaddexp(0.0, t)
                 + specfun.ln_gamma(a1 + a2) - norm)
-    if c1 != c2:
-        return _log_latent_integral(a1, c1, a2, c2, v) - norm
-    # Bessel-K law of G1 G2: 2 w^((a1+a2)/2) K_(a1-a2)(2 sqrt(w)) at log w = t
-    t = v / c1
-    with np.errstate(over="ignore"):
-        arg = 2.0 * np.exp(0.5 * t)
-    inside = (arg >= sys.float_info.min) & (arg < np.inf)
-    out = (math.log(2.0) + 0.5 * (a1 + a2) * t
-           + specfun.log_bessel_k_batch(a1 - a2, np.where(inside, arg, 1.0)))
-    if not inside.all():   # the same integral in logs; -inf on overflow
-        out[~inside] = _log_latent_integral(a1, c1, a2, c2, v[~inside])
-    return out - norm
+    return _log_latent_integral(a1, c1, a2, c2, v) - norm
 
 
 def _log_latent_integral(a1: float, c1: float, a2: float, c2: float,
@@ -482,10 +477,10 @@ def _log_latent_integral(a1: float, c1: float, a2: float, c2: float,
     # [min(1, q), 1 + q], so Newton's method converges from any start.
     log_plus = math.log(slope) if slope > 0.0 else -math.inf
     log_minus = math.log(-slope) if slope < 0.0 else -math.inf
-    log_q = math.log(q)
-    w = (log_q + big_t) / (1.0 + q)
+    log_q_t = math.log(q) + big_t
+    w = log_q_t / (1.0 + q)
     for _ in range(100):
-        e1 = log_q + big_t - q * w
+        e1 = log_q_t - q * w
         left, right = np.logaddexp(e1, log_plus), np.logaddexp(w, log_minus)
         step = (left - right) / (q * np.exp(e1 - left) + np.exp(w - right))
         w = w + step
@@ -494,18 +489,17 @@ def _log_latent_integral(a1: float, c1: float, a2: float, c2: float,
 
     # the two exponentials at the peak, held in [e^-700, e^700]: above, the
     # result is below -e^700 anyway; below, the exponent is shifted to match
-    log_t = (big_t - q * w, w)
-    clipped = [np.clip(lt, LOG_FLOOR, -LOG_FLOOR) for lt in log_t]
-    t1, t2 = np.exp(clipped)
-    shifts = (clipped[0] - log_t[0], clipped[1] - log_t[1])
+    log_t = np.array([big_t - q * w, w])
+    clipped = np.clip(log_t, LOG_FLOOR, -LOG_FLOOR)
+    (t1, t2), shifts = np.exp(clipped), clipped - log_t
     return (a1 * big_t + slope * w - t1 - t2
             + log_trapezoid(_latent_exponent, 1.0 / np.sqrt(q * q * t1 + t2),
                             min(0.5 * math.pi, 0.5 * math.pi / q), q, slope,
-                            t1, t2, *(shifts if np.any(shifts) else ())))
+                            t1, t2, *shifts))
 
 
-def _latent_exponent(d, q, slope, t1, t2, *shifts):
+def _latent_exponent(d, q, slope, t1, t2, shift1, shift2):
     # p(w + d) - p(w) without cancellation at small d; a term raised to
     # e^-700 takes its exponential at d - shift, the same wherever it counts
-    d1, d2 = (-q * d - shifts[0], d - shifts[1]) if shifts else (-q * d, d)
-    return slope * d - t1 * np.expm1(d1) - t2 * np.expm1(d2)
+    return (slope * d - t1 * np.expm1(-q * d - shift1)
+            - t2 * np.expm1(d - shift2))

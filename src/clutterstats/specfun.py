@@ -12,8 +12,7 @@ downstream:
   peak-centred trapezoid rule ``_quad.log_trapezoid`` on
   1/2 integral(exp(nu t - x cosh t)) over the real line, good to a few
   1e-13 in log over x in [1e-90, 1e18] and defined down to the smallest
-  subnormal x; order 1/2 uses its closed form.  ``log_bessel_k`` and
-  ``bessel_k`` are its scalar forms.
+  subnormal x.  ``log_bessel_k`` and ``bessel_k`` are its scalar forms.
 
 All functions are pure and reentrant.
 """
@@ -112,8 +111,15 @@ def polygamma(order: int, x: float) -> float:
         body = fact_m1 / y**m + fact_m / (2.0 * y ** (m + 1))
         t = 1.0 / y ** (m + 2)  # 1/y^(2k + m) at k = 1
     except OverflowError:
-        # past y^(m+2) = DBL_MAX only the leading term counts; it underflows
-        return sign * fact_m1 * (1.0 / y) ** m
+        # factor out the leading term (m-1)!/y^m, formed exponent-tracked
+        # (it may underflow); term k of the series is then
+        # b_k C(2k + m - 1, 2k) / y^(2k)
+        my, ey = math.frexp(y)
+        mf, ef = math.frexp(fact_m1)
+        z, series = 1.0 / (y * y), 1.0 + m / (2.0 * y)
+        for k, b in enumerate(_B2K, start=1):
+            series += b * math.comb(2 * k + m - 1, 2 * k) * z**k
+        return sign * (acc + math.ldexp(mf / my**m, ef - ey * m) * series)
     z = 1.0 / (y * y)
     for k, b in enumerate(_B2K, start=1):
         # R_k = (2k + m - 1)! / (2k)! as a float product
@@ -125,13 +131,14 @@ def polygamma(order: int, x: float) -> float:
     return sign * (acc + body)
 
 
-def _bessel_exponent(d, nu, root_2b, *shift):
+def _bessel_exponent(d, nu, root_2b, shift):
     # nu t - x cosh t at t = t* + d less its peak value nu t* - h is, by
     # x sinh t* = nu and x cosh t* = h, -nu (e^d - 1 - d) - 2B sinh^2(d/2)
     # with B = x e^-t*: two terms <= 0, so nothing cancels (d is capped so
     # nu = 0 gives 0).  A B below e^-700 is raised to e^-700 with sinh at
-    # |d| - shift, shift = log(e^-700 / B): the same wherever it counts.
-    half = 0.5 * (np.maximum(np.abs(d) - shift[0], 0.0) if shift else d)
+    # |d| - shift, shift = log(e^-700 / B) (0 otherwise): the same wherever
+    # it counts.
+    half = 0.5 * np.maximum(np.abs(d) - shift, 0.0)
     return -(nu * (np.expm1(np.minimum(d, 709.0)) - d)
              + (root_2b * np.sinh(half)) ** 2)
 
@@ -152,18 +159,14 @@ def log_bessel_k_batch(nu: float, x) -> np.ndarray:
     if not math.isfinite(nu):
         raise ValueError(f"log_bessel_k_batch requires finite order, got {nu!r}")
     log_x = np.log(flat)
-    if nu == 0.5:                            # K_1/2(x) = sqrt(pi/(2x)) e^-x
-        return (0.5 * (math.log(0.5 * math.pi) - log_x) - flat).reshape(
-            x.shape)
     h = np.hypot(flat, nu)
     log_a = np.log(nu + h)                   # log(x e^t*)
-    b, floor = flat / (nu + h) * flat, math.exp(LOG_FLOOR)   # B = x e^-t*
-    params = [nu, math.sqrt(2.0) * np.sqrt(np.maximum(b, floor))]
-    if np.any(b < floor):
-        params.append(np.maximum(LOG_FLOOR - (2.0 * log_x - log_a), 0.0))
+    b = flat / (nu + h) * flat               # B = x e^-t*
+    root_2b = math.sqrt(2.0) * np.sqrt(np.maximum(b, math.exp(LOG_FLOOR)))
+    shift = np.maximum(LOG_FLOOR - (2.0 * log_x - log_a), 0.0)
     out = (nu * (log_a - log_x) - h - math.log(2.0)
            + log_trapezoid(_bessel_exponent, 1.0 / np.sqrt(h), 0.5 * math.pi,
-                           *params))
+                           nu, root_2b, shift))
     return out.reshape(x.shape)
 
 

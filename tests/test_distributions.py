@@ -15,7 +15,7 @@ from clutterstats.distributions import (Fisher, GammaGamma, GammaPower,
                                         MomentDoesNotExistError, Nakagami,
                                         Rayleigh, StripError, Weibull,
                                         WeibullNakagami)
-from clutterstats.specfun import bessel_k, polygamma
+from clutterstats.specfun import bessel_k, log_bessel_k_batch, polygamma
 
 # parameter kinds per family: shapes are drawn from [0.05, 100] and
 # scales (rates for k and wnak) from [1e-6, 1e6]
@@ -33,13 +33,16 @@ FAMILY_FIELDS = {
 }
 
 
-def latent_pdf(spec, x):
-    """Density of a two-term form through the latent-integral route."""
+def bessel_pdf(spec, x):
+    """Density of an equal-c two-term form through Bessel K: V = c log(G1 G2)
+    and G1 G2 has density 2 w^((a1+a2)/2 - 1) K_(a1-a2)(2 sqrt(w))."""
     form = dist._mellin_form(spec)
-    (a1, c1), (a2, c2) = form.terms
-    v = np.array([math.log(x) - math.log(form.scale)])
-    log_density = (dist._log_latent_integral(a1, c1, a2, c2, v)[0]
-                   - math.lgamma(a1) - math.lgamma(a2) - math.log(c1))
+    (a1, c), (a2, c2) = form.terms
+    assert c == c2
+    t = (math.log(x) - math.log(form.scale)) / c
+    log_k = float(log_bessel_k_batch(a1 - a2, [2.0 * math.exp(0.5 * t)])[0])
+    log_density = (math.log(2.0) + 0.5 * (a1 + a2) * t + log_k
+                   - math.lgamma(a1) - math.lgamma(a2) - math.log(c))
     return math.exp(log_density - math.log(x))
 
 
@@ -83,6 +86,15 @@ class TestSpecValidation:
             dist.make_spec("gamma", {"L": 1.0})
         with pytest.raises(ValueError, match="unknown parameter"):
             dist.make_spec("gamma", {"L": 1.0, "mu": 1.0, "q": 2.0})
+
+    def test_canonical_scale_outside_double_range(self):
+        # mu / L underflows to 0 and sqrt(2) sigma overflows
+        for spec in (GammaPower(1e300, 1e-300), Maxwell(1.7e308),
+                     GammaGamma(1e300, 1.0, 1e-300)):
+            with pytest.raises(ValueError, match="outside the double range"):
+                dist.pdf(spec, 1.0)
+            with pytest.raises(ValueError, match=dist.family_tag(spec)):
+                dist.chf2_analytic(spec, 2.0)
 
 
 class TestPdf:
@@ -139,14 +151,14 @@ class TestPdf:
     @given(alpha=st.floats(0.2, 20.0), log10_b=st.floats(-2.0, 2.0),
            log10_q=st.floats(-3.0, 1.0))
     def test_wn_at_c_two_is_k(self, alpha, log10_b, log10_q):
-        # wnak at c = 2 has the K form, and the latent integral run on
-        # that form at q = 1 meets the Bessel-K route
+        # wnak at c = 2 has the K form, and the latent integral at q = 1
+        # that gives both densities meets the Bessel-K law
         b = 10.0 ** log10_b
         r = 10.0 ** log10_q * math.sqrt(alpha / b)
         k = dist.pdf(KAmplitude(alpha, b), r)
         assert dist.pdf(WeibullNakagami(2.0, alpha, b), r) == k
-        assert latent_pdf(KAmplitude(alpha, b), r) == pytest.approx(
-            k, rel=1e-12, abs=1e-300)
+        assert k == pytest.approx(bessel_pdf(KAmplitude(alpha, b), r),
+                                  rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize("q", [0.5, 1.0, 10.0])
     def test_latent_integral_far_left(self, q):

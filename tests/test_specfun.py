@@ -132,6 +132,14 @@ class TestPolygamma:
         assert polygamma(2, 1e300) == 0.0
         assert polygamma(5, 1e300) == 0.0
 
+    def test_high_order_past_the_range(self):
+        # 1100**102 overflows, yet 1 + m/(2y) + ... is 1.046 here; the
+        # reference is mpmath.polygamma at 40 digits
+        assert polygamma(100, 1100.0) == pytest.approx(
+            -7.0848247771421866538e-149, rel=1e-14)
+        assert polygamma(30, 1e10) == pytest.approx(
+            -8.841762007002344952e-270, rel=1e-14)
+
     def test_trigamma_strictly_decreasing(self):
         grid = np.logspace(-2, 3, 80)
         values = [polygamma(1, x) for x in grid]
