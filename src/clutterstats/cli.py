@@ -182,11 +182,9 @@ def _cmd_estimate(args) -> int:
     if args.speckle:
         params, speckle_family = _parse_params(args.speckle)
         speckle_family = speckle_family or "gamma"
-        # unit mean-scale convention for the known speckle factor
-        defaults = {"gamma": {"mu": 1.0}, "nakagami": {"mu": 1.0},
-                    "weibull": {"z": 1.0}, "rayleigh": {"z": 1.0}}
-        for key, value in defaults.get(speckle_family, {}).items():
-            params.setdefault(key, value)
+        # unit-scale convention for the known speckle factor
+        for name in estimation.scale_fields(speckle_family):
+            params.setdefault(name, 1.0)
         speckle = dist.make_spec(speckle_family, params)
         used = estimation.texture_log_cumulants(stats, speckle)
         print(f"speckle: {_spec_text(speckle)} (log-cumulants subtracted)")
@@ -196,6 +194,13 @@ def _cmd_estimate(args) -> int:
     print(f"iterations: {fit.iterations}")
     print(f"residual: {fit.residual:.6e}")
     print(f"converged: {'yes' if fit.converged else 'no'}")
+    if fit.alternatives:
+        others = ", ".join(_spec_text(spec) for spec in fit.alternatives)
+        choice = ("k_4 picked the estimate" if used.order >= 4 else
+                  "without k_4 the estimate is the one with the smallest "
+                  "speckle shape; --orders 4 lets k_4 pick")
+        print(f"warning: the fit is not identifiable; the same "
+              f"log-cumulants fit {others}; {choice}", file=sys.stderr)
     se = ", ".join(f"{v:.6g}" for v in stats.std_errors)
     print(f"input log-cumulant standard errors: {se}")
     return EXIT_OK

@@ -275,7 +275,9 @@ def _check_strip(spec: DistributionSpec, s: float) -> None:
     if not math.isfinite(s):
         raise ValueError(f"transform variable must be finite, got {s!r}")
     lo, hi = strip(spec)
-    if not (lo < s < hi):
+    # s - 1 may round onto a pole next to the edge: a + c (s - 1) = 0
+    if not (lo < s < hi) or any(a + c * (s - 1.0) <= 0.0
+                                for a, c in _mellin_form(spec).terms):
         raise StripError(family_tag(spec), s, lo, hi)
 
 
@@ -311,10 +313,26 @@ def _gamma_ratio(a: float, d: float) -> tuple[float, int]:
             m, k = math.frexp(m * (a + j if n >= 0 else a - j))
             e += k
         return (m, e) if n >= 0 else (1.0 / m, -e)
-    log_ratio = specfun.ln_gamma(a + d) - specfun.ln_gamma(a)
-    if abs(log_ratio) < 708.0:
-        return math.frexp(math.exp(log_ratio))
-    return _exp2_parts(log_ratio / math.log(2.0))
+    power, rest = _log_gamma_ratio(a, d)
+    m, e = _power_parts(a, power)
+    if abs(rest) < 708.0:
+        m_rest, e_rest = math.frexp(math.exp(rest))
+    else:
+        m_rest, e_rest = _exp2_parts(rest / math.log(2.0))
+    m, k = math.frexp(m * m_rest)
+    return m, e + e_rest + k
+
+
+def _log_gamma_ratio(a: float, d: float) -> tuple[float, float]:
+    """ln Gamma(a + d) - ln Gamma(a) as (p, r), the value p log(a) + r.
+    Where a and a + d are in the Stirling range their Stirling forms are
+    differenced term by term (p = d), which keeps the digits of a log a
+    that ln_gamma(a + d) - ln_gamma(a) loses (all once a + d == a)."""
+    b = a + d
+    if min(a, b) < specfun._SHIFT_THRESHOLD:
+        return 0.0, specfun.ln_gamma(b) - specfun.ln_gamma(a)
+    return d, ((b - 0.5) * math.log1p(d / a) - d
+               + specfun._stirling_series(b) - specfun._stirling_series(a))
 
 
 def chf2_analytic(spec: DistributionSpec, s: float) -> float:
@@ -347,7 +365,8 @@ def log_chf2_analytic(spec: DistributionSpec, s: float) -> float:
     delta = float(s) - 1.0
     total = delta * math.log(form.scale)
     for a, c in form.terms:
-        total += specfun.ln_gamma(a + c * delta) - specfun.ln_gamma(a)
+        power, rest = _log_gamma_ratio(a, c * delta)
+        total += power * math.log(a) + rest
     return total
 
 

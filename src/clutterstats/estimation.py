@@ -1,14 +1,22 @@
 """Method-of-log-cumulants (MoLC) parameter estimation.
 
-Empirical log statistics from sample batches, polygamma-system inversion
-per family, and texture log-cumulant extraction through the additivity of
-log-cumulants under the product model.
+Empirical log statistics from sample batches, one fit for every family
+read off its canonical Mellin form, and texture log-cumulant extraction
+through the additivity of log-cumulants under the product model.
+
+Each entry of a form (the scale, each a_i and each |c_i|) is a monomial in
+the family's fields, so probing the form with each field at 1 and at 2
+shows which field owns which entry.  The d shape entries some field owns
+(0, 1 or 2) match k_2..k_(d+1) through k_n = sum_i c_i^n psi^(n-1)(a_i),
+k_1 fixes the scale, and one linear solve in logs gives the fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,12 +30,9 @@ __all__ = [
     "ZeroSamplesError", "NonFiniteSamplesError", "TooFewSamplesError",
     "OutOfRangeError",
     "NoSolutionError", "SolverNonConvergenceError",
-    "empirical_log_stats", "invert_polygamma", "fit_molc",
+    "empirical_log_stats", "invert_polygamma", "fit_molc", "scale_fields",
     "texture_log_cumulants",
 ]
-
-_PSI1_AT_1 = digamma(1.0)            # -Euler constant
-_TRIGAMMA_AT_1 = polygamma(1, 1.0)   # pi^2 / 6
 
 
 class ZeroSamplesError(ValueError):
@@ -81,16 +86,20 @@ class EmpiricalLogStats(LogStats):
 @dataclass(frozen=True)
 class FitOptions:
     tolerance: float = 1e-10
-    max_iterations: int = 200
-    c_known: float | None = None   # WeibullNakagami: fix the speckle shape
+    c_known: float | None = None   # hold field c (the wnak speckle shape)
 
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fitted law.  ``iterations`` counts the Newton steps of the polygamma
+    inversion for one free shape and the k_2-curve points evaluated for
+    two; ``alternatives`` are the other distinct laws that match the same
+    log-cumulants, in rank order."""
     spec: dist.DistributionSpec
     iterations: int
     residual: float
     converged: bool
+    alternatives: tuple[dist.DistributionSpec, ...] = ()
 
 
 _N_SPLITS = 10
@@ -190,46 +199,171 @@ def invert_polygamma(order: int, target: float) -> float:
     return _invert_polygamma(order, target)[0]
 
 
-def _newton_2d(residual, jacobian, start, tol: float, max_iterations: int):
-    """Damped 2-D Newton with positivity clamping by step halving."""
-    x = np.asarray(start, dtype=float)
-    r = np.asarray(residual(x), dtype=float)
-    norm = float(np.max(np.abs(r)))
-    for iteration in range(1, max_iterations + 1):
-        if norm <= tol:
-            return x, iteration - 1, norm
-        try:
-            step = np.linalg.solve(np.asarray(jacobian(x), dtype=float), -r)
-        except np.linalg.LinAlgError:
-            raise SolverNonConvergenceError(
-                "singular Jacobian in the log-cumulant system", tuple(x), norm)
-        scale = 1.0
-        for _ in range(20):
-            cand = x + scale * step
-            if np.all(cand > 0.0):
-                r_cand = np.asarray(residual(cand), dtype=float)
-                cand_norm = float(np.max(np.abs(r_cand)))
-                if cand_norm < norm or cand_norm <= tol:
-                    x, r, norm = cand, r_cand, cand_norm
-                    break
-            scale *= 0.5
-        else:
-            raise SolverNonConvergenceError(
-                "damping failed to reduce the residual", tuple(x), norm)
-    raise SolverNonConvergenceError(
-        f"no convergence in {max_iterations} iterations", tuple(x), norm)
+def _family_class(family: str) -> type:
+    try:
+        return dist.FAMILY_TAGS[family]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r}; expected one of "
+                         f"{sorted(dist.FAMILY_TAGS)}") from None
 
 
-def _need_orders(stats: LogStats, n: int, family: str) -> None:
-    if stats.order < n:
-        raise ValueError(
-            f"{family} estimation needs log-cumulants up to order {n}, "
-            f"got {stats.order}")
+def _entries(form) -> list[float]:
+    """[scale, a_0, c_0, a_1, c_1, ...]: a_i at 2i + 1, c_i at 2i + 2."""
+    return [form.scale, *(v for term in form.terms for v in term)]
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise NoSolutionError(message)
+class _Layout(NamedTuple):
+    """A family's form as monomials in its free fields: at fields f, entry
+    j is ``ref[j] * prod(f ** powers[j])``.  ``spec`` has the held fields
+    at their values and the free ones at 1; ``shapes`` are the shape
+    entries that some free field owns."""
+    spec: dist.DistributionSpec
+    free: list[str]
+    ref: list[float]
+    powers: np.ndarray
+    shapes: list[int]
+
+
+def _layout(cls: type, held: dict[str, float]) -> _Layout:
+    """Probe the form with each free field at 2."""
+    names = [f.name for f in fields(cls)]
+    if set(held) - set(names):
+        raise ValueError(f"{cls.__name__} has no field(s) "
+                         f"{sorted(set(held) - set(names))} to hold fixed")
+    point = {n: held.get(n, 1.0) for n in names}
+    free = [n for n in names if n not in held]
+    ref = _entries(dist._mellin_form(cls(**point)))
+    powers = np.array([[math.log2(p / r) for p, r in zip(_entries(
+        dist._mellin_form(cls(**{**point, n: 2.0}))), ref)] for n in free]).T
+    shapes = [j for j in range(1, len(ref)) if powers[j].any()]
+    return _Layout(cls(**point), free, ref, powers, shapes)
+
+
+def scale_fields(family: str) -> tuple[str, ...]:
+    """The fields of a catalog family that enter only the scale of its
+    canonical form (gamma mu, weibull z, maxwell sigma)."""
+    layout = _layout(_family_class(family), {})
+    return tuple(n for n, column in zip(layout.free, layout.powers.T)
+                 if not column[1:].any())
+
+
+def _term_k(e: list[float], j: int, n: int) -> float:
+    """c^n psi^(n-1)(a), the part of k_n (n >= 2) from the term of entry j."""
+    i = j - (j - 1) % 2
+    return e[i + 1] ** n * polygamma(n - 1, e[i])
+
+
+def _k(e: list[float], n: int) -> float:
+    return sum(_term_k(e, j, n) for j in range(1, len(e), 2))
+
+
+def _solve_entry(e: list[float], j: int, target: float,
+                 rel_tol: float) -> tuple[float, int]:
+    """Entry j such that its term gives target > 0 of k_2, and the Newton
+    steps that took: a polygamma inversion for an a, closed form for a c."""
+    i = j - (j - 1) % 2
+    if j == i:
+        return _invert_polygamma(1, target / e[i + 1] ** 2, rel_tol)
+    return math.copysign(math.sqrt(target / polygamma(1, e[i])), e[j]), 0
+
+
+def _same_law(p: list[float], q: list[float]) -> bool:
+    """Equal sorted terms (the scale then follows from k_1)."""
+    return np.allclose(sorted(zip(p[1::2], p[2::2])),
+                       sorted(zip(q[1::2], q[2::2])), rtol=1e-6, atol=0.0)
+
+
+_SCAN = np.linspace(1e-9, 1.0 - 1e-9, 601)
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+
+
+def _scan_roots(e: list[float], shapes: list[int], excess: float, k,
+                tol: float, rel_tol: float) -> tuple[list[list[float]], int]:
+    """Every pair of free entries on the k_2 curve that matches k_3, in rank
+    order, and the number of curve points evaluated.
+
+    The first free entry takes a share of ``excess`` that grows with tau in
+    (0, 1): an a is ``lim / tau``, a c is ``lim * tau``, where ``lim`` takes
+    all of it; the second entry takes the rest.  Each sign change of the
+    k_3 gap over a grid of tau is bisected.  Where |gap| dips between grid
+    points without a sign change, golden section finds the dip's extremum:
+    a sign change there brackets a close pair of roots, and |gap| <= tol
+    there is a tangent root (ggamma at L = M).
+    """
+    j1, j2 = shapes
+    power = 1 if j1 % 2 == 0 else -1
+    lim = _solve_entry(e, j1, excess, rel_tol)[0]
+    evaluations = 0
+
+    def point(tau: float) -> tuple[list[float], float]:
+        nonlocal evaluations
+        evaluations += 1
+        p = list(e)
+        p[j1] = lim * tau ** power
+        rest = excess - _term_k(p, j1, 2)
+        if not rest > 0.0:             # rounding at the end of the curve
+            return p, math.nan
+        p[j2] = _solve_entry(p, j2, rest, rel_tol)[0]
+        return p, _k(p, 3) - k[2]
+
+    def bisect(lo: float, hi: float) -> float:
+        g_lo = point(lo)[1]
+        while hi - lo > 1e-15 * hi:
+            g_mid = point(0.5 * (lo + hi))[1]
+            if g_lo * g_mid <= 0.0:
+                hi = 0.5 * (lo + hi)
+            else:
+                lo, g_lo = 0.5 * (lo + hi), g_mid
+        return 0.5 * (lo + hi)
+
+    def extremum(lo: float, hi: float, sign: float) -> float:
+        while hi - lo > 1e-12 * hi:    # golden section on sign * gap
+            x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+            if sign * point(x1)[1] < sign * point(x2)[1]:
+                lo = x1
+            else:
+                hi = x2
+        return 0.5 * (lo + hi)
+
+    gaps = np.array([point(tau)[1] for tau in _SCAN])
+    signs, size = np.sign(gaps), np.abs(gaps)
+    brackets = [(_SCAN[i], _SCAN[i + 1])
+                for i in np.flatnonzero(signs[:-1] * signs[1:] <= 0.0)]
+    taus = []
+    for i in 1 + np.flatnonzero((size[1:-1] < size[:-2])
+                                & (size[1:-1] < size[2:])
+                                & (signs[:-2] == signs[1:-1])
+                                & (signs[1:-1] == signs[2:])):
+        lo, hi = _SCAN[i - 1], _SCAN[i + 1]
+        tau = extremum(lo, hi, -signs[i])
+        gap = point(tau)[1]
+        if gap * signs[i] < 0.0:
+            brackets += [(lo, tau), (tau, hi)]
+        elif abs(gap) <= tol:
+            taus.append(tau)
+    taus += [bisect(float(lo), float(hi)) for lo, hi in brackets]
+
+    # the first free term's largest share first: the smallest speckle
+    # shape, and L <= M for mirrored ggamma roots
+    distinct: list[list[float]] = []
+    for tau in sorted(taus, reverse=True):
+        p = point(tau)[0]
+        if not any(_same_law(p, q) for q in distinct):
+            distinct.append(p)
+    if len(k) > 3:
+        distinct.sort(key=lambda p: abs(_k(p, 4) - k[3]))
+    return distinct, evaluations
+
+
+def _spec_of(layout: _Layout, e: list[float], k1: float):
+    """The family member with the shape entries of e and the scale that
+    matches k_1: one linear solve in the logs of the free fields."""
+    log_scale = k1 - sum(c * digamma(a) for a, c in zip(e[1::2], e[2::2]))
+    rhs = [log_scale - math.log(layout.ref[0])]
+    rhs += [math.log(e[j] / layout.ref[j]) for j in layout.shapes]
+    logs = np.linalg.solve(layout.powers[[0, *layout.shapes]], rhs)
+    return dataclasses.replace(layout.spec, **{
+        n: math.exp(v) for n, v in zip(layout.free, logs)})
 
 
 def fit_molc(family: str, stats: LogStats,
@@ -237,214 +371,48 @@ def fit_molc(family: str, stats: LogStats,
     """Estimate family parameters by matching analytic log-cumulants.
 
     ``family`` is a catalog tag (gamma, nakagami, maxwell, weibull,
-    rayleigh, ggamma, k, wnak, fisher).  Raises NoSolutionError for
-    infeasible moment conditions and SolverNonConvergenceError (with the
-    last iterate) if the polygamma system does not converge.
+    rayleigh, ggamma, k, wnak, fisher).  The d free shapes of its form
+    match k_2..k_(d+1) and k_1 fixes the scale.  Raises NoSolutionError
+    for infeasible moment conditions and SolverNonConvergenceError (with
+    the last iterate) if a polygamma inversion does not converge.
     """
     opts = options or FitOptions()
-    if family not in dist.FAMILY_TAGS:
-        raise ValueError(f"unknown family {family!r}; expected one of "
-                         f"{sorted(dist.FAMILY_TAGS)}")
+    held = {} if opts.c_known is None else {"c": opts.c_known}
+    layout = _layout(_family_class(family), held)
+    shapes, d = layout.shapes, len(layout.shapes)
+    if stats.order < d + 1:
+        raise ValueError(
+            f"{family} estimation needs log-cumulants up to order {d + 1}, "
+            f"got {stats.order}")
     k = stats.log_cumulants
-    k1 = k[0]
-
-    if family == "gamma":
-        _need_orders(stats, 2, family)
-        _require(k[1] > 0.0, "second log-cumulant must be positive")
-        L, iters = _invert_polygamma(1, k[1], opts.tolerance)
-        mu = L * math.exp(k1 - digamma(L))
-        return FitResult(dist.GammaPower(L, mu), iters,
-                         abs(polygamma(1, L) - k[1]), True)
-
-    if family == "nakagami":
-        _need_orders(stats, 2, family)
-        _require(k[1] > 0.0, "second log-cumulant must be positive")
-        L, iters = _invert_polygamma(1, 4.0 * k[1], opts.tolerance)
-        mu = math.sqrt(L) * math.exp(k1 - 0.5 * digamma(L))
-        return FitResult(dist.Nakagami(L, mu), iters,
-                         abs(0.25 * polygamma(1, L) - k[1]), True)
-
-    if family == "maxwell":
-        sigma = math.sqrt(0.5 * math.exp(2.0 * k1 - digamma(1.5)))
-        return FitResult(dist.Maxwell(sigma), 0, 0.0, True)
-
-    if family == "weibull":
-        _need_orders(stats, 2, family)
-        _require(k[1] > 0.0, "second log-cumulant must be positive")
-        b = math.sqrt(_TRIGAMMA_AT_1 / k[1])
-        z = math.exp(k1 - _PSI1_AT_1 / b)
-        return FitResult(dist.Weibull(z, b), 0,
-                         abs(_TRIGAMMA_AT_1 / b**2 - k[1]), True)
-
-    if family == "rayleigh":
-        z = math.exp(k1 - 0.5 * _PSI1_AT_1)
-        return FitResult(dist.Rayleigh(z), 0, 0.0, True)
-
-    if family == "k":
-        _need_orders(stats, 2, family)
-        target = 4.0 * k[1] - _TRIGAMMA_AT_1
-        _require(target > 0.0,
-                 "4 k_2 <= trigamma(1): at or below the Rayleigh limit "
-                 "(texture shape alpha -> infinity)")
-        alpha, iters = _invert_polygamma(1, target, opts.tolerance)
-        b = math.exp(digamma(alpha) + _PSI1_AT_1 - 2.0 * k1)
-        return FitResult(dist.KAmplitude(alpha, b), iters,
-                         abs(polygamma(1, alpha) - target), True)
-
-    if family == "ggamma":
-        return _fit_ggamma(stats, opts)
-    if family == "fisher":
-        return _fit_fisher(stats, opts)
-    if family == "wnak":
-        return _fit_wnak(stats, opts)
-    raise AssertionError(f"unhandled family {family}")
-
-
-def _fit_ggamma(stats: LogStats, opts: FitOptions) -> FitResult:
-    _need_orders(stats, 3, "ggamma")
-    k1, k2, k3 = stats.log_cumulants[:3]
-    _require(k2 > 0.0, "second log-cumulant must be positive")
-    _require(k3 < 0.0, "third log-cumulant must be negative for ggamma")
-    x_sym = invert_polygamma(1, 0.5 * k2)
-    tol = opts.tolerance * max(1.0, abs(k2), abs(k3))
-
-    # the (L, M) system is symmetric; the symmetric point maximizes k3
-    sym_gap = 2.0 * polygamma(2, x_sym) - k3
-    if abs(sym_gap) <= tol:
-        L = M = x_sym
-        iters = 0
-    else:
-        _require(sym_gap > 0.0,
-                 "third log-cumulant above the symmetric bound: no real "
-                 "(L, M) pair matches (k_2, k_3)")
-
-        def residual(v):
-            return (polygamma(1, v[0]) + polygamma(1, v[1]) - k2,
-                    polygamma(2, v[0]) + polygamma(2, v[1]) - k3)
-
-        def jacobian(v):
-            return ((polygamma(2, v[0]), polygamma(2, v[1])),
-                    (polygamma(3, v[0]), polygamma(3, v[1])))
-
-        # start on the k2 constraint with the symmetry already broken;
-        # L must stay above the bound where psi'(L) alone exhausts k2
-        L_min = invert_polygamma(1, k2)
-        L0 = 0.5 * (L_min + x_sym)
-        M0 = invert_polygamma(1, k2 - polygamma(1, L0))
-        (L, M), iters, _ = _newton_2d(residual, jacobian, (L0, M0), tol,
-                                      opts.max_iterations)
-    if L > M:
-        L, M = M, L
-    mu = L * M * math.exp(k1 - digamma(L) - digamma(M))
-    res = max(abs(polygamma(1, L) + polygamma(1, M) - k2),
-              abs(polygamma(2, L) + polygamma(2, M) - k3))
-    return FitResult(dist.GammaGamma(L, M, mu), iters, res, res <= tol)
-
-
-def _fit_fisher(stats: LogStats, opts: FitOptions) -> FitResult:
-    _need_orders(stats, 3, "fisher")
-    k1, k2, k3 = stats.log_cumulants[:3]
-    _require(k2 > 0.0, "second log-cumulant must be positive")
-    shape_min = invert_polygamma(1, k2)
-    _require(abs(k3) < abs(polygamma(2, shape_min)),
-             "third log-cumulant outside the feasible band "
-             f"(|k_3| < {abs(polygamma(2, shape_min)):.6g} for this k_2)")
-    tol = opts.tolerance * max(1.0, abs(k2), abs(k3))
-    x_sym = invert_polygamma(1, 0.5 * k2)
-
-    def residual(v):
-        return (polygamma(1, v[0]) + polygamma(1, v[1]) - k2,
-                polygamma(2, v[0]) - polygamma(2, v[1]) - k3)
-
-    def jacobian(v):
-        return ((polygamma(2, v[0]), polygamma(2, v[1])),
-                (polygamma(3, v[0]), -polygamma(3, v[1])))
-
-    (L, M), iters, res = _newton_2d(residual, jacobian, (x_sym, x_sym), tol,
-                                    opts.max_iterations)
-    mu = math.exp(k1 - digamma(L) + math.log(L) + digamma(M) - math.log(M))
-    return FitResult(dist.Fisher(L, M, mu), iters, res, res <= tol)
-
-
-def _fit_wnak(stats: LogStats, opts: FitOptions) -> FitResult:
-    k = stats.log_cumulants
-    k1 = k[0]
-    if opts.c_known is not None:
-        _need_orders(stats, 2, "wnak")
-        c = float(opts.c_known)
-        if not (c > 0.0 and math.isfinite(c)):
-            raise ValueError(f"c_known must be positive, got {opts.c_known!r}")
-        target = 4.0 * (k[1] - _TRIGAMMA_AT_1 / c**2)
-        _require(target > 0.0,
-                 "k_2 <= trigamma(1)/c^2: no texture variance left for alpha")
-        alpha, iters = _invert_polygamma(1, target, opts.tolerance)
-        res = abs(polygamma(1, alpha) - target)
-        converged = True
-    else:
-        _need_orders(stats, 3, "wnak")
-        k2, k3 = k[1], k[2]
-        _require(k2 > 0.0, "second log-cumulant must be positive")
-        tol = opts.tolerance * max(1.0, abs(k2), abs(k3))
-        c, alpha, iters = _solve_wnak_shapes(stats, k2, k3)
-        res = max(abs(_TRIGAMMA_AT_1 / c**2 + 0.25 * polygamma(1, alpha) - k2),
-                  abs(polygamma(2, 1.0) / c**3 + 0.125 * polygamma(2, alpha) - k3))
-        converged = res <= tol
-    b = math.exp(2.0 * (_PSI1_AT_1 / c + 0.5 * digamma(alpha) - k1))
-    return FitResult(dist.WeibullNakagami(c, alpha, b), iters, res, converged)
-
-
-def _solve_wnak_shapes(stats: LogStats, k2: float,
-                       k3: float) -> tuple[float, float, int]:
-    """All (c, alpha) pairs matching (k_2, k_3) lie on the 1-D constraint
-    curve alpha(c); the third-order condition can have several roots there
-    (the pair is not always identifiable from two cumulant orders), so the
-    curve is scanned and bracketed roots are bisected.  With a fourth
-    cumulant available the closest-matching root wins, otherwise the
-    smallest speckle shape is reported.
-    """
-    c_min = math.sqrt(_TRIGAMMA_AT_1 / k2)
-
-    def alpha_of(c: float) -> float:
-        return invert_polygamma(1, 4.0 * (k2 - _TRIGAMMA_AT_1 / c**2))
-
-    def third_gap(tau: float) -> float:
-        # tau = c_min / c maps c in (c_min, inf) onto (0, 1)
-        c = c_min / tau
-        return (polygamma(2, 1.0) / c**3
-                + 0.125 * polygamma(2, alpha_of(c)) - k3)
-
-    taus = np.linspace(1e-9, 1.0 - 1e-9, 601)
-    gaps = np.array([third_gap(t) for t in taus])
-    evaluations = taus.size
-    roots: list[tuple[float, float]] = []
-    for i in np.flatnonzero(np.sign(gaps[:-1]) * np.sign(gaps[1:]) < 0):
-        lo, hi = float(taus[i]), float(taus[i + 1])
-        g_lo = float(gaps[i])
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            g_mid = third_gap(mid)
-            evaluations += 1
-            if g_lo * g_mid <= 0.0:
-                hi = mid
-            else:
-                lo, g_lo = mid, g_mid
-            if hi - lo < 1e-14:
-                break
-        tau = 0.5 * (lo + hi)
-        c = c_min / tau
-        roots.append((c, alpha_of(c)))
-    if not roots:
-        raise NoSolutionError(
-            "no (c, alpha) pair matches (k_2, k_3) for the Weibull-Nakagami "
-            "family")
-    if len(roots) > 1 and stats.order >= 4:
-        k4 = stats.log_cumulants[3]
-        roots.sort(key=lambda ca: abs(polygamma(3, 1.0) / ca[0]**4
-                                      + 0.0625 * polygamma(3, ca[1]) - k4))
-    else:
-        roots.sort(key=lambda ca: ca[0])
-    c, alpha = roots[0]
-    return c, alpha, evaluations
+    tol = opts.tolerance * max([1.0, *(abs(v) for v in k[1:d + 1])])
+    roots, iterations = [list(layout.ref)], 0
+    if d:
+        e = roots[0]
+        fixed = [i for i in range(1, len(e), 2)
+                 if i not in {j - (j - 1) % 2 for j in shapes}]
+        excess = k[1] - sum(_term_k(e, i, 2) for i in fixed)
+        if not excess > 0.0 and fixed:
+            speckle = dist.components(layout.spec)[0]
+            raise NoSolutionError(
+                f"k_2 = {k[1]:.6g} is at or below {k[1] - excess:.6g}, the "
+                f"part the {type(speckle).__name__} speckle carries alone")
+        if not excess > 0.0:
+            raise NoSolutionError("second log-cumulant must be positive")
+        if d == 1:
+            e[shapes[0]], iterations = _solve_entry(e, shapes[0], excess,
+                                                    opts.tolerance)
+        else:
+            roots, iterations = _scan_roots(e, shapes, excess, k, tol,
+                                            opts.tolerance)
+        if not roots:
+            raise NoSolutionError(f"no {family} law matches (k_2, k_3)")
+    specs = [_spec_of(layout, e, k[0]) for e in roots]
+    fitted = dist.log_cumulants_analytic(specs[0], d + 1)
+    residual = max((abs(a - b) for a, b in zip(fitted[1:], k[1:])),
+                   default=0.0)
+    return FitResult(specs[0], iterations, residual, residual <= tol,
+                     tuple(specs[1:]))
 
 
 def texture_log_cumulants(data_stats: LogStats,

@@ -61,13 +61,20 @@ def ln_gamma(x: float) -> float:
     while y < _SHIFT_THRESHOLD:
         log_shift += math.log(y)
         y += 1.0
+    return ((y - 0.5) * math.log(y) - y + _HALF_LOG_TWO_PI
+            + _stirling_series(y) - log_shift)
+
+
+def _stirling_series(y: float) -> float:
+    """sum_k B_2k / (2k (2k-1) y^(2k-1)): ln Gamma(y) less its leading
+    terms (y - 1/2) log y - y + log(2 pi) / 2, for y >= 10."""
     z = 1.0 / (y * y)
     series = 0.0
     t = 1.0 / y
     for c in _LNG_COEF:
         series += c * t
         t *= z
-    return (y - 0.5) * math.log(y) - y + _HALF_LOG_TWO_PI + series - log_shift
+    return series
 
 
 def digamma(x: float) -> float:

@@ -139,6 +139,35 @@ class TestEstimate:
         l_hat = float(line.split("L=")[1].split(",")[0])
         assert abs(l_hat - 2.0) / 2.0 < 0.05
 
+    def test_speckle_scale_field_defaults_to_one(self, capsys, tmp_path):
+        data = tmp_path / "g.csv"
+        run(capsys, "sample", "--family", "gamma", "--params", "L=1,mu=1",
+            "--n", "2000", "--seed", "3", "--out", str(data))
+        code, out, _ = run(capsys, "estimate", "--family", "gamma",
+                           "--input", str(data), "--speckle",
+                           "family=maxwell")
+        assert code == 0
+        assert "speckle: maxwell(sigma=1)" in out
+        code, out, _ = run(capsys, "estimate", "--family", "gamma",
+                           "--input", str(data), "--speckle",
+                           "family=weibull,b=4")
+        assert code == 0
+        assert "speckle: weibull(z=1, b=4)" in out
+
+    def test_warns_when_not_identifiable(self, capsys, tmp_path):
+        data = tmp_path / "wnak.csv"
+        run(capsys, "sample", "--family", "wnak", "--params",
+            "c=1.5,alpha=2,b=1", "--n", "100000", "--seed", "1",
+            "--out", str(data))
+        code, out, err = run(capsys, "estimate", "--family", "wnak",
+                             "--input", str(data))
+        assert code == 0
+        c_hat = float(out.split("estimate: wnak(c=")[1].split(",")[0])
+        assert abs(c_hat - 1.5) / 1.5 < 0.05
+        assert "warning: the fit is not identifiable; the same " \
+            "log-cumulants fit wnak(" in err
+        assert "k_4 picked the estimate" in err
+
     def test_zero_value_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x\n1.0\n0.0\n2.0\n" + "1.5\n" * 40)

@@ -1,11 +1,12 @@
 import math
+import sys
 
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clutterstats import distributions as dist
@@ -320,6 +321,57 @@ class TestChf2:
                 phi = dist.chf2_analytic(spec, s)
                 assert math.exp(dist.log_chf2_analytic(spec, s)) == \
                     pytest.approx(phi, rel=1e-12)
+
+    def test_large_shape_gamma_ratio_against_mpmath(self):
+        # Phi(1.5) of GammaPower(a, 1) is a^(-1/2) Gamma(a + 1/2) / Gamma(a)
+        # = 1 - 1/(8a) + ...; log Gamma(a) needs 320 digits at a = 1e300
+        import mpmath
+        with mpmath.workdps(340):
+            for a in np.logspace(0.0, 300.0, 61):
+                spec = GammaPower(float(a), 1.0)
+                x = mpmath.mpf(float(a))
+                want = mpmath.exp(mpmath.loggamma(x + 0.5)
+                                  - mpmath.loggamma(x)) / mpmath.sqrt(x)
+                got = dist.chf2_analytic(spec, 1.5)
+                assert abs(got / want - 1) <= 1e-13, a
+                assert abs(dist.log_chf2_analytic(spec, 1.5)
+                           - mpmath.log(want)) <= 1e-13, a
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(family=st.sampled_from(sorted(FAMILY_FIELDS, key=str)),
+           log_shapes=st.lists(st.floats(math.log(0.05), math.log(1e300)),
+                               min_size=3, max_size=3),
+           log10_scale=st.floats(-6.0, 6.0), t=st.floats(0.0, 1.0))
+    def test_exp_of_log_form_matches_over_box(self, family, log_shapes,
+                                              log10_scale, t):
+        cls, kinds = FAMILY_FIELDS[family]
+        shape_iter = iter(log_shapes)
+        try:
+            spec = cls(*(math.exp(next(shape_iter)) if kind == "shape"
+                         else 10.0 ** log10_scale for kind in kinds))
+            form = dist._mellin_form(spec)
+        except ValueError:
+            assume(False)              # canonical scale past the double range
+        lo, hi = dist.strip(spec)
+        s = max(lo, -10.0) + t * (min(hi, 10.0) - max(lo, -10.0))
+        assume(lo < s < hi)
+        try:
+            phi = dist.chf2_analytic(spec, s)
+        except (OverflowError, StripError):   # s - 1 rounded onto a pole
+            assume(False)
+        assume(phi >= sys.float_info.min)
+        # the log form sums pieces of this size, each good to its ulp
+        delta = s - 1.0
+        size = 1.0 + abs(delta * math.log(form.scale)) + sum(
+            abs(c * delta) * (1.0 + abs(math.log(a))) for a, c in form.terms)
+        assert abs(dist.log_chf2_analytic(spec, s) - math.log(phi)) \
+            <= 1e-15 * size
+
+    def test_rounding_onto_a_pole_is_a_strip_error(self):
+        # s lies inside (0, 2), but s - 1 rounds to -1: Gamma(L - 1) at L = 1
+        with pytest.raises(StripError):
+            dist.chf2_analytic(Fisher(1.0, 1.0, 1.0), 3.4451751940012274e-159)
 
     def test_large_shapes_stay_finite(self):
         spec = GammaGamma(1e4, 1e4, 1.0)

@@ -3,14 +3,18 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clutterstats import distributions as dist
 from clutterstats.estimation import (EmpiricalLogStats, FitOptions,
                                      NonFiniteSamplesError, NoSolutionError,
                                      OutOfRangeError,
                                      TooFewSamplesError, ZeroSamplesError,
+                                     _entries, _layout,
                                      empirical_log_stats, fit_molc,
-                                     invert_polygamma, texture_log_cumulants)
+                                     invert_polygamma, scale_fields,
+                                     texture_log_cumulants)
 from clutterstats.mellin import LogStats
 from clutterstats.sampling import sample
 from clutterstats.specfun import digamma, polygamma
@@ -145,6 +149,102 @@ class TestNoiselessRoundTrips:
         stats = LogStats.from_cumulants([0.1, math.pi**2 / 24.0])
         fit = fit_molc("weibull", stats)
         assert fit.spec.b == pytest.approx(2.0, rel=1e-12)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+SHAPE, SCALE = log_uniform(0.05, 200.0), log_uniform(1e-3, 1e3)
+SPEC_BOX = {
+    "gamma": st.builds(dist.GammaPower, SHAPE, SCALE),
+    "nakagami": st.builds(dist.Nakagami, SHAPE, SCALE),
+    "maxwell": st.builds(dist.Maxwell, SCALE),
+    "weibull": st.builds(dist.Weibull, SCALE, SHAPE),
+    "rayleigh": st.builds(dist.Rayleigh, SCALE),
+    "ggamma": st.builds(dist.GammaGamma, SHAPE, SHAPE, SCALE),
+    "k": st.builds(dist.KAmplitude, SHAPE, SCALE),
+    "wnak": st.builds(dist.WeibullNakagami, log_uniform(0.1, 30.0), SHAPE,
+                      SCALE),
+    "fisher": st.builds(dist.Fisher, SHAPE, SHAPE, SCALE),
+}
+SPECS = st.one_of(*SPEC_BOX.values())
+
+
+class TestFormLayout:
+    def test_box_covers_every_family(self):
+        assert set(SPEC_BOX) == set(dist.FAMILY_TAGS)
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(spec=SPECS)
+    def test_probed_monomials_reproduce_the_form(self, spec):
+        # every form entry is a monomial in the fields: the exponents read
+        # off the probes at 1 and 2 must give the form at any fields
+        helds = [{}, {"c": spec.c}] if hasattr(spec, "c") else [{}]
+        for held in helds:
+            layout = _layout(type(spec), held)
+            values = np.array([getattr(spec, n) for n in layout.free])
+            got = np.array(layout.ref) * np.prod(values ** layout.powers,
+                                                 axis=1)
+            want = _entries(dist._mellin_form(spec))
+            assert got == pytest.approx(want, rel=1e-12), held
+
+    def test_scale_fields(self):
+        assert scale_fields("gamma") == ("mu",)
+        assert scale_fields("weibull") == ("z",)
+        assert scale_fields("maxwell") == ("sigma",)
+        assert scale_fields("k") == ("b",)
+
+
+class TestNoiselessRoundTripProperty:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(spec=SPECS)
+    @example(spec=dist.Fisher(144.16900544972452, 0.05351329171480351,
+                              0.08971882502112954))
+    @example(spec=dist.GammaGamma(78.83441545440931, 0.08032018192328283,
+                                  42.76045557872201))
+    # two wnak roots within one grid cell of the k_2 curve
+    @example(spec=dist.WeibullNakagami(2.1479633003997756, 1.2782849383492045,
+                                       0.05225735631042213))
+    def test_every_family_recovers_its_fields(self, spec):
+        tag = dist.family_tag(spec)
+        stats = LogStats.from_cumulants(dist.log_cumulants_analytic(spec, 4))
+        fit = fit_molc(tag, stats)
+        assert fit.converged
+        got = canonical_params(tag, fit.spec)
+        want = canonical_params(tag, spec)
+        assert np.max(np.abs(got - want) / want) <= 1e-6, fit
+
+
+class TestIdentifiability:
+    def test_wnak_roots_surface_as_alternatives(self):
+        spec = dist.WeibullNakagami(1.5, 2.0, 1.0)
+        k = dist.log_cumulants_analytic(spec, 4)
+        fit3 = fit_molc("wnak", LogStats.from_cumulants(k[:3]))
+        assert len(fit3.alternatives) == 1
+        other = fit3.alternatives[0]
+        assert other.c == pytest.approx(2.3008040904, rel=1e-8)
+        assert dist.log_cumulants_analytic(other, 3) == pytest.approx(
+            k[:3], rel=1e-10)
+        fit4 = fit_molc("wnak", LogStats.from_cumulants(k))
+        assert np.array(astuple(fit4.spec)) == pytest.approx(
+            astuple(spec), rel=1e-10)
+        assert len(fit4.alternatives) == 1
+
+    def test_single_root_families_have_none(self):
+        for tag, spec in (("fisher", dist.Fisher(3.0, 4.0, 1.0)),
+                          ("ggamma", dist.GammaGamma(4.0, 2.0, 1.0)),
+                          ("k", dist.KAmplitude(2.0, 1.0))):
+            stats = LogStats.from_cumulants(
+                dist.log_cumulants_analytic(spec, 4))
+            assert fit_molc(tag, stats).alternatives == ()
+
+    def test_held_field_must_exist(self):
+        stats = LogStats.from_cumulants([0.0, 1.0])
+        with pytest.raises(ValueError, match="no field"):
+            fit_molc("gamma", stats, FitOptions(c_known=2.0))
 
 
 class TestInfeasibleConditions:
