@@ -11,11 +11,11 @@ Exit codes: 0 pass, 1 verification failure, 2 usage or I/O error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import astuple, fields
 
-import numpy as np
-
+from . import _csv
 from . import distributions as dist
 from . import estimation, verify
 from .sampling import sample
@@ -86,33 +86,6 @@ def _parse_m_grid(text: str) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
-def _read_csv_values(path: str) -> np.ndarray:
-    """Values from a CSV file: the 'x' column when a header is present,
-    otherwise the first column."""
-    with open(path, "r", newline="") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise UsageError(f"{path}: empty input")
-    column = 0
-    first_fields = lines[0].split(",")
-    start = 0
-    try:
-        float(first_fields[min(1, len(first_fields) - 1)])
-    except ValueError:
-        names = [f.strip().lower() for f in first_fields]
-        if "x" in names:
-            column = names.index("x")
-        start = 1
-    values = []
-    for ln in lines[start:]:
-        parts = ln.split(",")
-        try:
-            values.append(float(parts[column]))
-        except (ValueError, IndexError):
-            raise UsageError(f"{path}: bad row {ln!r}") from None
-    return np.asarray(values)
-
-
 def _spec_text(spec: dist.DistributionSpec) -> str:
     inner = ", ".join(f"{f.name}={v:.12g}"
                       for f, v in zip(fields(spec), astuple(spec)))
@@ -157,18 +130,11 @@ def _cmd_sample(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     batch = sample(spec, args.n, args.seed)
-    lines = []
-    if batch.texture is None:
-        lines.append("index,x")
-        for i, v in enumerate(batch.values):
-            lines.append(f"{i},{v:.17g}")
-    else:
-        lines.append("index,x,z")
-        for i, (v, z) in enumerate(zip(batch.values, batch.texture)):
-            lines.append(f"{i},{v:.17g},{z:.17g}")
+    header, columns = "index,x", [range(args.n), batch.values]
+    if batch.texture is not None:
+        header, columns = "index,x,z", columns + [batch.texture]
     try:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _csv.write_csv(args.out, header, columns)
     except OSError as exc:
         raise UsageError(f"cannot write {args.out}: {exc}") from None
     print(f"wrote {args.n} draws of {_spec_text(spec)} to {args.out}")
@@ -176,7 +142,10 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    values = _read_csv_values(args.input)
+    try:
+        values = _csv.read_column(args.input)
+    except ValueError as exc:
+        raise UsageError(f"{args.input}: {exc}") from None
     stats = estimation.empirical_log_stats(values, n_max=args.orders)
     used = stats
     if args.speckle:
@@ -196,9 +165,19 @@ def _cmd_estimate(args) -> int:
     print(f"converged: {'yes' if fit.converged else 'no'}")
     if fit.alternatives:
         others = ", ".join(_spec_text(spec) for spec in fit.alternatives)
-        choice = ("k_4 picked the estimate" if used.order >= 4 else
-                  "without k_4 the estimate is the one with the smallest "
-                  "speckle shape; --orders 4 lets k_4 pick")
+        if used.order >= 4:
+            gap, next_gap = (
+                abs(dist.log_cumulants_analytic(spec, 4)[3]
+                    - used.log_cumulants[3])
+                for spec in (fit.spec, fit.alternatives[0]))
+            k4_se = stats.std_errors[3]
+            margin = (next_gap - gap) / k4_se if k4_se > 0.0 else math.inf
+            choice = (f"k_4 picked the estimate by {margin:.2f} standard "
+                      "errors of k_4 over the next law (a separation under "
+                      "2 is not significant)")
+        else:
+            choice = ("without k_4 the estimate is the one with the "
+                      "smallest speckle shape; --orders 4 lets k_4 pick")
         print(f"warning: the fit is not identifiable; the same "
               f"log-cumulants fit {others}; {choice}", file=sys.stderr)
     se = ", ".join(f"{v:.6g}" for v in stats.std_errors)

@@ -11,8 +11,9 @@ two-panel line plot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
+from . import _csv
 from . import distributions as dist
 from .estimation import empirical_log_stats, texture_log_cumulants
 from .sampling import sample_compound
@@ -84,15 +85,8 @@ def texture_sweep(L: float = 4.0, mu: float = 1.0, m_grid=None,
 
 def write_sweep_csv(rows, path) -> None:
     """RFC-4180 CSV, 17 significant digits, LF endings (byte-stable)."""
-    lines = [SWEEP_CSV_HEADER]
-    for r in rows:
-        lines.append(",".join((
-            f"{r.M:.17g}", str(r.order), f"{r.logmoment_data:.17g}",
-            f"{r.logcumulant_texture_est:.17g}",
-            f"{r.logcumulant_texture_analytic:.17g}", f"{r.stderr:.17g}",
-        )))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = [[getattr(r, f.name) for r in rows] for f in fields(SweepRow)]
+    _csv.write_csv(path, SWEEP_CSV_HEADER, columns)
 
 
 # minimal SVG rendering ------------------------------------------------------
