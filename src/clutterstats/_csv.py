@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -223,8 +224,8 @@ def read_column(path) -> np.ndarray:
     """The values of one CSV column: the 'x' column when the first line is
     a header (its second field, or only field, is not a number), otherwise
     the first column.  Blank and whitespace-only lines are skipped; fields
-    are parsed by ``np.loadtxt``, whose ``ValueError`` names the row and
-    column of a bad value or a short row."""
+    are parsed by ``np.loadtxt``.  A bad value or a short row raises its
+    ``ValueError`` with loadtxt's row replaced by the file line."""
     with open(path, "r", newline="") as fh:
         lines = itertools.filterfalse(str.isspace, fh)
         first = next(lines, None)
@@ -243,6 +244,21 @@ def read_column(path) -> np.ndarray:
             # a header alone is an empty column, not an error
             warnings.filterwarnings("ignore", "loadtxt: input contained no",
                                     UserWarning)
-            return np.loadtxt(itertools.chain([first], lines), delimiter=",",
-                              comments=None, usecols=column, skiprows=start,
-                              ndmin=1)
+            try:
+                return np.loadtxt(itertools.chain([first], lines),
+                                  delimiter=",", comments=None,
+                                  usecols=column, skiprows=start, ndmin=1)
+            except ValueError as exc:
+                # name the file line: loadtxt counts the non-blank rows
+                # after the header from 0 in "at row 2, column 1." but
+                # from 1 in "at row 2 with 1 columns"
+                match = re.search(r"at row (\d+)(,| with)", str(exc))
+                if match is None:
+                    raise
+                fh.seek(0)
+                numbers = (n for n, text in enumerate(fh, 1)
+                           if not text.isspace())
+                index = start + int(match[1]) - (match[2] == " with")
+                line = next(itertools.islice(numbers, index, None))
+                raise ValueError(str(exc).replace(
+                    match[0], f"at line {line}{match[2]}")) from None

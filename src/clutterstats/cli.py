@@ -19,6 +19,7 @@ from . import _csv
 from . import distributions as dist
 from . import estimation, verify
 from .sampling import sample
+from .specfun import MAX_ORDER, check_order
 from .sweep import (default_m_grid, render_sweep_svg, texture_sweep,
                     write_sweep_csv)
 
@@ -96,12 +97,10 @@ def _spec_text(spec: dist.DistributionSpec) -> str:
 
 def _cmd_table(args) -> int:
     spec = _build_spec(args.family, args.params)
-    orders = args.orders
-    if not 1 <= orders <= 6:
-        raise UsageError(f"--orders must be in [1, 6], got {orders}")
+    orders = check_order(args.orders, "--orders")
     print(f"family: {_spec_text(spec)}")
     print(f"{'n':>2s}  {'m_n':>20s}  {'ktilde_n':>20s}")
-    cumulants = dist.log_cumulants_analytic(spec, min(orders, 4))
+    cumulants = dist.log_cumulants_analytic(spec, orders)
     for n in range(1, orders + 1):
         try:
             moment = f"{dist.classical_moment(spec, n):.12g}"
@@ -109,8 +108,7 @@ def _cmd_table(args) -> int:
             moment = "undefined (n >= M)"
         except OverflowError:
             moment = "overflow"
-        cumulant = f"{cumulants[n - 1]:.12g}" if n <= len(cumulants) else ""
-        print(f"{n:2d}  {moment:>20s}  {cumulant:>20s}")
+        print(f"{n:2d}  {moment:>20s}  {cumulants[n - 1]:>20.12g}")
     return EXIT_OK
 
 
@@ -142,11 +140,12 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    orders = check_order(args.orders, "--orders")
     try:
         values = _csv.read_column(args.input)
     except ValueError as exc:
         raise UsageError(f"{args.input}: {exc}") from None
-    stats = estimation.empirical_log_stats(values, n_max=args.orders)
+    stats = estimation.empirical_log_stats(values, n_max=orders)
     used = stats
     if args.speckle:
         params, speckle_family = _parse_params(args.speckle)
@@ -218,7 +217,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help=family_help)
     p.add_argument("--params", required=True, help="k=v comma list, e.g. L=4,mu=1")
     p.add_argument("--orders", type=int, default=4,
-                   help="max order (moments up to 6; log-cumulants cap at 4)")
+                   help=f"max order of moments and log-cumulants, 1 to "
+                        f"{MAX_ORDER}")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("verify", help="run the oracle verification suite")
@@ -244,7 +244,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speckle", default=None,
                    help="known speckle factor, e.g. L=4 or family=weibull,b=2; "
                         "its log-cumulants are subtracted before the fit")
-    p.add_argument("--orders", type=int, default=4)
+    p.add_argument("--orders", type=int, default=4,
+                   help=f"highest log-cumulant order estimated, 1 to "
+                        f"{MAX_ORDER} (k_4 ranks non-identifiable fits)")
     p.add_argument("--c-known", type=float, default=None,
                    help="wnak only: fix the speckle shape c")
     p.set_defaults(func=_cmd_estimate)
@@ -267,9 +269,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, dist.StripError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (estimation.ZeroSamplesError, estimation.NonFiniteSamplesError,
             estimation.TooFewSamplesError, estimation.NoSolutionError,
             estimation.OutOfRangeError) as exc:
@@ -279,10 +278,7 @@ def main(argv=None) -> int:
         print(f"estimation error: {exc}; last iterate {exc.last_iterate}, "
               f"residual {exc.residual:.3e}", file=sys.stderr)
         return EXIT_ESTIMATION
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

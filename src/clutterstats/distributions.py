@@ -59,120 +59,94 @@ class MomentDoesNotExistError(ValueError):
     """Requested classical moment diverges (heavy tail)."""
 
 
-def _validate_positive(spec) -> None:
-    for f in fields(spec):
-        v = getattr(spec, f.name)
-        if not isinstance(v, (int, float)) or isinstance(v, bool) \
-                or not math.isfinite(v) or v <= 0:
-            raise ValueError(
-                f"{type(spec).__name__}.{f.name} must be a positive finite "
-                f"number, got {v!r}"
-            )
-        object.__setattr__(spec, f.name, float(v))
+class _Positive:
+    """Base of every family: each field is a positive finite number, kept
+    as a float."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not isinstance(v, (int, float)) or isinstance(v, bool) \
+                    or not math.isfinite(v) or v <= 0:
+                raise ValueError(
+                    f"{type(self).__name__}.{f.name} must be a positive "
+                    f"finite number, got {v!r}"
+                )
+            object.__setattr__(self, f.name, float(v))
 
 
 @dataclass(frozen=True)
-class GammaPower:
+class GammaPower(_Positive):
     """Clutter power: gamma with shape L (looks) and mean mu."""
     L: float
     mu: float
 
-    def __post_init__(self):
-        _validate_positive(self)
-
 
 @dataclass(frozen=True)
-class Nakagami:
+class Nakagami(_Positive):
     """Clutter amplitude: Nakagami with shape L and RMS amplitude mu."""
     L: float
     mu: float
 
-    def __post_init__(self):
-        _validate_positive(self)
-
 
 @dataclass(frozen=True)
-class Maxwell:
+class Maxwell(_Positive):
     """Maxwell amplitude (norm of three centered normals with scale sigma)."""
     sigma: float
 
-    def __post_init__(self):
-        _validate_positive(self)
-
 
 @dataclass(frozen=True)
-class Weibull:
+class Weibull(_Positive):
     """Weibull amplitude with scale z and shape b."""
     z: float
     b: float
 
-    def __post_init__(self):
-        _validate_positive(self)
-
 
 @dataclass(frozen=True)
-class Rayleigh:
+class Rayleigh(_Positive):
     """Rayleigh amplitude with scale z; identical to Weibull(z, b=2)."""
     z: float
 
-    def __post_init__(self):
-        _validate_positive(self)
-
 
 @dataclass(frozen=True)
-class GammaGamma:
+class GammaGamma(_Positive):
     """Compound power: gamma speckle (shape L) modulated by gamma texture
     (shape M), overall mean mu."""
     L: float
     M: float
     mu: float
 
-    def __post_init__(self):
-        _validate_positive(self)
-
 
 @dataclass(frozen=True)
-class KAmplitude:
+class KAmplitude(_Positive):
     """K-distributed amplitude: Rayleigh speckle whose mean square follows a
     gamma texture with shape alpha and rate b."""
     alpha: float
     b: float
 
-    def __post_init__(self):
-        _validate_positive(self)
-
 
 @dataclass(frozen=True)
-class WeibullNakagami:
+class WeibullNakagami(_Positive):
     """Weibull speckle (shape c) with Nakagami-distributed scale: texture
     amplitude squared is gamma with shape alpha and rate b."""
     c: float
     alpha: float
     b: float
 
-    def __post_init__(self):
-        _validate_positive(self)
-
 
 @dataclass(frozen=True)
-class Fisher:
+class Fisher(_Positive):
     """Fisher (scaled F) heavy-tailed power law with shapes L, M and scale mu."""
     L: float
     M: float
     mu: float
 
-    def __post_init__(self):
-        _validate_positive(self)
-
 
 @dataclass(frozen=True)
-class InverseGamma:
+class InverseGamma(_Positive):
     """Inverse-gamma texture (shape, scale); the hidden factor of Fisher."""
     shape: float
     scale: float
-
-    def __post_init__(self):
-        _validate_positive(self)
 
 
 DistributionSpec = (
@@ -390,9 +364,7 @@ def log_cumulants_analytic(spec: DistributionSpec, n_max: int) -> list[float]:
     transform, i.e. they include the speckle gamma-term contribution as well
     as the texture one.
     """
-    if not isinstance(n_max, (int, np.integer)) or isinstance(n_max, bool) \
-            or not 1 <= n_max <= 6:
-        raise ValueError(f"n_max must be an integer in [1, 6], got {n_max!r}")
+    n_max = specfun.check_order(n_max, "log_cumulants_analytic")
     form = _mellin_form(spec)
     out = [math.log(form.scale)
            + sum(c * specfun.digamma(a) for a, c in form.terms)]

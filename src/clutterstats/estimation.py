@@ -23,7 +23,7 @@ import numpy as np
 from . import distributions as dist
 from .mellin import LogStats, cumulants_to_moments, moments_to_cumulants
 from .sampling import SampleBatch
-from .specfun import digamma, polygamma
+from .specfun import check_order, digamma, polygamma
 
 __all__ = [
     "EmpiricalLogStats", "FitOptions", "FitResult",
@@ -114,9 +114,7 @@ def empirical_log_stats(batch, n_max: int = 4) -> EmpiricalLogStats:
     """
     values = batch.values if isinstance(batch, SampleBatch) else batch
     x = np.asarray(values, dtype=float).ravel()
-    if not 1 <= int(n_max) <= 4:
-        raise ValueError(f"n_max must be in [1, 4], got {n_max!r}")
-    n_max = int(n_max)
+    n_max = check_order(n_max, "empirical_log_stats")
     if x.size < 30:
         raise TooFewSamplesError(
             f"need at least 30 samples for log statistics, got {x.size}")

@@ -1,8 +1,14 @@
 """Independent numerical ground truth for the analytic catalog.
 
 Quadrature-based Mellin transforms and log-moments for arbitrary densities
-on (0, inf), the fourth-order moment/cumulant algebra, and the convolution
-product verifier for compound families.
+on (0, inf), the moment/cumulant algebra, and the convolution product
+verifier for compound families.
+
+The algebra holds at every order up to ``specfun.MAX_ORDER`` through one
+partition sum: moments from cumulants are complete Bell polynomials, and
+cumulants from moments the same sums with weights (-1)^(b-1) (b-1)! for b
+parts (Kendall & Stuart, The Advanced Theory of Statistics, Vol. 1).
+Central moments come from the binomial shift.
 
 Every improper integral is evaluated after the substitution x = e^t, which
 makes the integrand doubly-exponentially decaying for all catalog families
@@ -13,12 +19,15 @@ and turns log-power weights into plain polynomials:
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import distributions as dist
 from ._quad import NonConvergenceError, adaptive_quad
+from .specfun import MAX_ORDER, check_order
 
 __all__ = [
     "QuadratureConfig", "LogStats", "NonConvergenceError",
@@ -51,10 +60,10 @@ _DEFAULT_CFG = QuadratureConfig()
 
 @dataclass(frozen=True)
 class LogStats:
-    """Log-moments and the matching log-cumulants, orders 1..len.
+    """Log-moments and the matching log-cumulants, orders 1..len <= MAX_ORDER.
 
-    One list is always derived from the other through the fourth-order
-    cumulant algebra, so the pair stays consistent by construction.
+    One list is always derived from the other through the moment/cumulant
+    algebra, so the pair stays consistent by construction.
     """
     log_moments: tuple[float, ...]
     log_cumulants: tuple[float, ...]
@@ -62,8 +71,7 @@ class LogStats:
     def __post_init__(self):
         if len(self.log_moments) != len(self.log_cumulants):
             raise ValueError("log_moments and log_cumulants must have equal length")
-        if not 1 <= len(self.log_moments) <= 4:
-            raise ValueError("LogStats supports orders 1 to 4")
+        check_order(len(self.log_moments), "LogStats")
 
     @property
     def order(self) -> int:
@@ -80,63 +88,84 @@ class LogStats:
         return cls(tuple(cumulants_to_moments(k)), k)
 
 
-def _check_order(values, what: str) -> list[float]:
-    out = [float(v) for v in values]
-    if not 1 <= len(out) <= 4:
-        raise ValueError(f"unsupported order {len(out)} for {what}: "
-                         "only orders 1 to 4 are implemented")
+def _finite(values, what: str) -> list[float]:
+    out = np.asarray(values, dtype=float).tolist()
+    check_order(len(out), what)
+    for n, v in enumerate(out, start=1):
+        if not math.isfinite(v):
+            raise ValueError(f"{what}: the order-{n} entry is {v!r}")
+    return out
+
+
+def _bell_terms(signed: bool) -> tuple:
+    """Per order n <= MAX_ORDER, (coefficient, ((part p, multiplicity e),
+    ...)) for each partition of n into b >= 2 parts: n! / prod(p!^e e!),
+    the number of set partitions of that shape, times (-1)^(b-1) (b-1)!
+    when ``signed``."""
+    table = []
+    for n in range(1, MAX_ORDER + 1):
+        terms = []
+        for b in range(2, n + 1):
+            sign = (-1) ** (b - 1) * math.factorial(b - 1) if signed else 1
+            for parts in itertools.combinations_with_replacement(
+                    range(n - 1, 0, -1), b):
+                if sum(parts) == n:
+                    mult = tuple((p, parts.count(p)) for p in sorted(set(parts)))
+                    den = math.prod(math.factorial(p) ** e * math.factorial(e)
+                                    for p, e in mult)
+                    terms.append((float(sign * math.factorial(n) // den), mult))
+        table.append(tuple(terms))
+    return tuple(table)
+
+
+_MOMENT_TERMS, _CUMULANT_TERMS = _bell_terms(False), _bell_terms(True)
+
+
+def _bell(values, what: str, table) -> list[float]:
+    """y_n = x_n + the sum of the order-n terms, coefficient times
+    prod x_p^e.  Up to order 4 the terms come in the order, and their
+    products are formed as, in the written-out formulas, so the seeded
+    sweep CSV keeps every bit."""
+    x = _finite(values, what)
+    out = []
+    for n, terms in enumerate(table[:len(x)]):
+        acc = x[n]
+        for coef, factors in terms:
+            for p, e in factors:
+                coef *= x[p - 1] ** e
+            acc += coef
+        out.append(acc)
     return out
 
 
 def moments_to_cumulants(log_moments) -> list[float]:
-    """Cumulants k_1..k_n from raw moments m_1..m_n (n <= 4).
+    """Cumulants k_1..k_n from raw moments m_1..m_n (n <= MAX_ORDER): the
+    sum over the partitions of n into b parts p of (-1)^(b-1) (b-1)! B
+    prod m_p, B the number of set partitions of that shape.
 
     These are the true cumulants (derivatives of the log of the moment
-    generating object), so the fourth order carries the -3 m_2^2 correction
-    and vanishes for Gaussian-shaped input.
+    generating object), so k_4 carries the -3 m_2^2 correction and every
+    k_n past the second vanishes for Gaussian-shaped input.
     """
-    m = _check_order(log_moments, "moments_to_cumulants")
-    out = [m[0]]
-    if len(m) >= 2:
-        out.append(m[1] - m[0] ** 2)
-    if len(m) >= 3:
-        out.append(m[2] - 3.0 * m[0] * m[1] + 2.0 * m[0] ** 3)
-    if len(m) >= 4:
-        out.append(m[3] - 4.0 * m[0] * m[2] - 3.0 * m[1] ** 2
-                   + 12.0 * m[0] ** 2 * m[1] - 6.0 * m[0] ** 4)
-    return out
+    return _bell(log_moments, "moments_to_cumulants", _CUMULANT_TERMS)
 
 
 def cumulants_to_moments(log_cumulants) -> list[float]:
-    """Exact algebraic inverse of moments_to_cumulants."""
-    k = _check_order(log_cumulants, "cumulants_to_moments")
-    out = [k[0]]
-    if len(k) >= 2:
-        out.append(k[1] + k[0] ** 2)
-    if len(k) >= 3:
-        out.append(k[2] + 3.0 * k[0] * k[1] + k[0] ** 3)
-    if len(k) >= 4:
-        out.append(k[3] + 4.0 * k[0] * k[2] + 3.0 * k[1] ** 2
-                   + 6.0 * k[0] ** 2 * k[1] + k[0] ** 4)
-    return out
+    """Exact algebraic inverse of moments_to_cumulants: m_n is the complete
+    Bell polynomial, the sum over the same partitions of B prod k_p."""
+    return _bell(log_cumulants, "cumulants_to_moments", _MOMENT_TERMS)
 
 
 def central_log_moments(log_moments) -> list[float]:
-    """Mean plus central moments of orders 2..n about the mean (n <= 4).
+    """Mean plus central moments of orders 2..n about the mean, by the
+    binomial shift mu_n = sum_j C(n, j) m_j (-m_1)^(n-j) with m_0 = 1.
 
     At orders 2 and 3 these coincide with the cumulants; at order 4 the
     central moment exceeds the cumulant by 3 k_2^2.
     """
-    m = _check_order(log_moments, "central_log_moments")
-    out = [m[0]]
-    if len(m) >= 2:
-        out.append(m[1] - m[0] ** 2)
-    if len(m) >= 3:
-        out.append(m[2] - 3.0 * m[0] * m[1] + 2.0 * m[0] ** 3)
-    if len(m) >= 4:
-        out.append(m[3] - 4.0 * m[0] * m[2] + 6.0 * m[0] ** 2 * m[1]
-                   - 3.0 * m[0] ** 4)
-    return out
+    m = [1.0, *_finite(log_moments, "central_log_moments")]
+    return [m[1]] + [sum(math.comb(n, j) * m[j] * (-m[1]) ** (n - j)
+                         for j in range(n + 1)) for n in range(2, len(m))]
 
 
 # quadrature oracle ----------------------------------------------------------
@@ -230,11 +259,11 @@ def mellin_numeric(density, s: float, cfg: QuadratureConfig = _DEFAULT_CFG) -> f
 
 def log_moments_numeric(density, n_max: int,
                         cfg: QuadratureConfig = _DEFAULT_CFG) -> LogStats:
-    """Numerical log-moments m_n = E[(log X)^n] for n = 1..n_max (<= 4)."""
-    if not 1 <= int(n_max) <= 4:
-        raise ValueError(f"n_max must be in [1, 4], got {n_max!r}")
+    """Numerical log-moments m_n = E[(log X)^n] for n = 1..n_max
+    (n_max <= MAX_ORDER)."""
+    n_max = check_order(n_max, "log_moments_numeric")
     moments = [_integrate(_log_domain_integrand(density, 1.0, n), cfg)
-               for n in range(1, int(n_max) + 1)]
+               for n in range(1, n_max + 1)]
     return LogStats.from_moments(moments)
 
 

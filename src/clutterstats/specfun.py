@@ -7,7 +7,10 @@ downstream:
 * ``ln_gamma``  -- Stirling series after an upward recurrence shift,
   absolute accuracy a few ulp of the result over [1e-3, 1e6].
 * ``digamma`` / ``polygamma`` -- Bernoulli asymptotic series, shifted
-  upward until the argument is >= 10.
+  upward until the argument is >= 10.  ``polygamma(m, x)`` meets mpmath
+  to 7e-16 for m <= 5 (4e-15 at m = 6), so k_n is at full precision
+  through n = 6 = ``MAX_ORDER``, the cap ``check_order`` puts on every
+  moment and cumulant order.
 * ``log_bessel_k_batch`` -- log K_nu for a whole abscissa array: the
   peak-centred trapezoid rule ``_quad.log_trapezoid`` on
   1/2 integral(exp(nu t - x cosh t)) over the real line, good to a few
@@ -27,8 +30,10 @@ import numpy as np
 from ._quad import adaptive_quad  # noqa: F401  bound for bench/tracing.py
 from ._quad import LOG_FLOOR, log_trapezoid
 
-__all__ = ["ln_gamma", "digamma", "polygamma", "bessel_k", "log_bessel_k",
-           "log_bessel_k_batch"]
+__all__ = ["MAX_ORDER", "check_order", "ln_gamma", "digamma", "polygamma",
+           "bessel_k", "log_bessel_k", "log_bessel_k_batch"]
+
+MAX_ORDER = 6
 
 # Bernoulli numbers B_2, B_4, ..., B_20
 _B2K = (
@@ -51,6 +56,15 @@ def _require_positive_finite(name: str, x: float) -> float:
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"{name} requires a positive finite argument, got {x!r}")
     return x
+
+
+def check_order(n, what: str) -> int:
+    """``n`` if it is an integer (not a bool) in [1, MAX_ORDER]."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) \
+            or not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"unsupported order {n!r} for {what}: orders are "
+                         f"integers from 1 to {MAX_ORDER}")
+    return int(n)
 
 
 def ln_gamma(x: float) -> float:

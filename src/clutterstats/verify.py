@@ -3,9 +3,10 @@
 Runs the numerical cross-checks that arbitrate every closed form in the
 catalog: density normalization, transform agreement between the analytic
 and the quadrature routes, convolution products for the compound families,
-the fourth-order cumulant algebra, Monte-Carlo agreement of empirical
-log-cumulants, and the pinned special-function constants.  The command
-line ``verify`` subcommand and the acceptance tests both run through here.
+the moment/cumulant algebra (partition sums, good to
+``specfun.MAX_ORDER``), Monte-Carlo agreement of empirical log-cumulants,
+and the pinned special-function constants.  The command line ``verify``
+subcommand and the acceptance tests both run through here.
 """
 
 from __future__ import annotations

@@ -51,6 +51,22 @@ class TestTable:
         assert [abs(float(r[2])) for r in rows[1:]] == \
             pytest.approx([1e-300, 0.0, 0.0], rel=1e-12, abs=1e-320)
 
+    def test_sixth_order_cumulants(self, capsys):
+        code, out, _ = run(capsys, "table", "--family", "gamma",
+                           "--params", "L=2,mu=1", "--orders", "6")
+        assert code == 0
+        rows = [ln.split() for ln in out.splitlines()[2:]]
+        assert [r[0] for r in rows] == ["1", "2", "3", "4", "5", "6"]
+        assert rows[4][2] == f"{polygamma(4, 2.0):.12g}"
+        assert rows[5][2] == f"{polygamma(5, 2.0):.12g}"
+
+    @pytest.mark.parametrize("orders", ["0", "7"])
+    def test_orders_out_of_range_exit_2(self, capsys, orders):
+        code, _, err = run(capsys, "table", "--family", "gamma",
+                           "--params", "L=2,mu=1", "--orders", orders)
+        assert code == 2
+        assert f"unsupported order {orders} for --orders" in err
+
     def test_invalid_params_exit_2(self, capsys):
         code, _, err = run(capsys, "table", "--family", "gamma",
                            "--params", "L=-1,mu=2")
@@ -117,6 +133,22 @@ class TestEstimate:
         l_hat = float(line.split("L=")[1].split(",")[0])
         assert abs(l_hat - 4.0) / 4.0 < 0.05
         assert "converged: yes" in out
+
+    def test_sixth_order_standard_errors(self, capsys, tmp_path):
+        data = tmp_path / "gamma.csv"
+        run(capsys, "sample", "--family", "gamma", "--params", "L=2,mu=1",
+            "--n", "5000", "--seed", "5", "--out", str(data))
+        code, out, _ = run(capsys, "estimate", "--family", "gamma",
+                           "--input", str(data), "--orders", "6")
+        assert code == 0
+        line = [ln for ln in out.splitlines()
+                if ln.startswith("input log-cumulant standard errors")][0]
+        errors = [float(v) for v in line.split(":")[1].split(",")]
+        assert len(errors) == 6 and all(v > 0.0 for v in errors)
+        code, _, err = run(capsys, "estimate", "--family", "gamma",
+                           "--input", str(data), "--orders", "7")
+        assert code == 2
+        assert "unsupported order 7 for --orders" in err
 
     def test_weibull_fit_on_rayleigh_data(self, capsys, tmp_path):
         data = tmp_path / "ray.csv"

@@ -161,6 +161,8 @@ class TestReader:
         ("x\n1.0\nabc\n", "could not convert string 'abc'"),
         ("index,x\n0,1.0\n1\n", "invalid column index 1"),
         ("x\n1_000\n", "could not convert string '1_000'"),
+        ("x\n1.0\n\n2.0\nabc\n", "could not convert string 'abc'"),
+        ("index,x\n\n0,1.0\n  \n1\n", "invalid column index 1"),
     ])
     def test_bad_rows_exit_2_naming_the_path(self, body, detail, tmp_path,
                                              capsys):
@@ -169,7 +171,8 @@ class TestReader:
         code, _, err = estimate(capsys, path)
         assert code == 2
         assert f"error: {path}: " in err
-        assert detail in err and "row" in err
+        # the bad row is the last line of each body; blank lines count
+        assert detail in err and f"at line {len(body.splitlines())}" in err
 
     def test_empty_file(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"

@@ -16,7 +16,8 @@ from clutterstats.distributions import (Fisher, GammaGamma, GammaPower,
                                         MomentDoesNotExistError, Nakagami,
                                         Rayleigh, StripError, Weibull,
                                         WeibullNakagami)
-from clutterstats.specfun import bessel_k, log_bessel_k_batch, polygamma
+from clutterstats.specfun import (MAX_ORDER, bessel_k, log_bessel_k_batch,
+                                  polygamma)
 
 # parameter kinds per family: shapes are drawn from [0.05, 100] and
 # scales (rates for k and wnak) from [1e-6, 1e6]
@@ -32,6 +33,20 @@ FAMILY_FIELDS = {
     "fisher": (Fisher, ("shape", "shape", "scale")),
     "invgamma": (InverseGamma, ("shape", "scale")),
 }
+
+
+COMPOUND_FAMILIES = sorted(
+    family for family, (cls, kinds) in FAMILY_FIELDS.items()
+    if dist.components(cls(*[2.0] * len(kinds))) is not None)
+
+
+def box_spec(family, shapes, log10_scale):
+    """A ``family`` spec whose shape fields take ``shapes`` in turn and
+    whose scale field is 10^log10_scale."""
+    cls, kinds = FAMILY_FIELDS[family]
+    shape_iter = iter(shapes)
+    return cls(*(next(shape_iter) if kind == "shape" else 10.0 ** log10_scale
+                 for kind in kinds))
 
 
 def bessel_pdf(spec, x):
@@ -297,6 +312,16 @@ class TestChf2:
             assert dist.chf2_analytic(spec, 1.0) == 1.0
             assert dist.log_chf2_analytic(spec, 1.0) == 0.0
 
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(family=st.sampled_from(sorted(FAMILY_FIELDS, key=str)),
+           shapes=st.lists(st.floats(0.05, 100.0), min_size=3, max_size=3),
+           log10_scale=st.floats(-6.0, 6.0))
+    def test_normalized_at_one_over_box(self, family, shapes, log10_scale):
+        spec = box_spec(family, shapes, log10_scale)
+        assert dist.chf2_analytic(spec, 1.0) == 1.0
+        assert dist.log_chf2_analytic(spec, 1.0) == 0.0
+
     def test_gamma_mean(self):
         assert dist.chf2_analytic(GammaPower(4.0, 3.0), 2.0) == 3.0
 
@@ -510,11 +535,25 @@ class TestLogCumulants:
             for n in range(4):
                 assert abs(k_total[n] - k_u[n] - k_z[n]) <= 1e-10, (spec, n)
 
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(family=st.sampled_from(COMPOUND_FAMILIES),
+           shapes=st.lists(st.floats(0.05, 100.0), min_size=3, max_size=3),
+           log10_scale=st.floats(-6.0, 6.0))
+    def test_compound_additivity_over_box(self, family, shapes, log10_scale):
+        spec = box_spec(family, shapes, log10_scale)
+        speckle, texture = dist.components(spec)
+        k_total = dist.log_cumulants_analytic(spec, MAX_ORDER)
+        k_u = dist.log_cumulants_analytic(speckle, MAX_ORDER)
+        k_z = dist.log_cumulants_analytic(texture, MAX_ORDER)
+        for n in range(MAX_ORDER):
+            assert abs(k_total[n] - k_u[n] - k_z[n]) \
+                <= 1e-14 * (1.0 + abs(k_u[n]) + abs(k_z[n])), n + 1
+
     def test_order_validation(self):
-        with pytest.raises(ValueError):
-            dist.log_cumulants_analytic(GammaPower(1.0, 1.0), 0)
-        with pytest.raises(ValueError):
-            dist.log_cumulants_analytic(GammaPower(1.0, 1.0), 7)
+        for bad in (0, 2.9, True, MAX_ORDER + 1):
+            with pytest.raises(ValueError):
+                dist.log_cumulants_analytic(GammaPower(1.0, 1.0), bad)
 
 
 class TestRayleighWeibullIdentity:

@@ -17,7 +17,7 @@ from clutterstats.estimation import (EmpiricalLogStats, FitOptions,
                                      texture_log_cumulants)
 from clutterstats.mellin import LogStats
 from clutterstats.sampling import sample
-from clutterstats.specfun import digamma, polygamma
+from clutterstats.specfun import MAX_ORDER, digamma, polygamma
 
 TRIGAMMA_1 = polygamma(1, 1.0)
 
@@ -65,8 +65,10 @@ class TestEmpiricalLogStats:
         assert a == b
 
     def test_order_validation(self):
-        with pytest.raises(ValueError):
-            empirical_log_stats(np.ones(50), 5)
+        # no silent truncation: 2.9 is not order 2 and True is not order 1
+        for bad in (2.9, True, MAX_ORDER + 1):
+            with pytest.raises(ValueError, match="unsupported order"):
+                empirical_log_stats(np.ones(50), bad)
 
 
 class TestInvertPolygamma:

@@ -9,7 +9,7 @@ from clutterstats.mellin import (LogStats, NonConvergenceError,
                                  cumulants_to_moments, log_moments_numeric,
                                  mellin_numeric, moments_to_cumulants,
                                  verify_convolution)
-from clutterstats.specfun import digamma, polygamma
+from clutterstats.specfun import MAX_ORDER, digamma, polygamma
 
 
 def exp1_density(x):
@@ -93,9 +93,18 @@ class TestLogMomentsNumeric:
                 assert abs(stats.log_cumulants[n] - analytic[n]) <= gate, \
                     (spec, n + 1)
 
+    def test_sixth_order(self):
+        # the log of a unit exponential has k_n = psi^(n-1)(1)
+        stats = log_moments_numeric(exp1_density, MAX_ORDER)
+        assert stats.log_cumulants[0] == pytest.approx(digamma(1.0), abs=1e-9)
+        for n in range(2, MAX_ORDER + 1):
+            assert stats.log_cumulants[n - 1] == pytest.approx(
+                polygamma(n - 1, 1.0), rel=1e-7), n
+
     def test_order_validation(self):
-        with pytest.raises(ValueError):
-            log_moments_numeric(exp1_density, 5)
+        for bad in (2.9, True, MAX_ORDER + 1):
+            with pytest.raises(ValueError, match="unsupported order"):
+                log_moments_numeric(exp1_density, bad)
 
 
 class TestCumulantAlgebra:
@@ -121,18 +130,64 @@ class TestCumulantAlgebra:
     def test_zeros_fixed_point(self):
         assert cumulants_to_moments((0.0, 0.0, 0.0, 0.0)) == [0.0, 0.0, 0.0, 0.0]
 
+    def test_sixth_order_pins(self):
+        gauss = (0.0, 1.0, 0.0, 3.0, 0.0, 15.0)
+        assert moments_to_cumulants(gauss) == [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+        assert cumulants_to_moments((0.0, 1.0, 0.0, 0.0, 0.0, 0.0)) == \
+            list(gauss)
+        assert central_log_moments(gauss) == list(gauss)
+        # Poisson(1): raw moments are the Bell numbers, every cumulant is 1
+        bell = (1.0, 2.0, 5.0, 15.0, 52.0, 203.0)
+        assert moments_to_cumulants(bell) == [1.0] * 6
+        assert cumulants_to_moments([1.0] * 6) == list(bell)
+        # Poisson(1) central moments: mu_4 = 1 + 3, mu_5 = 1 + 10,
+        # mu_6 = 1 + 25 + 15
+        assert central_log_moments(bell) == [1.0, 1.0, 1.0, 4.0, 11.0, 41.0]
+
+    def test_written_out_formulas_bit_for_bit(self):
+        # up to order 4 the partition sums round exactly as these formulas
+        # do; the seeded sweep CSV depends on it
+        def cumulants(m):
+            return [m[0], m[1] - m[0] ** 2,
+                    m[2] - 3.0 * m[0] * m[1] + 2.0 * m[0] ** 3,
+                    m[3] - 4.0 * m[0] * m[2] - 3.0 * m[1] ** 2
+                    + 12.0 * m[0] ** 2 * m[1] - 6.0 * m[0] ** 4]
+
+        def moments(k):
+            return [k[0], k[1] + k[0] ** 2,
+                    k[2] + 3.0 * k[0] * k[1] + k[0] ** 3,
+                    k[3] + 4.0 * k[0] * k[2] + 3.0 * k[1] ** 2
+                    + 6.0 * k[0] ** 2 * k[1] + k[0] ** 4]
+
+        rng = np.random.RandomState(13)
+        for scale in (1e-3, 1.0, 10.0, 1e3):
+            for x in rng.uniform(-scale, scale, size=(2000, 4)).tolist():
+                for n in range(1, 5):
+                    assert moments_to_cumulants(x[:n]) == cumulants(x)[:n]
+                    assert cumulants_to_moments(x[:n]) == moments(x)[:n]
+
+    def test_non_finite_entry_named_by_order(self):
+        with pytest.raises(ValueError, match="order-1 entry is nan"):
+            moments_to_cumulants([math.nan, 1.0])
+        with pytest.raises(ValueError, match="order-3 entry is -inf"):
+            cumulants_to_moments([0.0, 1.0, -math.inf, math.nan])
+        with pytest.raises(ValueError, match="order-2 entry is inf"):
+            central_log_moments([0.0, math.inf])
+
     def test_round_trip_random(self):
         rng = np.random.RandomState(11)
-        for _ in range(1000):
-            m = rng.uniform(-10.0, 10.0, size=4)
-            k = np.array(moments_to_cumulants(m))
-            back = np.array(cumulants_to_moments(k))
-            scale = max(1.0, float(np.abs(m).max()), float(np.abs(k).max()))
-            assert np.max(np.abs(back - m)) <= 1e-12 * scale
+        for order in range(1, MAX_ORDER + 1):
+            for _ in range(1000):
+                m = rng.uniform(-10.0, 10.0, size=order)
+                k = np.array(moments_to_cumulants(m))
+                back = np.array(cumulants_to_moments(k))
+                scale = max(1.0, float(np.abs(m).max()),
+                            float(np.abs(k).max()))
+                assert np.max(np.abs(back - m)) <= 1e-12 * scale, order
 
     def test_unsupported_order(self):
         with pytest.raises(ValueError, match="unsupported order"):
-            moments_to_cumulants([1.0] * 5)
+            moments_to_cumulants([1.0] * 7)
         with pytest.raises(ValueError, match="unsupported order"):
             cumulants_to_moments([])
 
@@ -152,6 +207,18 @@ class TestLogStats:
             LogStats((1.0, 2.0), (1.0,))
         with pytest.raises(ValueError):
             LogStats((), ())
+
+    def test_sixth_order_supported(self):
+        stats = LogStats.from_cumulants([1.0] * MAX_ORDER)
+        assert stats.order == MAX_ORDER
+        with pytest.raises(ValueError, match="unsupported order"):
+            LogStats.from_cumulants([1.0] * (MAX_ORDER + 1))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="order-1 entry is inf"):
+            LogStats.from_cumulants([math.inf, 1.0])
+        with pytest.raises(ValueError, match="order-2 entry is nan"):
+            LogStats.from_moments([1.0, math.nan])
 
 
 class TestVerifyConvolution:
