@@ -1,11 +1,12 @@
 """Deterministic quadrature: the latent-integral kernel and the oracle engine.
 
-* :func:`log_trapezoid` -- the kernel behind every density that needs an
-  integral over a hidden variable (the Bessel-K function and the
-  Weibull-Nakagami density).  Their exponents are smooth and strictly
-  concave on the whole real line, so a peak-centred trapezoid rule
-  converges exponentially (Trefethen & Weideman, "The exponentially
-  convergent trapezoidal rule", SIAM Review 56(3), 2014) and runs for all
+* :func:`log_latent_integral` -- the log density of c1 log G1 + c2 log G2
+  (unit gammas G1, G2; c1, c2 > 0), an integral over the hidden log G2:
+  the compound densities, and at q = c2/c1 = 1 the Bessel function K_nu.
+* :func:`log_trapezoid` -- the rule it runs on.  Its exponent is smooth and
+  strictly concave on the whole real line, so a peak-centred trapezoid
+  rule converges exponentially (Trefethen & Weideman, "The exponentially
+  convergent trapezoidal rule", SIAM Review 56(3), 2014), for all
   abscissas at once.
 * :func:`adaptive_quad` -- globally adaptive Gauss-Kronrod bisection on a
   finite interval, used by the Mellin oracle (and the tests) only, so the
@@ -22,7 +23,8 @@ import math
 
 import numpy as np
 
-__all__ = ["NonConvergenceError", "adaptive_quad", "gk15", "log_trapezoid"]
+__all__ = ["NonConvergenceError", "adaptive_quad", "gk15",
+           "log_latent_integral", "log_trapezoid"]
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule, QUADPACK dqk15
 # constants.  Nodes are on [-1, 1]; even-indexed nodes carry the Gauss rule.
@@ -141,7 +143,8 @@ def adaptive_quad(
 # peak-centred trapezoid rule ------------------------------------------------
 
 _DROP = 46.0   # the grid ends where the integrand fell below e^-46 ~ 1e-20
-LOG_FLOOR = -700.0   # log of the least weight kept for an exponent term
+_LOG_FLOOR = -700.0   # log of the least weight kept for an exponent term
+LOG_DBL_MAX = float(np.log(np.finfo(float).max))
 _GAUSSIAN = 1e-10   # narrower integrands are Gaussian to double precision
 _CHUNK = 256   # problems per pass; bounds the (problems x nodes) work arrays
 
@@ -212,3 +215,47 @@ def _log_trapezoid_chunk(g, width, strip, cols):
     d = np.where(inside, k * step, 0.0)
     total = np.where(inside, np.exp(g(d, *cols)), 0.0).sum(axis=1)
     return np.log(step[:, 0]) + np.log(total)
+
+
+def log_latent_integral(a1: float, c1: float, a2: float, c2: float,
+                        v: np.ndarray) -> np.ndarray:
+    """log density of V = c1 log G1 + c2 log G2 (c1, c2 > 0) at v, plus
+    ln Gamma(a1) + ln Gamma(a2) + log c1, as an integral over w = log G2:
+    a1 T + log integral(exp(p(w)) dw), p(w) = k w - exp(T - q w) - exp(w),
+    T = v / c1, q = c2 / c1, k = a2 - a1 q.  p'' < 0 (one peak), and the
+    integrand is analytic for |Im w| < min(pi/2, pi/(2q)).
+    """
+    q, slope, big_t = c2 / c1, a2 - a1 * c2 / c1, v / c1
+    # The peak solves q exp(T - q w) + k+ = exp(w) + k-; in logs the sides
+    # differ by a monotone, convex or concave F(w) with |F'| in
+    # [min(1, q), 1 + q], so Newton's method converges from any start.
+    log_plus = math.log(slope) if slope > 0.0 else -math.inf
+    log_minus = math.log(-slope) if slope < 0.0 else -math.inf
+    log_q_t = math.log(q) + big_t
+    w = log_q_t / (1.0 + q)
+    for _ in range(100):
+        e1 = log_q_t - q * w
+        left, right = np.logaddexp(e1, log_plus), np.logaddexp(w, log_minus)
+        step = (left - right) / (q * np.exp(e1 - left) + np.exp(w - right))
+        w = w + step
+        if np.all(np.abs(step) <= 1e-15 * np.maximum(1.0, np.abs(w))):
+            break
+
+    # the exponentials at the peak, held in [e^-700, DBL_MAX]: above, the
+    # density is 0 anyway; below, the exponent is shifted to match
+    log_t = np.array([big_t - q * w, w])
+    clipped = np.clip(log_t, _LOG_FLOOR, LOG_DBL_MAX)
+    (t1, t2), shifts = np.exp(clipped), clipped - log_t
+    with np.errstate(over="ignore"):
+        return (a1 * big_t + slope * w - t1 - t2
+                + log_trapezoid(_latent_exponent,
+                                1.0 / np.sqrt(q * q * t1 + t2),
+                                min(0.5 * math.pi, 0.5 * math.pi / q),
+                                q, slope, t1, t2, *shifts))
+
+
+def _latent_exponent(d, q, slope, t1, t2, shift1, shift2):
+    # p(w + d) - p(w) without cancellation at small d; a term raised to
+    # e^-700 takes its exponential at d - shift, the same wherever it counts
+    return (slope * d - t1 * np.expm1(-q * d - shift1)
+            - t2 * np.expm1(d - shift2))

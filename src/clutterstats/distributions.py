@@ -19,7 +19,9 @@ form, the strip of analyticity, the log-cumulants
     kn = sum_i c_i^n psi^(n-1)(a_i),   n >= 2
 
 and the density, by its shape: generalized gamma (one term), beta prime
-(c1 = -c2) or a latent integral over one of the two gammas (c1, c2 > 0).
+(c1 = -c2) or a latent integral over one of the two gammas (c1, c2 > 0,
+``_quad.log_latent_integral``; at c1 = c2 it is the Bessel-K law, and
+``specfun.log_bessel_k_batch`` reads K off the same integral).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import specfun
 from ._quad import adaptive_quad  # noqa: F401  bound for bench/tracing.py
-from ._quad import LOG_FLOOR, log_trapezoid
+from ._quad import log_latent_integral
 
 __all__ = [
     "GammaPower", "Nakagami", "Maxwell", "Weibull", "Rayleigh",
@@ -450,47 +452,4 @@ def _log_density(terms, v: np.ndarray) -> np.ndarray:
         t = v / c1
         return (a1 * t - (a1 + a2) * np.logaddexp(0.0, t)
                 + specfun.ln_gamma(a1 + a2) - norm)
-    return _log_latent_integral(a1, c1, a2, c2, v) - norm
-
-
-def _log_latent_integral(a1: float, c1: float, a2: float, c2: float,
-                         v: np.ndarray) -> np.ndarray:
-    """log density of V = c1 log G1 + c2 log G2 (c1, c2 > 0) at v, plus
-    ln Gamma(a1) + ln Gamma(a2) + log c1, as an integral over w = log G2:
-    a1 T + log integral(exp(p(w)) dw), p(w) = k w - exp(T - q w) - exp(w),
-    T = v / c1, q = c2 / c1, k = a2 - a1 q.  p'' < 0 (one peak), and the
-    integrand is analytic for |Im w| < min(pi/2, pi/(2q)).
-    """
-    q, slope = c2 / c1, a2 - a1 * c2 / c1
-    big_t = v / c1
-    # The peak solves q exp(T - q w) + k+ = exp(w) + k-; in logs the sides
-    # differ by a monotone, convex or concave F(w) with |F'| in
-    # [min(1, q), 1 + q], so Newton's method converges from any start.
-    log_plus = math.log(slope) if slope > 0.0 else -math.inf
-    log_minus = math.log(-slope) if slope < 0.0 else -math.inf
-    log_q_t = math.log(q) + big_t
-    w = log_q_t / (1.0 + q)
-    for _ in range(100):
-        e1 = log_q_t - q * w
-        left, right = np.logaddexp(e1, log_plus), np.logaddexp(w, log_minus)
-        step = (left - right) / (q * np.exp(e1 - left) + np.exp(w - right))
-        w = w + step
-        if np.all(np.abs(step) <= 1e-15 * np.maximum(1.0, np.abs(w))):
-            break
-
-    # the two exponentials at the peak, held in [e^-700, e^700]: above, the
-    # result is below -e^700 anyway; below, the exponent is shifted to match
-    log_t = np.array([big_t - q * w, w])
-    clipped = np.clip(log_t, LOG_FLOOR, -LOG_FLOOR)
-    (t1, t2), shifts = np.exp(clipped), clipped - log_t
-    return (a1 * big_t + slope * w - t1 - t2
-            + log_trapezoid(_latent_exponent, 1.0 / np.sqrt(q * q * t1 + t2),
-                            min(0.5 * math.pi, 0.5 * math.pi / q), q, slope,
-                            t1, t2, *shifts))
-
-
-def _latent_exponent(d, q, slope, t1, t2, shift1, shift2):
-    # p(w + d) - p(w) without cancellation at small d; a term raised to
-    # e^-700 takes its exponential at d - shift, the same wherever it counts
-    return (slope * d - t1 * np.expm1(-q * d - shift1)
-            - t2 * np.expm1(d - shift2))
+    return log_latent_integral(a1, c1, a2, c2, v) - norm

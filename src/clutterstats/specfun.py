@@ -7,15 +7,17 @@ downstream:
 * ``ln_gamma``  -- Stirling series after an upward recurrence shift,
   absolute accuracy a few ulp of the result over [1e-3, 1e6].
 * ``digamma`` / ``polygamma`` -- Bernoulli asymptotic series, shifted
-  upward until the argument is >= 10.  ``polygamma(m, x)`` meets mpmath
-  to 7e-16 for m <= 5 (4e-15 at m = 6), so k_n is at full precision
-  through n = 6 = ``MAX_ORDER``, the cap ``check_order`` puts on every
-  moment and cumulant order.
-* ``log_bessel_k_batch`` -- log K_nu for a whole abscissa array: the
-  peak-centred trapezoid rule ``_quad.log_trapezoid`` on
-  1/2 integral(exp(nu t - x cosh t)) over the real line, good to a few
-  1e-13 in log over x in [1e-90, 1e18] and defined down to the smallest
-  subnormal x.  ``log_bessel_k`` and ``bessel_k`` are its scalar forms.
+  upward until the argument is >= 10 (>= 2m + 2 for polygamma of order
+  m >= 5).  ``polygamma(m, x)`` meets mpmath to about 1e-15 through
+  order 130 (6e-15 at order 1000), so k_n is at full precision through
+  n = 6 = ``MAX_ORDER``, the cap ``check_order`` puts on every moment and
+  cumulant order.  Orders whose factorials leave the double range are
+  computed too.
+* ``log_bessel_k_batch`` -- log K_nu for a whole abscissa array.  K is
+  the latent integral of two unit gammas at q = 1
+  (``_quad.log_latent_integral``, the kernel of the compound densities),
+  good to a few 1e-13 in log for x from the smallest subnormal to the
+  largest double.  ``log_bessel_k`` and ``bessel_k`` are its scalar forms.
 
 All functions are pure and reentrant.
 """
@@ -23,12 +25,11 @@ All functions are pure and reentrant.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
 from ._quad import adaptive_quad  # noqa: F401  bound for bench/tracing.py
-from ._quad import LOG_FLOOR, log_trapezoid
+from ._quad import LOG_DBL_MAX, log_latent_integral
 
 __all__ = ["MAX_ORDER", "check_order", "ln_gamma", "digamma", "polygamma",
            "bessel_k", "log_bessel_k", "log_bessel_k_batch"]
@@ -48,7 +49,6 @@ _DG_COEF = tuple(b / (2 * k) for k, b in enumerate(_B2K, start=1))
 
 _SHIFT_THRESHOLD = 10.0
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 def _require_positive_finite(name: str, x: float) -> float:
@@ -112,82 +112,73 @@ def polygamma(order: int, x: float) -> float:
     """psi^(order)(x), the order-th derivative of digamma, for order >= 1.
 
     The sign alternates: psi^(m) has sign (-1)^(m+1) everywhere on x > 0.
+    A value past the double range is +-inf.
     """
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
+    if not isinstance(order, (int, np.integer)) or isinstance(order, bool) \
+            or order < 1:
         raise ValueError(f"polygamma order must be an integer >= 1, got {order!r}")
     m = int(order)
-    if m < 1:
-        raise ValueError(f"polygamma order must be >= 1, got {m}")
     x = _require_positive_finite("polygamma", x)
-
-    fact_m = float(math.factorial(m))
-    fact_m1 = float(math.factorial(m - 1))
-    acc = 0.0
-    y = x
-    while y < _SHIFT_THRESHOLD:
-        acc += fact_m / y ** (m + 1)
-        y += 1.0
+    # the series needs y >> m: its terms grow like (2k + m)! / (2 pi y)^(2k)
+    threshold = max(_SHIFT_THRESHOLD, 2.0 * m + 2.0)
     sign = 1.0 if m % 2 == 1 else -1.0
-    try:
-        body = fact_m1 / y**m + fact_m / (2.0 * y ** (m + 1))
-        t = 1.0 / y ** (m + 2)  # 1/y^(2k + m) at k = 1
-    except OverflowError:
-        # factor out the leading term (m-1)!/y^m, formed exponent-tracked
-        # (it may underflow); term k of the series is then
-        # b_k C(2k + m - 1, 2k) / y^(2k)
-        my, ey = math.frexp(y)
-        mf, ef = math.frexp(fact_m1)
-        z, series = 1.0 / (y * y), 1.0 + m / (2.0 * y)
+    try:                               # in plain floats while they hold
+        fact_m = float(math.factorial(m))
+        acc, y = 0.0, x
+        while y < threshold:
+            acc += fact_m / y ** (m + 1)
+            y += 1.0
+        body = (float(math.factorial(m - 1)) / y**m
+                + fact_m / (2.0 * y ** (m + 1)))
+        t, z = 1.0 / y ** (m + 2), 1.0 / (y * y)   # t = 1/y^(2k + m), k = 1
         for k, b in enumerate(_B2K, start=1):
-            series += b * math.comb(2 * k + m - 1, 2 * k) * z**k
-        return sign * (acc + math.ldexp(mf / my**m, ef - ey * m) * series)
-    z = 1.0 / (y * y)
+            # (2k + m - 1)! / (2k)! as an exact integer
+            body += b * math.prod(range(2 * k + 1, 2 * k + m)) * t
+            t *= z
+        if math.isfinite(acc + body):
+            return sign * (acc + body)
+    except ArithmeticError:            # a term left the double range
+        pass
+    return sign * _polygamma_scaled(m, x, threshold)
+
+
+def _polygamma_scaled(m: int, x: float, threshold: float) -> float:
+    """|psi^(m)(x)| as (m-1)!/x^m, held as mantissa and binary exponent,
+    times (m/x) sum_j (x/(x+j))^(m+1) + (x/y)^m (1 + m/(2y)
+    + sum_k B_2k C(2k + m - 1, 2k) / y^(2k)): each part is in range."""
+    f = math.factorial(m - 1)
+    drop = max(f.bit_length() - 64, 0)
+    (mant, e), (mx, ex) = math.frexp(float(f >> drop)), math.frexp(x)
+    e += drop - ex * m
+    for n in range(m, 0, -512):        # mx^512 >= 2^-512 stays normal
+        mant, k = math.frexp(mant / mx ** min(n, 512))
+        e += k
+    shifts, y = 0.0, x
+    while y < threshold:
+        shifts += (x / y) ** (m + 1)
+        y += 1.0
+    z, series = 1.0 / (y * y), 1.0 + m / (2.0 * y)
     for k, b in enumerate(_B2K, start=1):
-        # R_k = (2k + m - 1)! / (2k)! as a float product
-        r = 1.0
-        for j in range(2 * k + 1, 2 * k + m):
-            r *= j
-        body += b * r * t
-        t *= z
-    return sign * (acc + body)
-
-
-def _bessel_exponent(d, nu, root_2b, shift):
-    # nu t - x cosh t at t = t* + d less its peak value nu t* - h is, by
-    # x sinh t* = nu and x cosh t* = h, -nu (e^d - 1 - d) - 2B sinh^2(d/2)
-    # with B = x e^-t*: two terms <= 0, so nothing cancels (d is capped so
-    # nu = 0 gives 0).  A B below e^-700 is raised to e^-700 with sinh at
-    # |d| - shift, shift = log(e^-700 / B) (0 otherwise): the same wherever
-    # it counts.
-    half = 0.5 * np.maximum(np.abs(d) - shift, 0.0)
-    return -(nu * (np.expm1(np.minimum(d, 709.0)) - d)
-             + (root_2b * np.sinh(half)) ** 2)
+        series += b * math.comb(2 * k + m - 1, 2 * k) * z**k
+    mant, k = math.frexp(mant * (m / x * shifts + (x / y) ** m * series))
+    return math.ldexp(mant, e + k) if e + k <= 1024 else math.inf
 
 
 def log_bessel_k_batch(nu: float, x) -> np.ndarray:
     """log K_nu over an array of positive abscissas (shared order).
 
-    K_nu(x) = 1/2 integral(exp(nu t - x cosh t), t over the real line).
-    The exponent peaks at t* = log(nu + h) - log x, h = hypot(x, nu), with
-    curvature -h; its strip of analyticity is |Im t| < pi/2.  Everything
-    is formed from log x, nu and h, so subnormal x works too.
+    K_nu(x) = 1/2 integral(exp(nu t - x cosh t) dt) (DLMF 10.32.9).  At
+    w = t + T/2, T = 2 log(x/2), the exponent is nu T/2 plus the latent
+    exponent of a1 = 1, a2 = 1 + nu, q = 1, so log K_nu(x) is the latent
+    integral less (1 + nu/2) T + log 2.  Only log x enters, so subnormal x
+    works too.
     """
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    if flat.size and (not np.all(np.isfinite(flat)) or np.any(flat <= 0.0)):
-        raise ValueError("log_bessel_k_batch requires finite x > 0")
-    nu = abs(float(nu))
-    if not math.isfinite(nu):
-        raise ValueError(f"log_bessel_k_batch requires finite order, got {nu!r}")
-    log_x = np.log(flat)
-    h = np.hypot(flat, nu)
-    log_a = np.log(nu + h)                   # log(x e^t*)
-    b = flat / (nu + h) * flat               # B = x e^-t*
-    root_2b = math.sqrt(2.0) * np.sqrt(np.maximum(b, math.exp(LOG_FLOOR)))
-    shift = np.maximum(LOG_FLOOR - (2.0 * log_x - log_a), 0.0)
-    out = (nu * (log_a - log_x) - h - math.log(2.0)
-           + log_trapezoid(_bessel_exponent, 1.0 / np.sqrt(h), 0.5 * math.pi,
-                           nu, root_2b, shift))
+    x, nu = np.asarray(x, dtype=float), abs(float(nu))
+    if not (nu < math.inf and np.all((0.0 < x) & (x < math.inf))):
+        raise ValueError("log_bessel_k_batch requires finite x > 0 and order")
+    big_t = 2.0 * (np.log(x.ravel()) - math.log(2.0))
+    out = (log_latent_integral(1.0, 1.0, 1.0 + nu, 1.0, big_t)
+           - (1.0 + 0.5 * nu) * big_t - math.log(2.0))
     return out.reshape(x.shape)
 
 
@@ -207,7 +198,7 @@ def bessel_k(nu: float, x: float) -> float:
     combined with large |nu|).
     """
     log_value = log_bessel_k(nu, x)
-    if log_value > _LOG_DBL_MAX:
+    if log_value > LOG_DBL_MAX:
         raise OverflowError(
             f"bessel_k({nu}, {x}) exceeds the double range "
             f"(log value {log_value:.6g})"

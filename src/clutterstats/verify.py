@@ -244,7 +244,9 @@ def known_constant_checks() -> list[CheckOutcome]:
 def run_all(families=None, tolerance: float | None = None,
             seed: int = DEFAULT_MC_SEED) -> list[CheckOutcome]:
     """Full suite; ``tolerance`` overrides the transform-agreement gate."""
-    agreement_tol = 1e-6 if tolerance is None else tolerance
+    agreement_tol = 1e-6 if tolerance is None else float(tolerance)
+    if not 0.0 <= agreement_tol < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     out = []
     out += normalization_checks(families)
     out += transform_agreement_checks(families, tolerance=agreement_tol)

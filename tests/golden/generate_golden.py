@@ -68,10 +68,16 @@ def check_reference_sanity() -> None:
     # the Weibull-Nakagami integral at c = 2 is the K density
     # 4 b^((alpha+1)/2) r^alpha K_(alpha-1)(2 sqrt(b) r) / Gamma(alpha)
     for alpha, b, r in [(0.6, 0.5, 0.3), (2.5, 2.0, 1.7), (7.0, 1.0, 4.0)]:
-        alpha, b, r = mp.mpf(alpha), mp.mpf(b), mp.mpf(r)
-        k_pdf = 4 * b ** ((alpha + 1) / 2) * r ** alpha \
-            * mp.besselk(alpha - 1, 2 * mp.sqrt(b) * r) / mp.gamma(alpha)
-        assert abs(wnak_pdf(2, alpha, b, r) - k_pdf) / k_pdf < mp.mpf(10) ** -35
+        want = k_pdf(alpha, b, r)
+        assert abs(wnak_pdf(2, alpha, b, r) - want) / want < mp.mpf(10) ** -35
+
+
+def k_pdf(alpha, b, r):
+    """K amplitude density 4 b^((alpha+1)/2) r^alpha K_(alpha-1)(2 sqrt(b) r)
+    / Gamma(alpha)."""
+    alpha, b, r = mp.mpf(alpha), mp.mpf(b), mp.mpf(r)
+    return 4 * b ** ((alpha + 1) / 2) * r ** alpha \
+        * mp.besselk(alpha - 1, 2 * mp.sqrt(b) * r) / mp.gamma(alpha)
 
 
 def wnak_pdf(c, alpha, b, r):
@@ -126,16 +132,28 @@ def build_tables() -> dict:
         (20.0, 1e-4), (20.0, 1.0), (20.0, 12.0), (20.0, 50.0),
     ]
     # log K where K itself leaves the double range or the kernel's grid
-    # runs widest: x from 1e-90 to 1e18, including a near-zero order
+    # runs widest: x from 1e-90 to 1e18, including a near-zero order; then
+    # x up to the top of the double range, where x cosh t overflows
     log_bk_pairs = [
         (0.01, 1e-18), (0.01, 1e17), (0.0, 1e-90), (3.05, 1.6),
         (20.0, 1e-90), (60.0, 1e-90), (60.0, 1e18),
-    ]
+    ] + [(nu, x) for nu in (0.0, 20.0) for x in (1e250, 2e304, 1e307, 1.7e308)]
     # the last point has its peak far from where the two exponentials of
     # the integrand balance (small c, large alpha)
     wn_points = [(c, alpha, b, r) for c in (0.8, 1.0, 3.0)
                  for alpha, b in ((0.6, 0.5), (2.5, 2.0))
                  for r in (0.05, 0.5, 1.5, 4.0)] + [(0.05, 100.0, 1e-6, 1.0)]
+    # the K amplitude density 4 b^((alpha+1)/2) r^alpha K_(alpha-1)(2 sqrt(b) r)
+    # / Gamma(alpha) from 1e-3 to 10 times its RMS amplitude sqrt(alpha / b)
+    k_points = [(alpha, b, q * (alpha / b) ** 0.5)
+                for alpha in (0.2, 0.7, 1.0, 2.5, 7.0, 20.0)
+                for b in (0.01, 1.0, 100.0) for q in (1e-3, 0.05, 1.0, 3.0, 10.0)]
+    # polygamma at high order: every order to 100 about x = 10, where the
+    # asymptotic series needs a shift past y = 10; then orders whose
+    # factorials leave the double range, at values inside it
+    pg_high = [(m, x) for m in range(6, 101) for x in (9.5, 10.0, 10.5)]
+    pg_high += [(m, x) for m in (130, 171, 250, 500, 1000)
+                for x in (0.5 * m, 2.0 * m, 10.0 * m)]
     tables = {
         "_generated_by": "tests/golden/generate_golden.py (mpmath, 50 digit working precision)",
         "ln_gamma": [[x, float(mp.loggamma(mp.mpf(x)))] for x in lg_points],
@@ -147,6 +165,11 @@ def build_tables() -> dict:
                          for nu, x in log_bk_pairs],
         "wnak_pdf": [[c, alpha, b, r, float(wnak_pdf(c, alpha, b, r))]
                      for c, alpha, b, r in wn_points],
+        "k_pdf": [[alpha, b, r, float(k_pdf(alpha, b, r))]
+                  for alpha, b, r in k_points],
+        "polygamma_high_order": [
+            [m, x, float(v)] for m, x in pg_high
+            for v in [mp.polygamma(m, mp.mpf(x))] if 1e-300 < abs(v) < 1e300],
         "splitmix64": {
             "seed_0": [hex(v) for v in splitmix64_outputs(0, 8)],
             "seed_42": [hex(v) for v in splitmix64_outputs(42, 8)],

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from clutterstats import verify
 from clutterstats.cli import main
 from clutterstats.specfun import polygamma
 from clutterstats.sweep import SWEEP_CSV_HEADER
@@ -280,6 +281,15 @@ class TestVerifyCommand:
         # only the requested families run
         for other in ("fisher", "weibull", "maxwell", "wnak"):
             assert other not in out
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+    def test_nonsense_tolerance_exits_2(self, capsys, monkeypatch, tolerance):
+        def no_transform(*args, **kwargs):
+            raise AssertionError("a check ran")
+        monkeypatch.setattr(verify, "normalization_checks", no_transform)
+        code, out, err = run(capsys, "verify", "--tolerance", tolerance)
+        assert code == 2
+        assert out == "" and "tolerance must be finite and >= 0" in err
 
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "--families", "gamma",

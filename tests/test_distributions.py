@@ -10,14 +10,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clutterstats import distributions as dist
-from clutterstats._quad import adaptive_quad
+from clutterstats._quad import adaptive_quad, log_latent_integral
 from clutterstats.distributions import (Fisher, GammaGamma, GammaPower,
                                         InverseGamma, KAmplitude, Maxwell,
                                         MomentDoesNotExistError, Nakagami,
                                         Rayleigh, StripError, Weibull,
                                         WeibullNakagami)
-from clutterstats.specfun import (MAX_ORDER, bessel_k, log_bessel_k_batch,
-                                  polygamma)
+from clutterstats.specfun import MAX_ORDER, polygamma
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" /
+                     "specfun_golden.json").read_text())
 
 # parameter kinds per family: shapes are drawn from [0.05, 100] and
 # scales (rates for k and wnak) from [1e-6, 1e6]
@@ -47,19 +49,6 @@ def box_spec(family, shapes, log10_scale):
     shape_iter = iter(shapes)
     return cls(*(next(shape_iter) if kind == "shape" else 10.0 ** log10_scale
                  for kind in kinds))
-
-
-def bessel_pdf(spec, x):
-    """Density of an equal-c two-term form through Bessel K: V = c log(G1 G2)
-    and G1 G2 has density 2 w^((a1+a2)/2 - 1) K_(a1-a2)(2 sqrt(w))."""
-    form = dist._mellin_form(spec)
-    (a1, c), (a2, c2) = form.terms
-    assert c == c2
-    t = (math.log(x) - math.log(form.scale)) / c
-    log_k = float(log_bessel_k_batch(a1 - a2, [2.0 * math.exp(0.5 * t)])[0])
-    log_density = (math.log(2.0) + 0.5 * (a1 + a2) * t + log_k
-                   - math.lgamma(a1) - math.lgamma(a2) - math.log(c))
-    return math.exp(log_density - math.log(x))
 
 
 ALL_SPECS = [
@@ -122,9 +111,9 @@ class TestPdf:
             2.0 * math.exp(-1.0), rel=1e-12)
 
     def test_k_amplitude_closed_form(self):
-        # 4 K_1(2) for alpha=2, b=1 at x=1
+        # 4 K_1(2) for alpha=2, b=1 at x=1; the reference is mpmath's
         assert dist.pdf(KAmplitude(2.0, 1.0), 1.0) == pytest.approx(
-            4.0 * bessel_k(1.0, 2.0), rel=1e-9)
+            0.55946352726608970914, rel=1e-12)
 
     def test_k_amplitude_mixture_integral(self):
         # Rayleigh-with-gamma-mean-square mixture, integrated over log z
@@ -156,9 +145,7 @@ class TestPdf:
             assert dist.pdf(spec, r) == pytest.approx(oracle, rel=1e-7)
 
     def test_wn_pdf_golden_table(self):
-        golden = json.loads((Path(__file__).parent / "golden" /
-                             "specfun_golden.json").read_text())
-        for c, alpha, b, r, ref in golden["wnak_pdf"]:
+        for c, alpha, b, r, ref in GOLDEN["wnak_pdf"]:
             got = dist.pdf(WeibullNakagami(c, alpha, b), r)
             assert abs(got - ref) <= 1e-12 * ref, (c, alpha, b, r)
 
@@ -167,14 +154,18 @@ class TestPdf:
     @given(alpha=st.floats(0.2, 20.0), log10_b=st.floats(-2.0, 2.0),
            log10_q=st.floats(-3.0, 1.0))
     def test_wn_at_c_two_is_k(self, alpha, log10_b, log10_q):
-        # wnak at c = 2 has the K form, and the latent integral at q = 1
-        # that gives both densities meets the Bessel-K law
+        # wnak at c = 2 has the K form: both densities are the same latent
+        # integral at q = 1
         b = 10.0 ** log10_b
         r = 10.0 ** log10_q * math.sqrt(alpha / b)
         k = dist.pdf(KAmplitude(alpha, b), r)
         assert dist.pdf(WeibullNakagami(2.0, alpha, b), r) == k
-        assert k == pytest.approx(bessel_pdf(KAmplitude(alpha, b), r),
-                                  rel=1e-12, abs=1e-300)
+
+    def test_k_pdf_golden_table(self):
+        # mpmath's Bessel-K law over the box of test_wn_at_c_two_is_k
+        for alpha, b, r, ref in GOLDEN["k_pdf"]:
+            got = dist.pdf(KAmplitude(alpha, b), r)
+            assert abs(got - ref) <= 1e-12 * ref, (alpha, b, r)
 
     @pytest.mark.parametrize("q", [0.5, 1.0, 10.0])
     def test_latent_integral_far_left(self, q):
@@ -183,7 +174,7 @@ class TestPdf:
         # to terms of order e^(T min(1, 1/q)).  At T = -2000 both
         # exponentials at the peak lie below e^-700.
         big_t = -2000.0
-        value = dist._log_latent_integral(1.0, 1.0, q, q, np.array([big_t]))
+        value = log_latent_integral(1.0, 1.0, q, q, np.array([big_t]))
         euler = 0.5772156649015329
         want = math.log(-big_t / q - euler * (1.0 + 1.0 / q))
         assert value[0] - big_t == pytest.approx(want, rel=1e-12)

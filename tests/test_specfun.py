@@ -140,6 +140,25 @@ class TestPolygamma:
         assert polygamma(30, 1e10) == pytest.approx(
             -8.841762007002344952e-270, rel=1e-14)
 
+    def test_high_order_golden_table(self):
+        # every order to 100 about x = 10, where the series needs a shift
+        # past y = 10, and orders whose factorials leave the double range
+        for m, x, ref in GOLDEN["polygamma_high_order"]:
+            assert abs(polygamma(int(m), x) - ref) <= 1e-14 * abs(ref), (m, x)
+
+    def test_past_the_double_range_is_infinite(self):
+        assert polygamma(1, 1e-200) == math.inf
+        assert polygamma(2, 1e-110) == -math.inf
+        assert polygamma(200, 0.5) == -math.inf
+
+    def test_every_order_finite_or_signed_infinity(self):
+        for m in (6, 7, 60, 130, 165, 171, 400):
+            sign = 1.0 if m % 2 == 1 else -1.0
+            for x in np.logspace(-300, 300, 61):
+                value = polygamma(m, x)
+                assert not math.isnan(value), (m, x)
+                assert value == 0.0 or math.copysign(1.0, value) == sign
+
     def test_trigamma_strictly_decreasing(self):
         grid = np.logspace(-2, 3, 80)
         values = [polygamma(1, x) for x in grid]
