@@ -14,9 +14,9 @@ from .estimation import (
     invert_polygamma, texture_log_cumulants,
 )
 from .mellin import (
-    LogStats, NonConvergenceError, QuadratureConfig, central_log_moments,
-    cumulants_to_moments, log_moments_numeric, mellin_numeric,
-    moments_to_cumulants, verify_convolution,
+    LogStats, NonConvergenceError, QuadratureConfig, TransformTable,
+    central_log_moments, cumulants_to_moments, log_moments_numeric,
+    mellin_numeric, mellin_table, moments_to_cumulants, verify_convolution,
 )
 from .sampling import SampleBatch, SplitMix64, sample, sample_compound
 from .specfun import bessel_k, digamma, ln_gamma, log_bessel_k, polygamma

@@ -10,7 +10,11 @@
   abscissas at once.
 * :func:`adaptive_quad` -- globally adaptive Gauss-Kronrod bisection on a
   finite interval, used by the Mellin oracle (and the tests) only, so the
-  oracle shares no integration code with the densities it checks.
+  oracle shares no integration code with the densities it checks.  Its
+  integrand may be vector-valued (shape (k, m) for m nodes): the k
+  components then share one subdivision and one integrand call per node,
+  and a panel is split while any component misses its own tolerance.
+  :func:`gk15` evaluates a whole batch of panels in one integrand call.
 
 Everything here is deterministic (no randomized rules), so repeated runs
 produce bit-identical results for identical inputs.
@@ -18,7 +22,6 @@ produce bit-identical results for identical inputs.
 
 from __future__ import annotations
 
-import heapq
 import math
 
 import numpy as np
@@ -54,23 +57,35 @@ class NonConvergenceError(RuntimeError):
     """Raised when the subdivision budget runs out before the tolerance.
 
     Carries the best available estimate and its error bound so callers can
-    degrade gracefully or report diagnostics.
+    degrade gracefully or report diagnostics: floats for a scalar
+    integrand, per-component arrays for a vector-valued one.
     """
 
-    def __init__(self, message: str, estimate: float, error_bound: float):
+    def __init__(self, message: str, estimate, error_bound):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
 
 
-def gk15(f, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 15 panel on [a, b]: (integral, error estimate)."""
+def gk15(f, a, b):
+    """Gauss-Kronrod 15 panels on [a, b]: (integral, error estimate).
+
+    ``a`` and ``b`` are floats, or equal-length arrays of panel ends whose
+    nodes all go to ``f`` in one call.  ``f`` maps the nodes (shape (m,))
+    to values of shape (m,), or (k, m) for a vector-valued integrand; the
+    results then carry the panel axis last: shape (), (k,), (p,) or (k, p).
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _NODES
-    y = np.asarray(f(x), dtype=float)
-    ik = half * float(y @ _W_KRONROD)
-    ig = half * float(y @ _W_GAUSS)
-    return ik, abs(ik - ig)
+    x = (0.5 * (a + b))[..., None] + half[..., None] * _NODES
+    y = np.asarray(f(x.ravel()), dtype=float)
+    y = y.reshape(y.shape[:-1] + x.shape)
+    # row sums, not matmul: a panel's value must not depend on the batch
+    ik = half * (y * _W_KRONROD).sum(axis=-1)
+    ig = half * (y * _W_GAUSS).sum(axis=-1)
+    if ik.ndim == 0:
+        return float(ik), float(abs(ik - ig))
+    return ik, np.abs(ik - ig)
 
 
 def adaptive_quad(
@@ -81,62 +96,75 @@ def adaptive_quad(
     abs_tol: float = 1e-12,
     max_subdivisions: int = 2000,
     initial_edges=None,
-) -> tuple[float, float]:
+):
     """Globally adaptive bisection of [a, b] using GK15 panels.
 
     ``f`` must accept a numpy array of abscissas and return values of
-    the same shape.  ``initial_edges``, when given, is a sorted sequence of
-    interior break points seeding the first panels (useful when the caller
-    knows where the integrand mass sits).  Returns ``(value, error_bound)``
-    and raises :class:`NonConvergenceError` if the subdivision budget is
-    exhausted first.
+    the same shape, or of shape (k, m) for a k-component integrand: every
+    component then shares one subdivision and each node costs one call
+    of ``f`` for all of them (the ``fdim`` integrands of S. G. Johnson's
+    ``cubature``).  The panel split next is the one whose error is largest
+    against a component's tolerance ``max(abs_tol, rel_tol |value_k|)``,
+    and the loop ends when every component meets its own, so no
+    component's tolerance is loosened by sharing.  ``initial_edges``, when
+    given, is a sorted sequence of interior break points seeding the first
+    panels (useful when the caller knows where the integrand mass sits);
+    they are evaluated in one call of ``f``, and each split in one more.
+
+    Returns ``(value, error_bound)``: floats for a scalar integrand,
+    arrays of shape (k,) for a vector one.  Raises
+    :class:`NonConvergenceError` if the subdivision budget (a cap on the
+    number of panels) is exhausted first.
     """
     if not (b > a):
         raise ValueError(f"invalid interval [{a}, {b}]")
     edges = [a, b]
     if initial_edges is not None:
         edges = sorted({a, b, *(float(e) for e in initial_edges if a < e < b)})
+    edges = np.array(edges, dtype=float)
 
-    # heap entries ordered by -error, with an insertion counter as a
-    # deterministic tie-breaker
-    heap: list[tuple[float, int, float, float, float, float]] = []
-    counter = 0
-    total = 0.0
-    total_err = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = gk15(f, lo, hi)
-        heapq.heappush(heap, (-err, counter, lo, hi, val, err))
-        counter += 1
-        total += val
-        total_err += err
+    val, err = gk15(f, edges[:-1], edges[1:])
+    scalar = val.ndim == 1
+    # panels in insertion order, one row each; a split panel's row takes
+    # its left half and the right half is appended
+    n = edges.size - 1
+    size, k = max(n, max_subdivisions) + 1, 1 if scalar else val.shape[0]
+    lo, hi = np.empty(size), np.empty(size)
+    vals, errs = np.empty((size, k)), np.empty((size, k))
+    lo[:n], hi[:n] = edges[:-1], edges[1:]
+    vals[:n], errs[:n] = val.reshape(-1, n).T, err.reshape(-1, n).T
 
-    subdivisions = len(heap)
-    while total_err > max(abs_tol, rel_tol * abs(total)):
-        if subdivisions >= max_subdivisions:
+    while True:
+        total, total_err = vals[:n].sum(axis=0), errs[:n].sum(axis=0)
+        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+        if not np.any(total_err > tol):
+            break
+        if n >= max_subdivisions:
+            estimate, bound = ((float(total[0]), float(total_err[0]))
+                               if scalar else (total, total_err))
             raise NonConvergenceError(
                 f"adaptive quadrature hit the subdivision limit "
-                f"({max_subdivisions}); estimate {total!r} with error bound "
-                f"{total_err:.3e}",
-                estimate=total,
-                error_bound=total_err,
+                f"({max_subdivisions}); estimate {estimate!r} with error "
+                f"bound {bound!r}",
+                estimate=estimate,
+                error_bound=bound,
             )
-        neg_err, _, lo, hi, val, err = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = np.nan_to_num(errs[:n] / tol)   # 0/0 where tol is 0
+        i = int(np.argmax(score.max(axis=1)))
+        mid = 0.5 * (lo[i] + hi[i])
+        if mid <= lo[i] or mid >= hi[i]:
             # interval at floating-point resolution; keep its estimate
-            heapq.heappush(heap, (0.0, counter, lo, hi, val, 0.0))
-            counter += 1
-            total_err -= err
+            errs[i] = 0.0
             continue
-        v1, e1 = gk15(f, lo, mid)
-        v2, e2 = gk15(f, mid, hi)
-        total += (v1 + v2) - val
-        total_err += (e1 + e2) - err
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, counter + 1, mid, hi, v2, e2))
-        counter += 2
-        subdivisions += 1
+        val, err = gk15(f, np.array([lo[i], mid]), np.array([mid, hi[i]]))
+        val, err = val.reshape(-1, 2).T, err.reshape(-1, 2).T
+        lo[n], hi[n], vals[n], errs[n] = mid, hi[i], val[1], err[1]
+        hi[i], vals[i], errs[i] = mid, val[0], err[0]
+        n += 1
 
+    if scalar:
+        return float(total[0]), float(total_err[0])
     return total, total_err
 
 

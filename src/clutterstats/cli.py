@@ -11,9 +11,10 @@ Exit codes: 0 pass, 1 verification failure, 2 usage or I/O error,
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
-from dataclasses import astuple, fields
+from dataclasses import asdict, astuple, fields
 
 from . import _csv
 from . import distributions as dist
@@ -116,9 +117,15 @@ def _cmd_verify(args) -> int:
     families = args.families.split(",") if args.families else None
     outcomes = verify.run_all(families=families, tolerance=args.tolerance,
                               seed=args.seed)
+    failed = [o for o in outcomes if not o.passed]
+    if args.json:
+        # JSON has no inf or nan: a non-finite number prints as null
+        print(json.dumps([
+            {k: None if isinstance(v, float) and not math.isfinite(v) else v
+             for k, v in asdict(o).items()} for o in outcomes], indent=1))
+        return EXIT_VERIFY_FAILED if failed else EXIT_OK
     for outcome in outcomes:
         print(outcome.line())
-    failed = [o for o in outcomes if not o.passed]
     print(f"{len(outcomes) - len(failed)}/{len(outcomes)} checks passed")
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
@@ -228,6 +235,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma list restricting the family checks")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_MC_SEED,
                    help="Monte-Carlo seed")
+    p.add_argument("--json", action="store_true",
+                   help="print the outcomes as one JSON array")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sample", help="write seeded draws to CSV")

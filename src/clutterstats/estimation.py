@@ -158,9 +158,10 @@ def _invert_polygamma(order: int, target: float,
         )
 
     # brackets from both asymptotic regimes: |psi^(m)(x)| ~ (m-1)!/x^m for
-    # large x and ~ m!/x^(m+1) for small x
-    guess_hi = (math.factorial(m - 1) / y) ** (1.0 / m)
-    guess_lo = (math.factorial(m) / y) ** (1.0 / (m + 1))
+    # large x and ~ m!/x^(m+1) for small x, in logs (m! overflows past 170)
+    log_y = math.log(y)
+    guess_hi = math.exp((math.lgamma(m) - log_y) / m)
+    guess_lo = math.exp((math.lgamma(m + 1) - log_y) / (m + 1))
     lo = 0.5 * min(guess_lo, guess_hi)
     hi = 2.0 * max(guess_lo, guess_hi)
     f = lambda x: sign * polygamma(m, x) - y   # decreasing in x

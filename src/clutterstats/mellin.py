@@ -15,6 +15,14 @@ makes the integrand doubly-exponentially decaying for all catalog families
 and turns log-power weights into plain polynomials:
 
     integral x^(s-1) (log x)^n f(x) dx  =  integral t^n e^(s t) f(e^t) dt
+
+Every quadrature here is one vector-valued pass: the rows t^n e^(s t)
+f(e^t) for all the (s, n) wanted share one window scan and one GK15
+subdivision (``_quad.adaptive_quad``), and the density is evaluated once
+per node for all of them.  A panel is split while any row misses its own
+tolerance.  ``mellin_table`` gives Phi at several s with each error bound
+and the count of density points; ``mellin_numeric`` is its one-s case and
+``log_moments_numeric`` runs orders 1..n as rows at s = 1.
 """
 
 from __future__ import annotations
@@ -30,8 +38,8 @@ from ._quad import NonConvergenceError, adaptive_quad
 from .specfun import MAX_ORDER, check_order
 
 __all__ = [
-    "QuadratureConfig", "LogStats", "NonConvergenceError",
-    "mellin_numeric", "log_moments_numeric",
+    "QuadratureConfig", "LogStats", "NonConvergenceError", "TransformTable",
+    "mellin_table", "mellin_numeric", "log_moments_numeric",
     "moments_to_cumulants", "cumulants_to_moments", "central_log_moments",
     "verify_convolution",
 ]
@@ -170,35 +178,43 @@ def central_log_moments(log_moments) -> list[float]:
 
 # quadrature oracle ----------------------------------------------------------
 
-def _log_domain_integrand(density, s: float, t_power: int):
-    """h(t) = t^n e^(s t) f(e^t), evaluated safely across magnitudes."""
+def _log_domain_integrand(density, s, powers):
+    """h(t) with rows h_j(t) = t^n_j e^(s_j t) f(e^t), evaluated safely
+    across magnitudes; ``density`` runs once per node for every row.
+    ``h.rows`` is the number of rows and ``h.points`` counts the nodes
+    seen so far."""
+    s = np.asarray(s, dtype=float)[:, None]
+    powers = np.asarray(powers)[:, None]
 
     def h(t):
         t = np.asarray(t, dtype=float)
         f_vals = np.asarray(density(np.exp(t)), dtype=float)
-        out = np.zeros_like(f_vals)
-        mask = f_vals > 0.0
-        if mask.any():
-            out[mask] = np.exp(s * t[mask] + np.log(f_vals[mask]))
-        if t_power:
-            out = out * t ** t_power
-        return out
+        h.points += t.size
+        log_f = np.log(f_vals, out=np.full(t.shape, -np.inf),
+                       where=f_vals > 0.0)
+        return np.exp(s * t + log_f) * t ** powers
 
+    h.rows, h.points = s.shape[0], 0
     return h
 
 
 def _prepare_window(h, cfg: QuadratureConfig):
-    """Auto-widened window, support bounds and peak-resolving panel edges.
+    """Auto-widened window, support bounds and peak-resolving panel edges,
+    shared by every row of ``h``.
 
+    The window widens while any row exceeds the absolute tolerance at an
+    end; the support is where any row is above 1e-22 of its own peak, and
+    the zoom follows the peak of the rows each scaled by its own peak.
     Returns None when the integrand is identically zero on the window.
     """
     t_lo, t_hi = (float(v) for v in cfg.log_domain_bounds)
     for _ in range(16):
+        ends = np.abs(h(np.array([t_lo, t_hi]))).max(axis=0) > cfg.abs_tol
         widened = False
-        if abs(float(h(np.array([t_lo]))[0])) > cfg.abs_tol and t_lo > -_MAX_WINDOW:
+        if ends[0] and t_lo > -_MAX_WINDOW:
             t_lo = max(t_lo - 40.0, -_MAX_WINDOW)
             widened = True
-        if abs(float(h(np.array([t_hi]))[0])) > cfg.abs_tol and t_hi < _MAX_WINDOW:
+        if ends[1] and t_hi < _MAX_WINDOW:
             t_hi = min(t_hi + 40.0, _MAX_WINDOW)
             widened = True
         if not widened:
@@ -209,21 +225,27 @@ def _prepare_window(h, cfg: QuadratureConfig):
     for points in (257, 2049, 16385):
         grid = np.linspace(t_lo, t_hi, points)
         mags = np.abs(h(grid))
-        peak = float(mags.max())
-        if peak > 0.0:
+        peaks = mags.max(axis=1, keepdims=True)
+        if peaks.max() > 0.0:
             break
-    if peak == 0.0:
+    else:
         return None
-    support = np.flatnonzero(mags > peak * 1e-22)
+    peaks[peaks == 0.0] = np.inf
+
+    def scaled(t):   # each row over its own peak, the largest per node
+        return (np.abs(h(t)) / peaks).max(axis=0)
+
+    rel = (mags / peaks).max(axis=0)
+    support = np.flatnonzero(rel > 1e-22)
     lo = float(grid[max(int(support[0]) - 2, 0)])
     hi = float(grid[min(int(support[-1]) + 2, grid.size - 1)])
 
     # zoom onto the peak so arbitrarily narrow spikes get their own panels
-    t_peak = float(grid[int(np.argmax(mags))])
+    t_peak = float(grid[int(np.argmax(rel))])
     span = float(grid[1] - grid[0])
     for _ in range(3):
         zoom = np.linspace(t_peak - span, t_peak + span, 129)
-        t_peak = float(zoom[int(np.argmax(np.abs(h(zoom))))])
+        t_peak = float(zoom[int(np.argmax(scaled(zoom)))])
         span = float(zoom[1] - zoom[0])
 
     edges = set(np.linspace(lo, hi, 17))
@@ -235,42 +257,83 @@ def _prepare_window(h, cfg: QuadratureConfig):
     return lo, hi, sorted(edges)
 
 
-def _integrate(h, cfg: QuadratureConfig) -> float:
+def _integrate(h, cfg: QuadratureConfig):
+    """Every row of ``h`` over one window and one GK15 subdivision:
+    (values, error bounds), arrays with one entry per row."""
     window = _prepare_window(h, cfg)
     if window is None:
-        return 0.0
+        return np.zeros(h.rows), np.zeros(h.rows)
     lo, hi, edges = window
-    value, _ = adaptive_quad(h, lo, hi, rel_tol=cfg.rel_tol,
-                             abs_tol=cfg.abs_tol,
-                             max_subdivisions=cfg.max_subdivisions,
-                             initial_edges=edges)
-    return value
+    return adaptive_quad(h, lo, hi, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+                         max_subdivisions=cfg.max_subdivisions,
+                         initial_edges=edges)
+
+
+@dataclass(frozen=True)
+class TransformTable:
+    """A density's Mellin transform by quadrature at several s, from one
+    vector-valued pass: ``values[j]`` is Phi(s[j]) with the Gauss-Kronrod
+    error bound ``error_bounds[j]``; ``evaluations`` counts the density
+    points the pass took (window scan and panels)."""
+    s: tuple[float, ...]
+    values: tuple[float, ...]
+    error_bounds: tuple[float, ...]
+    evaluations: int
+
+    def at(self, s: float) -> tuple[float, float]:
+        """(Phi(s), its error bound) for an s of the table."""
+        try:
+            j = self.s.index(float(s))
+        except ValueError:
+            raise KeyError(f"s = {s!r} is not in the table {self.s}") from None
+        return self.values[j], self.error_bounds[j]
+
+
+def mellin_table(density, s_values,
+                 cfg: QuadratureConfig = _DEFAULT_CFG) -> TransformTable:
+    """Mellin transforms of a density at every s of ``s_values`` by one
+    adaptive quadrature of the vector of integrands e^(s t) f(e^t).
+
+    ``density`` must map a numpy array of positive abscissas to density
+    values; it is evaluated once per node for all s.  Raises
+    NonConvergenceError (carrying the best estimates) when the
+    subdivision budget is exhausted.
+    """
+    s = tuple(float(v) for v in s_values)
+    if not s:
+        raise ValueError("mellin_table needs at least one s")
+    h = _log_domain_integrand(density, s, [0] * len(s))
+    values, bounds = _integrate(h, cfg)
+    return TransformTable(s, tuple(values.tolist()), tuple(bounds.tolist()),
+                          h.points)
 
 
 def mellin_numeric(density, s: float, cfg: QuadratureConfig = _DEFAULT_CFG) -> float:
-    """Mellin transform of a density by adaptive quadrature.
-
-    ``density`` must map a numpy array of positive abscissas to density
-    values.  Raises NonConvergenceError (carrying the best estimate) when
-    the subdivision budget is exhausted.
-    """
-    return _integrate(_log_domain_integrand(density, float(s), 0), cfg)
+    """Mellin transform of a density by adaptive quadrature: the one-s
+    case of :func:`mellin_table`."""
+    return mellin_table(density, (s,), cfg).values[0]
 
 
 def log_moments_numeric(density, n_max: int,
                         cfg: QuadratureConfig = _DEFAULT_CFG) -> LogStats:
     """Numerical log-moments m_n = E[(log X)^n] for n = 1..n_max
-    (n_max <= MAX_ORDER)."""
+    (n_max <= MAX_ORDER), all orders in one vector pass over the rows
+    t^n e^t f(e^t)."""
     n_max = check_order(n_max, "log_moments_numeric")
-    moments = [_integrate(_log_domain_integrand(density, 1.0, n), cfg)
-               for n in range(1, n_max + 1)]
+    orders = range(1, n_max + 1)
+    moments, _ = _integrate(
+        _log_domain_integrand(density, [1.0] * n_max, orders), cfg)
     return LogStats.from_moments(moments)
 
 
 def verify_convolution(compound, s_grid,
-                       cfg: QuadratureConfig = _DEFAULT_CFG) -> float:
+                       cfg: QuadratureConfig = _DEFAULT_CFG,
+                       table: TransformTable | None = None) -> float:
     """Max relative gap between the numeric transform of a compound density
-    and the product of its factor transforms, over a grid of s values."""
+    and the product of its factor transforms, over a grid of s values.
+
+    The numeric side is read from ``table`` (which must hold every s of
+    the grid) or, when it is None, from one :func:`mellin_table` pass."""
     comps = dist.components(compound)
     if comps is None:
         raise ValueError(
@@ -278,9 +341,11 @@ def verify_convolution(compound, s_grid,
             "speckle/texture factorization to verify"
         )
     speckle, texture = comps
+    if table is None:
+        table = mellin_table(lambda x: dist.pdf(compound, x), s_grid, cfg)
     worst = 0.0
     for s in s_grid:
-        numeric = mellin_numeric(lambda x: dist.pdf(compound, x), s, cfg)
+        numeric, _ = table.at(s)
         analytic = (dist.chf2_analytic(speckle, s)
                     * dist.chf2_analytic(texture, s))
         worst = max(worst, abs(numeric - analytic) / abs(analytic))

@@ -23,6 +23,7 @@ from .sampling import sample
 from .specfun import digamma, polygamma
 
 __all__ = ["CheckOutcome", "PARAM_GRID", "GRID_S", "run_all",
+           "transform_tables",
            "normalization_checks", "transform_agreement_checks",
            "convolution_checks", "cumulant_algebra_checks",
            "monte_carlo_checks", "known_constant_checks",
@@ -31,12 +32,18 @@ __all__ = ["CheckOutcome", "PARAM_GRID", "GRID_S", "run_all",
 
 @dataclass(frozen=True)
 class CheckOutcome:
+    """One check's verdict.  Quadrature checks also carry the largest
+    Gauss-Kronrod error bound, relative to its transform, of the values
+    they read (``error_bound``) and the density points those values took
+    (``evaluations``); both are None for the other checks."""
     name: str
     target: str
     passed: bool
     max_error: float
     threshold: float
     detail: str = ""
+    error_bound: float | None = None
+    evaluations: int | None = None
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -106,67 +113,93 @@ def _selected(families) -> list[str]:
     return [f for f in PARAM_GRID if f in set(families)]
 
 
-def normalization_checks(families=None, tolerance: float = 1e-6,
-                         cfg: mellin.QuadratureConfig | None = None
-                         ) -> list[CheckOutcome]:
-    """integral of pdf == 1 within tolerance for every catalog spec."""
+def transform_tables(families=None,
+                     cfg: mellin.QuadratureConfig | None = None
+                     ) -> dict[dist.DistributionSpec, mellin.TransformTable]:
+    """Per spec of the selected families, its transform at every s the
+    quadrature checks read (``GRID_S``, 1 and ``CONVOLUTION_S``, kept to
+    those inside the strip), from one vector-valued pass per spec."""
     cfg = cfg or mellin.QuadratureConfig()
-    out = []
+    wanted = sorted({*GRID_S, 1.0, *CONVOLUTION_S})
+    tables = {}
     for family in _selected(families):
-        worst, at = 0.0, ""
         for spec in PARAM_GRID[family]:
-            err = abs(mellin.mellin_numeric(lambda x: dist.pdf(spec, x),
-                                            1.0, cfg) - 1.0)
-            if err > worst:
-                worst, at = err, _spec_label(spec)
-        out.append(CheckOutcome("normalization", family, worst <= tolerance,
-                                worst, tolerance, f"worst at {at}"))
-    return out
+            lo, hi = dist.strip(spec)
+            tables[spec] = mellin.mellin_table(
+                lambda x, spec=spec: dist.pdf(spec, x),
+                [s for s in wanted if lo < s < hi], cfg)
+    return tables
+
+
+def _quadrature_outcome(name: str, family: str, tolerance: float, rows,
+                        tables) -> CheckOutcome:
+    """Outcome over ``rows`` of (error, label, spec, s values read).  The
+    check fails when an error, or a Gauss-Kronrod bound relative to its
+    transform, is over the gate (or nan)."""
+    worst, at, bounds = 0.0, "", []
+    for err, label, spec, s_read in rows:
+        if err > worst:
+            worst, at = err, label
+        for s in s_read:
+            value, bound = tables[spec].at(s)
+            bounds.append(bound / abs(value) if value else math.inf)
+    specs = dict.fromkeys(spec for _, _, spec, _ in rows)
+    points = sum(tables[spec].evaluations for spec in specs)
+    bound = max(bounds)
+    passed = all(e <= tolerance for e in [*(r[0] for r in rows), *bounds])
+    return CheckOutcome(name, family, passed, worst, tolerance,
+                        f"worst at {at}  bound={bound:.1e}  pdf_pts={points}",
+                        bound, points)
+
+
+def normalization_checks(families=None, tolerance: float = 1e-6,
+                         cfg: mellin.QuadratureConfig | None = None,
+                         tables=None) -> list[CheckOutcome]:
+    """integral of pdf == 1 within tolerance for every catalog spec.
+
+    ``tables`` (from :func:`transform_tables`) are built when not given."""
+    tables = tables or transform_tables(families, cfg)
+    return [_quadrature_outcome(
+        "normalization", family, tolerance,
+        [(abs(tables[spec].at(1.0)[0] - 1.0), _spec_label(spec), spec, [1.0])
+         for spec in PARAM_GRID[family]], tables)
+        for family in _selected(families)]
 
 
 def transform_agreement_checks(families=None, tolerance: float = 1e-6,
-                               cfg: mellin.QuadratureConfig | None = None
-                               ) -> list[CheckOutcome]:
+                               cfg: mellin.QuadratureConfig | None = None,
+                               tables=None) -> list[CheckOutcome]:
     """Analytic transform vs quadrature within tolerance on the s grid."""
-    cfg = cfg or mellin.QuadratureConfig()
+    tables = tables or transform_tables(families, cfg)
     out = []
     for family in _selected(families):
-        worst, at = 0.0, ""
+        rows = []
         for spec in PARAM_GRID[family]:
             lo, hi = dist.strip(spec)
             for s in GRID_S:
-                if not lo < s < hi:
-                    continue
-                numeric = mellin.mellin_numeric(
-                    lambda x: dist.pdf(spec, x), s, cfg)
-                analytic = dist.chf2_analytic(spec, s)
-                err = abs(numeric - analytic) / abs(analytic)
-                if err > worst:
-                    worst, at = err, f"{_spec_label(spec)} s={s:g}"
-        out.append(CheckOutcome("transform-agreement", family,
-                                worst <= tolerance, worst, tolerance,
-                                f"worst at {at}"))
+                if lo < s < hi:
+                    analytic = dist.chf2_analytic(spec, s)
+                    err = abs(tables[spec].at(s)[0] - analytic) / abs(analytic)
+                    rows.append((err, f"{_spec_label(spec)} s={s:g}", spec,
+                                 [s]))
+        out.append(_quadrature_outcome("transform-agreement", family,
+                                       tolerance, rows, tables))
     return out
 
 
 def convolution_checks(families=None, tolerance: float = 1e-5,
-                       cfg: mellin.QuadratureConfig | None = None
-                       ) -> list[CheckOutcome]:
+                       cfg: mellin.QuadratureConfig | None = None,
+                       tables=None) -> list[CheckOutcome]:
     """Compound transform equals the product of its factor transforms."""
-    cfg = cfg or mellin.QuadratureConfig()
-    out = []
-    for family in _selected(families):
-        if dist.components(PARAM_GRID[family][0]) is None:
-            continue
-        worst, at = 0.0, ""
-        for spec in PARAM_GRID[family]:
-            err = mellin.verify_convolution(spec, CONVOLUTION_S, cfg)
-            if err > worst:
-                worst, at = err, _spec_label(spec)
-        out.append(CheckOutcome("convolution-product", family,
-                                worst <= tolerance, worst, tolerance,
-                                f"worst at {at}"))
-    return out
+    compound = [f for f in _selected(families)
+                if dist.components(PARAM_GRID[f][0]) is not None]
+    tables = tables or transform_tables(compound, cfg)
+    return [_quadrature_outcome(
+        "convolution-product", family, tolerance,
+        [(mellin.verify_convolution(spec, CONVOLUTION_S, table=tables[spec]),
+          _spec_label(spec), spec, CONVOLUTION_S)
+         for spec in PARAM_GRID[family]], tables)
+        for family in compound]
 
 
 def cumulant_algebra_checks(seed: int = 1, tolerance: float = 1e-12,
@@ -247,10 +280,12 @@ def run_all(families=None, tolerance: float | None = None,
     agreement_tol = 1e-6 if tolerance is None else float(tolerance)
     if not 0.0 <= agreement_tol < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    tables = transform_tables(families)   # built anew on every call
     out = []
-    out += normalization_checks(families)
-    out += transform_agreement_checks(families, tolerance=agreement_tol)
-    out += convolution_checks(families)
+    out += normalization_checks(families, tables=tables)
+    out += transform_agreement_checks(families, tolerance=agreement_tol,
+                                      tables=tables)
+    out += convolution_checks(families, tables=tables)
     if families is None:
         out += cumulant_algebra_checks()
     out += monte_carlo_checks(families, seed=seed)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,27 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--tolerance", tolerance)
         assert code == 2
         assert out == "" and "tolerance must be finite and >= 0" in err
+
+    def test_json_carries_bound_and_count(self, capsys):
+        code, out, _ = run(capsys, "verify", "--families", "gamma,k",
+                           "--json")
+        assert code == 0
+        outcomes = json.loads(out)
+        quadrature = [o for o in outcomes if o["evaluations"] is not None]
+        assert [o["name"] for o in quadrature] == [
+            "normalization", "normalization", "transform-agreement",
+            "transform-agreement", "convolution-product"]
+        for o in quadrature:
+            assert o["passed"] and 0.0 < o["error_bound"] <= o["threshold"]
+            assert f"pdf_pts={o['evaluations']}" in o["detail"]
+        assert all(o["error_bound"] is None for o in outcomes
+                   if o["name"] == "monte-carlo-cumulants")
+
+    def test_json_failure_exits_1(self, capsys):
+        code, out, _ = run(capsys, "verify", "--families", "gamma",
+                           "--tolerance", "1e-15", "--json")
+        assert code == 1
+        assert not all(o["passed"] for o in json.loads(out))
 
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "--families", "gamma",

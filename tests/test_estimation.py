@@ -92,6 +92,14 @@ class TestInvertPolygamma:
                 back = invert_polygamma(m, polygamma(m, x))
                 assert back == pytest.approx(x, rel=1e-9), (m, x)
 
+    @pytest.mark.parametrize("m", [171, 200, 400])
+    def test_round_trip_past_order_170(self, m):
+        # (m - 1)! leaves the double range at m = 172: the bracket guesses
+        # are formed in logs
+        for x in (30.0, 300.0):
+            back = invert_polygamma(m, polygamma(m, x))
+            assert back == pytest.approx(x, rel=1e-9), (m, x)
+
     def test_order_validation(self):
         with pytest.raises(ValueError):
             invert_polygamma(0, 1.0)
