@@ -1,6 +1,9 @@
 """The Gauss-Kronrod engine with vector-valued integrands, and the one
 pass per spec that the oracle builds on it."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,4 +145,13 @@ class TestBoundInTheGate:
         (outcome,) = verify.transform_agreement_checks(["gamma"], cfg=cfg)
         assert outcome.max_error <= outcome.threshold
         assert outcome.error_bound > outcome.threshold
+        assert not outcome.passed
+
+    def test_a_nan_transform_fails_the_check(self):
+        # a nan error must not slip past a `worst so far` scan
+        tables = verify.transform_tables(["gamma"])
+        spec = verify.PARAM_GRID["gamma"][0]
+        tables[spec] = replace(tables[spec],
+                               values=(math.nan,) * len(tables[spec].s))
+        (outcome,) = verify.normalization_checks(["gamma"], tables=tables)
         assert not outcome.passed
