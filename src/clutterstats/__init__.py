@@ -8,13 +8,13 @@ from .distributions import (
     strip,
 )
 from .estimation import (
-    EmpiricalLogStats, FitOptions, FitResult, NonFiniteSamplesError,
+    EmpiricalLogStats, FitResult, NonFiniteSamplesError,
     NoSolutionError, OutOfRangeError, SolverNonConvergenceError,
     TooFewSamplesError, ZeroSamplesError, empirical_log_stats, fit_molc,
     invert_polygamma, texture_log_cumulants,
 )
 from .mellin import (
-    LogStats, NonConvergenceError, QuadratureConfig, TransformTable,
+    LogStats, NonConvergenceError, TransformTable,
     central_log_moments, cumulants_to_moments, log_moments_numeric,
     mellin_numeric, mellin_table, moments_to_cumulants, verify_convolution,
 )

@@ -26,8 +26,10 @@ import math
 
 import numpy as np
 
-__all__ = ["NonConvergenceError", "adaptive_quad", "gk15",
+__all__ = ["ABS_TOL", "NonConvergenceError", "adaptive_quad", "gk15",
            "log_latent_integral", "log_trapezoid"]
+
+ABS_TOL = 1e-12   # adaptive_quad's default absolute tolerance
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule, QUADPACK dqk15
 # constants.  Nodes are on [-1, 1]; even-indexed nodes carry the Gauss rule.
@@ -93,7 +95,7 @@ def adaptive_quad(
     a: float,
     b: float,
     rel_tol: float = 1e-9,
-    abs_tol: float = 1e-12,
+    abs_tol: float = ABS_TOL,
     max_subdivisions: int = 2000,
     initial_edges=None,
 ):

@@ -5,7 +5,7 @@ Subcommands: ``table`` (analytic moments and log-cumulants), ``verify``
 from a CSV), ``simulate`` (texture sweep with CSV and optional SVG).
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or I/O error,
-3 estimation failure.
+3 estimation failure, 141 stdout closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, astuple, fields
 
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_ESTIMATION = 3
+EXIT_BROKEN_PIPE = 128 + 13   # SIGPIPE, as a shell reports it
 
 
 class UsageError(ValueError):
@@ -163,8 +165,7 @@ def _cmd_estimate(args) -> int:
         speckle = dist.make_spec(speckle_family, params)
         used = estimation.texture_log_cumulants(stats, speckle)
         print(f"speckle: {_spec_text(speckle)} (log-cumulants subtracted)")
-    options = estimation.FitOptions(c_known=args.c_known)
-    fit = estimation.fit_molc(args.family, used, options)
+    fit = estimation.fit_molc(args.family, used, c_known=args.c_known)
     print(f"estimate: {_spec_text(fit.spec)}")
     print(f"iterations: {fit.iterations}")
     print(f"residual: {fit.residual:.6e}")
@@ -229,8 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("verify", help="run the oracle verification suite")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="override the transform-agreement gate (default 1e-6)")
+    p.add_argument("--tolerance", type=float, default=verify.AGREEMENT_GATE,
+                   help="transform-agreement gate (default %(default)g)")
     p.add_argument("--families", default=None,
                    help="comma list restricting the family checks")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_MC_SEED,
@@ -277,7 +278,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:   # `| head -1`: devnull takes the final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (estimation.ZeroSamplesError, estimation.NonFiniteSamplesError,
             estimation.TooFewSamplesError, estimation.NoSolutionError,
             estimation.OutOfRangeError) as exc:

@@ -9,6 +9,8 @@ the family's fields, so probing the form with each field at 1 and at 2
 shows which field owns which entry.  The d shape entries some field owns
 (0, 1 or 2) match k_2..k_(d+1) through k_n = sum_i c_i^n psi^(n-1)(a_i),
 k_1 fixes the scale, and one linear solve in logs gives the fields.
+The one solver setting is fixed, not an option: relative tolerance 1e-10
+for the polygamma inversions and for the residual of a converged fit.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .sampling import SampleBatch
 from .specfun import check_order, digamma, polygamma
 
 __all__ = [
-    "EmpiricalLogStats", "FitOptions", "FitResult",
+    "EmpiricalLogStats", "FitResult",
     "ZeroSamplesError", "NonFiniteSamplesError", "TooFewSamplesError",
     "OutOfRangeError",
     "NoSolutionError", "SolverNonConvergenceError",
@@ -84,12 +86,6 @@ class EmpiricalLogStats(LogStats):
 
 
 @dataclass(frozen=True)
-class FitOptions:
-    tolerance: float = 1e-10
-    c_known: float | None = None   # hold field c (the wnak speckle shape)
-
-
-@dataclass(frozen=True)
 class FitResult:
     """A fitted law.  ``iterations`` counts the Newton steps of the polygamma
     inversion for one free shape and the k_2-curve points evaluated for
@@ -103,6 +99,7 @@ class FitResult:
 
 
 _N_SPLITS = 10
+_REL_TOL = 1e-10   # polygamma inversions, and the fit's residual gate
 
 
 def empirical_log_stats(batch, n_max: int = 4) -> EmpiricalLogStats:
@@ -141,8 +138,7 @@ def empirical_log_stats(batch, n_max: int = 4) -> EmpiricalLogStats:
     return EmpiricalLogStats(moments, cumulants, errors, x.size)
 
 
-def _invert_polygamma(order: int, target: float,
-                      rel_tol: float = 1e-10) -> tuple[float, int]:
+def _invert_polygamma(order: int, target: float) -> tuple[float, int]:
     if not isinstance(order, (int, np.integer)) or isinstance(order, bool) \
             or order < 1:
         raise ValueError(f"order must be an integer >= 1, got {order!r}")
@@ -173,7 +169,7 @@ def _invert_polygamma(order: int, target: float,
     # residual gate relative to the target keeps the recovered x accurate
     # even in the flat large-x tail; the bracket-collapse exit guarantees
     # termination at the floating-point resolution of x
-    tol = max(rel_tol * 0.01, 1e-14) * y
+    tol = _REL_TOL * 0.01 * y
     x = math.sqrt(lo * hi)
     for iteration in range(1, 200):
         r = sign * polygamma(m, x) - y
@@ -256,13 +252,12 @@ def _k(e: list[float], n: int) -> float:
     return sum(_term_k(e, j, n) for j in range(1, len(e), 2))
 
 
-def _solve_entry(e: list[float], j: int, target: float,
-                 rel_tol: float) -> tuple[float, int]:
+def _solve_entry(e: list[float], j: int, target: float) -> tuple[float, int]:
     """Entry j such that its term gives target > 0 of k_2, and the Newton
     steps that took: a polygamma inversion for an a, closed form for a c."""
     i = j - (j - 1) % 2
     if j == i:
-        return _invert_polygamma(1, target / e[i + 1] ** 2, rel_tol)
+        return _invert_polygamma(1, target / e[i + 1] ** 2)
     return math.copysign(math.sqrt(target / polygamma(1, e[i])), e[j]), 0
 
 
@@ -277,7 +272,7 @@ _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
 def _scan_roots(e: list[float], shapes: list[int], excess: float, k,
-                tol: float, rel_tol: float) -> tuple[list[list[float]], int]:
+                tol: float) -> tuple[list[list[float]], int]:
     """Every pair of free entries on the k_2 curve that matches k_3, in rank
     order, and the number of curve points evaluated.
 
@@ -291,7 +286,7 @@ def _scan_roots(e: list[float], shapes: list[int], excess: float, k,
     """
     j1, j2 = shapes
     power = 1 if j1 % 2 == 0 else -1
-    lim = _solve_entry(e, j1, excess, rel_tol)[0]
+    lim = _solve_entry(e, j1, excess)[0]
     evaluations = 0
 
     def point(tau: float) -> tuple[list[float], float]:
@@ -302,7 +297,7 @@ def _scan_roots(e: list[float], shapes: list[int], excess: float, k,
         rest = excess - _term_k(p, j1, 2)
         if not rest > 0.0:             # rounding at the end of the curve
             return p, math.nan
-        p[j2] = _solve_entry(p, j2, rest, rel_tol)[0]
+        p[j2] = _solve_entry(p, j2, rest)[0]
         return p, _k(p, 3) - k[2]
 
     def bisect(lo: float, hi: float) -> float:
@@ -366,17 +361,17 @@ def _spec_of(layout: _Layout, e: list[float], k1: float):
 
 
 def fit_molc(family: str, stats: LogStats,
-             options: FitOptions | None = None) -> FitResult:
+             c_known: float | None = None) -> FitResult:
     """Estimate family parameters by matching analytic log-cumulants.
 
     ``family`` is a catalog tag (gamma, nakagami, maxwell, weibull,
-    rayleigh, ggamma, k, wnak, fisher).  The d free shapes of its form
-    match k_2..k_(d+1) and k_1 fixes the scale.  Raises NoSolutionError
-    for infeasible moment conditions and SolverNonConvergenceError (with
-    the last iterate) if a polygamma inversion does not converge.
+    rayleigh, ggamma, k, wnak, fisher); ``c_known`` holds the wnak speckle
+    shape c.  The d free shapes of its form match k_2..k_(d+1) and k_1
+    fixes the scale.  Raises NoSolutionError for infeasible moment
+    conditions and SolverNonConvergenceError (with the last iterate) if a
+    polygamma inversion does not converge.
     """
-    opts = options or FitOptions()
-    held = {} if opts.c_known is None else {"c": opts.c_known}
+    held = {} if c_known is None else {"c": c_known}
     layout = _layout(_family_class(family), held)
     shapes, d = layout.shapes, len(layout.shapes)
     if stats.order < d + 1:
@@ -384,7 +379,7 @@ def fit_molc(family: str, stats: LogStats,
             f"{family} estimation needs log-cumulants up to order {d + 1}, "
             f"got {stats.order}")
     k = stats.log_cumulants
-    tol = opts.tolerance * max([1.0, *(abs(v) for v in k[1:d + 1])])
+    tol = _REL_TOL * max([1.0, *(abs(v) for v in k[1:d + 1])])
     roots, iterations = [list(layout.ref)], 0
     if d:
         e = roots[0]
@@ -399,11 +394,9 @@ def fit_molc(family: str, stats: LogStats,
         if not excess > 0.0:
             raise NoSolutionError("second log-cumulant must be positive")
         if d == 1:
-            e[shapes[0]], iterations = _solve_entry(e, shapes[0], excess,
-                                                    opts.tolerance)
+            e[shapes[0]], iterations = _solve_entry(e, shapes[0], excess)
         else:
-            roots, iterations = _scan_roots(e, shapes, excess, k, tol,
-                                            opts.tolerance)
+            roots, iterations = _scan_roots(e, shapes, excess, k, tol)
         if not roots:
             raise NoSolutionError(f"no {family} law matches (k_2, k_3)")
     specs = [_spec_of(layout, e, k[0]) for e in roots]

@@ -22,7 +22,9 @@ subdivision (``_quad.adaptive_quad``), and the density is evaluated once
 per node for all of them.  A panel is split while any row misses its own
 tolerance.  ``mellin_table`` gives Phi at several s with each error bound
 and the count of density points; ``mellin_numeric`` is its one-s case and
-``log_moments_numeric`` runs orders 1..n as rows at s = 1.
+``log_moments_numeric`` runs orders 1..n as rows at s = 1.  No setting is
+an option: the engine's default tolerances apply, on a window t in
+[-40, 40] that widens by 40 a side, up to [-200, 200].
 """
 
 from __future__ import annotations
@@ -34,36 +36,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dist
-from ._quad import NonConvergenceError, adaptive_quad
+from ._quad import ABS_TOL, NonConvergenceError, adaptive_quad
 from .specfun import MAX_ORDER, check_order
 
 __all__ = [
-    "QuadratureConfig", "LogStats", "NonConvergenceError", "TransformTable",
+    "LogStats", "NonConvergenceError", "TransformTable",
     "mellin_table", "mellin_numeric", "log_moments_numeric",
     "moments_to_cumulants", "cumulants_to_moments", "central_log_moments",
     "verify_convolution",
 ]
 
+_WINDOW = 40.0   # the scan starts on [-40, 40] and widens by 40 a side
 _MAX_WINDOW = 200.0
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and interval mapping for the improper-integral oracle."""
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
-    log_domain_bounds: tuple[float, float] = (-40.0, 40.0)
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0):
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol!r}")
-        t_min, t_max = self.log_domain_bounds
-        if not t_min < t_max:
-            raise ValueError(f"invalid log-domain bounds {self.log_domain_bounds!r}")
-
-
-_DEFAULT_CFG = QuadratureConfig()
 
 
 @dataclass(frozen=True)
@@ -198,7 +182,7 @@ def _log_domain_integrand(density, s, powers):
     return h
 
 
-def _prepare_window(h, cfg: QuadratureConfig):
+def _prepare_window(h):
     """Auto-widened window, support bounds and peak-resolving panel edges,
     shared by every row of ``h``.
 
@@ -207,18 +191,14 @@ def _prepare_window(h, cfg: QuadratureConfig):
     the zoom follows the peak of the rows each scaled by its own peak.
     Returns None when the integrand is identically zero on the window.
     """
-    t_lo, t_hi = (float(v) for v in cfg.log_domain_bounds)
-    for _ in range(16):
-        ends = np.abs(h(np.array([t_lo, t_hi]))).max(axis=0) > cfg.abs_tol
-        widened = False
-        if ends[0] and t_lo > -_MAX_WINDOW:
-            t_lo = max(t_lo - 40.0, -_MAX_WINDOW)
-            widened = True
-        if ends[1] and t_hi < _MAX_WINDOW:
-            t_hi = min(t_hi + 40.0, _MAX_WINDOW)
-            widened = True
-        if not widened:
+    t_lo, t_hi = -_WINDOW, _WINDOW
+    while True:   # at most four widenings a side
+        lo_end, hi_end = np.abs(h(np.array([t_lo, t_hi]))).max(0) > ABS_TOL
+        wider = (max(t_lo - _WINDOW, -_MAX_WINDOW) if lo_end else t_lo,
+                 min(t_hi + _WINDOW, _MAX_WINDOW) if hi_end else t_hi)
+        if wider == (t_lo, t_hi):
             break
+        t_lo, t_hi = wider
 
     # cascade scan: escalate resolution only when the integrand looks
     # identically zero (arbitrarily narrow spikes under a wide window)
@@ -257,16 +237,14 @@ def _prepare_window(h, cfg: QuadratureConfig):
     return lo, hi, sorted(edges)
 
 
-def _integrate(h, cfg: QuadratureConfig):
+def _integrate(h):
     """Every row of ``h`` over one window and one GK15 subdivision:
     (values, error bounds), arrays with one entry per row."""
-    window = _prepare_window(h, cfg)
+    window = _prepare_window(h)
     if window is None:
         return np.zeros(h.rows), np.zeros(h.rows)
     lo, hi, edges = window
-    return adaptive_quad(h, lo, hi, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                         max_subdivisions=cfg.max_subdivisions,
-                         initial_edges=edges)
+    return adaptive_quad(h, lo, hi, initial_edges=edges)
 
 
 @dataclass(frozen=True)
@@ -289,8 +267,7 @@ class TransformTable:
         return self.values[j], self.error_bounds[j]
 
 
-def mellin_table(density, s_values,
-                 cfg: QuadratureConfig = _DEFAULT_CFG) -> TransformTable:
+def mellin_table(density, s_values) -> TransformTable:
     """Mellin transforms of a density at every s of ``s_values`` by one
     adaptive quadrature of the vector of integrands e^(s t) f(e^t).
 
@@ -303,31 +280,29 @@ def mellin_table(density, s_values,
     if not s:
         raise ValueError("mellin_table needs at least one s")
     h = _log_domain_integrand(density, s, [0] * len(s))
-    values, bounds = _integrate(h, cfg)
+    values, bounds = _integrate(h)
     return TransformTable(s, tuple(values.tolist()), tuple(bounds.tolist()),
                           h.points)
 
 
-def mellin_numeric(density, s: float, cfg: QuadratureConfig = _DEFAULT_CFG) -> float:
+def mellin_numeric(density, s: float) -> float:
     """Mellin transform of a density by adaptive quadrature: the one-s
     case of :func:`mellin_table`."""
-    return mellin_table(density, (s,), cfg).values[0]
+    return mellin_table(density, (s,)).values[0]
 
 
-def log_moments_numeric(density, n_max: int,
-                        cfg: QuadratureConfig = _DEFAULT_CFG) -> LogStats:
+def log_moments_numeric(density, n_max: int) -> LogStats:
     """Numerical log-moments m_n = E[(log X)^n] for n = 1..n_max
     (n_max <= MAX_ORDER), all orders in one vector pass over the rows
     t^n e^t f(e^t)."""
     n_max = check_order(n_max, "log_moments_numeric")
     orders = range(1, n_max + 1)
     moments, _ = _integrate(
-        _log_domain_integrand(density, [1.0] * n_max, orders), cfg)
+        _log_domain_integrand(density, [1.0] * n_max, orders))
     return LogStats.from_moments(moments)
 
 
 def verify_convolution(compound, s_grid,
-                       cfg: QuadratureConfig = _DEFAULT_CFG,
                        table: TransformTable | None = None) -> float:
     """Max relative gap between the numeric transform of a compound density
     and the product of its factor transforms, over a grid of s values.
@@ -342,7 +317,7 @@ def verify_convolution(compound, s_grid,
         )
     speckle, texture = comps
     if table is None:
-        table = mellin_table(lambda x: dist.pdf(compound, x), s_grid, cfg)
+        table = mellin_table(lambda x: dist.pdf(compound, x), s_grid)
     worst = 0.0
     for s in s_grid:
         numeric, _ = table.at(s)

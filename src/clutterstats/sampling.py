@@ -32,7 +32,7 @@ component batches can be reproduced standalone with those seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,9 +165,7 @@ def sample(spec: dist.DistributionSpec, n: int, seed: int) -> SampleBatch:
         stream = SplitMix64(seed)
         values = _draw_simple(spec, stream, n)
         return SampleBatch(spec, stream.seed, values)
-    batch = sample_compound(*comps, n, seed)
-    return SampleBatch(spec, batch.seed, np.array(batch.values),
-                       np.array(batch.texture))
+    return replace(sample_compound(*comps, n, seed), family=spec)
 
 
 def sample_compound(speckle: dist.DistributionSpec,

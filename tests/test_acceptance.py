@@ -40,43 +40,50 @@ def run_outcomes(criterion, outcomes, started, budget):
 
 def test_criterion_1_normalization():
     t0 = time.time()
-    outcomes = verify.normalization_checks(tolerance=1e-6)
+    outcomes = verify.normalization_checks()
     assert len(outcomes) == 9
+    assert {o.threshold for o in outcomes} == {1e-6}
     assert all(len(verify.PARAM_GRID[f]) >= 5 for f in verify.PARAM_GRID)
     run_outcomes("A1 normalization", outcomes, t0, 30.0)
 
 
 def test_criterion_2_transform_agreement():
     t0 = time.time()
-    outcomes = verify.transform_agreement_checks(tolerance=1e-6)
+    outcomes = verify.transform_agreement_checks()
     assert len(outcomes) == 9
+    assert {o.threshold for o in outcomes} == {1e-6}
     run_outcomes("A2 transform agreement", outcomes, t0, 120.0)
 
 
 def test_criterion_3_convolution_product():
     t0 = time.time()
-    outcomes = verify.convolution_checks(tolerance=1e-5)
+    outcomes = verify.convolution_checks()
     assert sorted(o.target for o in outcomes) == ["fisher", "ggamma", "k",
                                                   "wnak"]
+    assert {o.threshold for o in outcomes} == {1e-5}
     run_outcomes("A3 convolution product", outcomes, t0, 120.0)
 
 
 def test_criterion_4_cumulant_algebra():
     t0 = time.time()
-    outcomes = verify.cumulant_algebra_checks(n_vectors=10**4)
+    outcomes = verify.cumulant_algebra_checks()
+    assert outcomes[0].target == "10000 vectors"
+    assert [o.threshold for o in outcomes] == [1e-12, 0.0, 0.0]
     run_outcomes("A4 cumulant algebra", outcomes, t0, 60.0)
 
 
 def test_criterion_5_monte_carlo_agreement():
     t0 = time.time()
-    outcomes = verify.monte_carlo_checks(n=10**6, z_limit=4.0)
+    outcomes = verify.monte_carlo_checks()
     assert len(outcomes) == 5
+    assert {o.threshold for o in outcomes} == {4.0}
     run_outcomes("A5 Monte-Carlo cumulants", outcomes, t0, 120.0)
 
 
 def test_criterion_6_known_constants():
     t0 = time.time()
     outcomes = verify.known_constant_checks()
+    assert [o.threshold for o in outcomes] == [1e-10, 1e-10, 0.0]
     run_outcomes("A6 known constants", outcomes, t0, 10.0)
 
 

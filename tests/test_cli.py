@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clutterstats
 from clutterstats import verify
 from clutterstats.cli import main
 from clutterstats.specfun import polygamma
@@ -81,6 +86,22 @@ class TestTable:
                            "--params", "m=1")
         assert code == 2
         assert "unknown family" in err
+
+    def test_closed_stdout_exits_141_silently(self):
+        # the reader (say `head`) is gone before the first line is written
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(clutterstats.__file__).parents[1])
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "clutterstats.cli", "table",
+                 "--family", "gamma", "--params", "L=4,mu=1"],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                env={**os.environ, "PYTHONPATH": src})
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
 
 
 class TestSample:

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clutterstats import distributions as dist
-from clutterstats.estimation import (EmpiricalLogStats, FitOptions,
+from clutterstats.estimation import (EmpiricalLogStats,
                                      NonFiniteSamplesError, NoSolutionError,
                                      OutOfRangeError,
                                      TooFewSamplesError, ZeroSamplesError,
@@ -150,7 +150,7 @@ class TestNoiselessRoundTrips:
     def test_wnak_with_known_speckle_shape(self):
         spec = dist.WeibullNakagami(2.0, 3.0, 1.5)
         stats = LogStats.from_cumulants(dist.log_cumulants_analytic(spec, 2))
-        fit = fit_molc("wnak", stats, FitOptions(c_known=2.0))
+        fit = fit_molc("wnak", stats, c_known=2.0)
         assert fit.spec.alpha == pytest.approx(3.0, rel=1e-8)
         assert fit.spec.b == pytest.approx(1.5, rel=1e-8)
 
@@ -254,7 +254,7 @@ class TestIdentifiability:
     def test_held_field_must_exist(self):
         stats = LogStats.from_cumulants([0.0, 1.0])
         with pytest.raises(ValueError, match="no field"):
-            fit_molc("gamma", stats, FitOptions(c_known=2.0))
+            fit_molc("gamma", stats, c_known=2.0)
 
 
 class TestInfeasibleConditions:

@@ -1,11 +1,14 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from clutterstats import distributions as dist
+from clutterstats import mellin
+from clutterstats._quad import adaptive_quad
 from clutterstats.mellin import (LogStats, NonConvergenceError,
-                                 QuadratureConfig, central_log_moments,
+                                 central_log_moments,
                                  cumulants_to_moments, log_moments_numeric,
                                  mellin_numeric, moments_to_cumulants,
                                  verify_convolution)
@@ -35,12 +38,12 @@ class TestMellinNumeric:
         f = lambda x: dist.pdf(spec, x)
         assert mellin_numeric(f, 1.0) == pytest.approx(1.0, abs=1e-6)
 
-    def test_non_convergence_carries_estimate(self):
-        cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300,
-                               max_subdivisions=20)
+    def test_non_convergence_carries_estimate(self, monkeypatch):
+        monkeypatch.setattr(mellin, "adaptive_quad", functools.partial(
+            adaptive_quad, rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=20))
         f = lambda x: dist.pdf(dist.Weibull(1.0, 0.7), x)
         with pytest.raises(NonConvergenceError) as info:
-            mellin_numeric(f, 1.0, cfg)
+            mellin_numeric(f, 1.0)
         assert info.value.estimate == pytest.approx(1.0, abs=1e-3)
         assert info.value.error_bound > 0.0
 
@@ -235,17 +238,3 @@ class TestVerifyConvolution:
         with pytest.raises(ValueError, match="simple family"):
             verify_convolution(dist.GammaPower(4.0, 1.0), (1.5,))
 
-
-class TestQuadratureConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(log_domain_bounds=(10.0, -10.0))
-
-    def test_defaults(self):
-        cfg = QuadratureConfig()
-        assert cfg.rel_tol == 1e-9
-        assert cfg.abs_tol == 1e-12
-        assert cfg.max_subdivisions == 2000
-        assert cfg.log_domain_bounds == (-40.0, 40.0)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from clutterstats import distributions as dist
 from clutterstats import verify
 from clutterstats._quad import NonConvergenceError, adaptive_quad, gk15
-from clutterstats.mellin import QuadratureConfig
 
 # every pdf point of one default verify ran 428,592 before the tables;
 # a third of that is the budget of one pass per spec
@@ -139,10 +138,14 @@ class TestBoundInTheGate:
         assert f"bound={outcome.error_bound:.1e}" in outcome.detail
 
     def test_a_bound_over_the_gate_fails_the_check(self):
-        # GK15 meets 1e-6 on these smooth transforms long before its own
-        # (pessimistic) bound does, so only the bound can fail the check
-        cfg = QuadratureConfig(rel_tol=1e-4)
-        (outcome,) = verify.transform_agreement_checks(["gamma"], cfg=cfg)
+        # the errors stay far under 1e-6; a relative bound of 1e-5 alone
+        # must fail the check
+        tables = verify.transform_tables(["gamma"])
+        spec = verify.PARAM_GRID["gamma"][0]
+        tables[spec] = replace(tables[spec], error_bounds=tuple(
+            1e-5 * abs(v) for v in tables[spec].values))
+        (outcome,) = verify.transform_agreement_checks(["gamma"],
+                                                       tables=tables)
         assert outcome.max_error <= outcome.threshold
         assert outcome.error_bound > outcome.threshold
         assert not outcome.passed
