@@ -22,8 +22,9 @@ from . import distributions as dist
 from . import estimation, verify
 from .sampling import sample
 from .specfun import MAX_ORDER, check_order
-from .sweep import (default_m_grid, render_sweep_svg, texture_sweep,
-                    write_sweep_csv)
+from .sweep import (DEFAULT_L, DEFAULT_M_GRID, DEFAULT_MU, DEFAULT_SAMPLES,
+                    DEFAULT_SEED, default_m_grid, render_sweep_svg,
+                    texture_sweep, write_sweep_csv)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -262,12 +263,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("simulate", help="texture log-cumulant sweep over M")
-    p.add_argument("--L", type=float, default=4.0, help="speckle shape")
-    p.add_argument("--mu", type=float, default=1.0, help="texture mean")
-    p.add_argument("--M-grid", dest="m_grid", default="0.25:20:40:log",
+    p.add_argument("--L", type=float, default=DEFAULT_L, help="speckle shape")
+    p.add_argument("--mu", type=float, default=DEFAULT_MU, help="texture mean")
+    p.add_argument("--M-grid", dest="m_grid",
+                   default="{:g}:{:g}:{}:log".format(*DEFAULT_M_GRID),
                    help="start:stop:count[:log]")
-    p.add_argument("--samples", type=int, default=10**5)
-    p.add_argument("--seed", type=int, default=2)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", required=True)
     p.add_argument("--plot", default=None, help="optional SVG path")
     p.set_defaults(func=_cmd_simulate)

@@ -124,15 +124,16 @@ def empirical_log_stats(batch, n_max: int = 4) -> EmpiricalLogStats:
 
     logs = np.log(x)
     powers = np.stack([logs ** n for n in range(1, n_max + 1)])
-    moments = tuple(float(v) for v in powers.mean(axis=1))
-    cumulants = tuple(moments_to_cumulants(moments))
-
-    # standard errors from 10 consecutive equal splits (remainder dropped)
+    # row 0 is all the draws; standard errors come from rows 1..10, the
+    # consecutive equal splits (remainder dropped)
     chunk = x.size // _N_SPLITS
-    split_k = np.empty((_N_SPLITS, n_max))
-    for i in range(_N_SPLITS):
-        part = powers[:, i * chunk:(i + 1) * chunk].mean(axis=1)
-        split_k[i] = moments_to_cumulants(part)
+    means = np.stack([powers.mean(axis=1)]
+                     + [powers[:, i * chunk:(i + 1) * chunk].mean(axis=1)
+                        for i in range(_N_SPLITS)])
+    all_k = moments_to_cumulants(means)
+    moments = tuple(means[0].tolist())
+    cumulants = tuple(all_k[0].tolist())
+    split_k = all_k[1:]
     errors = tuple(float(v) for v in
                    split_k.std(axis=0, ddof=1) / math.sqrt(_N_SPLITS))
     return EmpiricalLogStats(moments, cumulants, errors, x.size)

@@ -80,13 +80,18 @@ class LogStats:
         return cls(tuple(cumulants_to_moments(k)), k)
 
 
-def _finite(values, what: str) -> list[float]:
-    out = np.asarray(values, dtype=float).tolist()
-    check_order(len(out), what)
-    for n, v in enumerate(out, start=1):
-        if not math.isfinite(v):
-            raise ValueError(f"{what}: the order-{n} entry is {v!r}")
-    return out
+def _finite(values, what: str) -> np.ndarray:
+    """``values`` as a float array whose last axis has a supported order;
+    a non-finite entry raises, naming its order (and, in a stack, its row)."""
+    x = np.asarray(values, dtype=float)
+    check_order(x.shape[-1] if x.ndim else 0, what)
+    bad = np.argwhere(~np.isfinite(x))
+    if bad.size:
+        *row, n = bad[0].tolist()
+        at = f"row {', '.join(map(str, row))}, " if row else ""
+        raise ValueError(f"{what}: {at}the order-{n + 1} entry is "
+                         f"{float(x[tuple(bad[0])])!r}")
+    return x
 
 
 def _bell_terms(signed: bool) -> tuple:
@@ -113,24 +118,38 @@ def _bell_terms(signed: bool) -> tuple:
 _MOMENT_TERMS, _CUMULANT_TERMS = _bell_terms(False), _bell_terms(True)
 
 
-def _bell(values, what: str, table) -> list[float]:
+def _bell(values, what: str, table):
     """y_n = x_n + the sum of the order-n terms, coefficient times
-    prod x_p^e.  Up to order 4 the terms come in the order, and their
-    products are formed as, in the written-out formulas, so the seeded
-    sweep CSV keeps every bit."""
+    prod x_p^e, along the last axis of ``values``: a list for one vector,
+    an array of the same shape for a stack of them.  Up to order 4 the
+    terms come in the order, and their products are formed as, in the
+    written-out formulas, so the seeded sweep CSV keeps every bit.  For
+    the same reason each power x_p^e is Python's float power (libm
+    ``pow``), taken on an object array: numpy's own ``**`` rounds some
+    cubes differently."""
     x = _finite(values, what)
-    out = []
-    for n, terms in enumerate(table[:len(x)]):
-        acc = x[n]
-        for coef, factors in terms:
-            for p, e in factors:
-                coef *= x[p - 1] ** e
-            acc += coef
-        out.append(acc)
-    return out
+    rows = x.reshape(-1, x.shape[-1])
+    table = table[:rows.shape[1]]
+    # x^1 is x exactly, in libm as anywhere
+    powers = {(p, 1): rows[:, p - 1] for p in range(1, rows.shape[1] + 1)}
+    pairs = sorted({f for terms in table for _, factors in terms
+                    for f in factors if f[1] > 1})
+    exponents = np.array([e for _, e in pairs], dtype=object)
+    powers.update(zip(pairs, (rows[:, [p - 1 for p, _ in pairs]]
+                              .astype(object) ** exponents).astype(float).T))
+    out = np.empty_like(rows)
+    with np.errstate(over="ignore", invalid="ignore"):   # as Python floats
+        for n, terms in enumerate(table):
+            acc = rows[:, n]
+            for coef, factors in terms:
+                for p, e in factors:
+                    coef = coef * powers[p, e]
+                acc = acc + coef
+            out[:, n] = acc
+    return out[0].tolist() if x.ndim == 1 else out.reshape(x.shape)
 
 
-def moments_to_cumulants(log_moments) -> list[float]:
+def moments_to_cumulants(log_moments):
     """Cumulants k_1..k_n from raw moments m_1..m_n (n <= MAX_ORDER): the
     sum over the partitions of n into b parts p of (-1)^(b-1) (b-1)! B
     prod m_p, B the number of set partitions of that shape.
@@ -142,9 +161,13 @@ def moments_to_cumulants(log_moments) -> list[float]:
     return _bell(log_moments, "moments_to_cumulants", _CUMULANT_TERMS)
 
 
-def cumulants_to_moments(log_cumulants) -> list[float]:
+def cumulants_to_moments(log_cumulants):
     """Exact algebraic inverse of moments_to_cumulants: m_n is the complete
-    Bell polynomial, the sum over the same partitions of B prod k_p."""
+    Bell polynomial, the sum over the same partitions of B prod k_p.
+
+    Both take one vector (and give a list) or a stack of vectors along the
+    last axis (and give an array of its shape), with the same bits per
+    row either way."""
     return _bell(log_cumulants, "cumulants_to_moments", _MOMENT_TERMS)
 
 
@@ -155,7 +178,7 @@ def central_log_moments(log_moments) -> list[float]:
     At orders 2 and 3 these coincide with the cumulants; at order 4 the
     central moment exceeds the cumulant by 3 k_2^2.
     """
-    m = [1.0, *_finite(log_moments, "central_log_moments")]
+    m = [1.0, *_finite(log_moments, "central_log_moments").tolist()]
     return [m[1]] + [sum(math.comb(n, j) * m[j] * (-m[1]) ** (n - j)
                          for j in range(n + 1)) for n in range(2, len(m))]
 

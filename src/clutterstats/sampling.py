@@ -24,6 +24,12 @@ Derived variates consume the raw stream in a fixed documented order:
   draw sequence is independent of internal batching
 * gamma shape < 1: all n draws at shape+1 first, then n boost uniforms
 
+Every sampler works in blocks of at most ``_BLOCK`` values (Marsaglia-Tsang
+trials for the gammas), so its temporaries stay cache-sized whatever n is.
+Since each raw word is a pure function of its index and every derived
+variate is elementwise, the block size moves neither the values nor the
+stream position.
+
 Compound families draw speckle from the stream seeded with ``seed`` and
 texture from the stream seeded with ``seed XOR TEXTURE_SEED_XOR``, so the
 component batches can be reproduced standalone with those seeds.
@@ -47,6 +53,27 @@ TEXTURE_SEED_XOR = 0x5851F42D4C957F2D
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
 _TWO_PI = 2.0 * math.pi
+_BLOCK = 16384   # values (or gamma trials) per block: about 128 KiB a temporary
+
+
+def _check_count(n, least: int = 0, what: str = "count") -> int:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) \
+            or n < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {n!r}")
+    return int(n)
+
+
+def _fill(n: int, draw) -> np.ndarray:
+    """n values in order from ``draw(start, k)``, called with
+    k = min(_BLOCK, n - start) until n are in; each call returns at most
+    k values, those for positions start, start + 1, ..."""
+    out = np.empty(n)
+    start = 0
+    while start < n:
+        got = draw(start, min(_BLOCK, n - start))
+        out[start:start + got.size] = got
+        start += got.size
+    return out
 
 
 class SplitMix64:
@@ -60,6 +87,7 @@ class SplitMix64:
 
     def raw(self, n: int) -> np.ndarray:
         """Next n raw 64-bit words."""
+        n = _check_count(n)
         idx = np.arange(self.position + 1, self.position + n + 1,
                         dtype=np.uint64)
         self.position += n
@@ -77,39 +105,44 @@ class SplitMix64:
 
     def uniform_open(self, n: int) -> np.ndarray:
         """n uniforms strictly inside (0, 1)."""
-        return self._to_uniform(self.raw(n))
+        return _fill(_check_count(n),
+                     lambda _, k: self._to_uniform(self.raw(k)))
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals; consumes 2n raw words."""
-        u = self.uniform_open(2 * n)
-        return np.sqrt(-2.0 * np.log(u[0::2])) * np.cos(_TWO_PI * u[1::2])
+        def draw(_, k):
+            u = self._to_uniform(self.raw(2 * k))
+            return np.sqrt(-2.0 * np.log(u[0::2])) * np.cos(_TWO_PI * u[1::2])
+        return _fill(_check_count(n), draw)
 
     def gammas(self, shape: float, n: int) -> np.ndarray:
         """n gamma(shape, scale=1) draws."""
+        if not (0.0 < shape < math.inf):
+            raise ValueError(f"gamma shape must be positive and finite, "
+                             f"got {shape!r}")
+        n = _check_count(n)
         if shape < 1.0:
             # boost transform: draw at shape+1, multiply by U^(1/shape)
             base = self.gammas(shape + 1.0, n)
-            return base * self.uniform_open(n) ** (1.0 / shape)
+            power = 1.0 / shape
+            return _fill(n, lambda start, k: base[start:start + k]
+                         * self._to_uniform(self.raw(k)) ** power)
         d = shape - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            trials = n - filled
-            raw = self.raw(3 * trials)
+
+        def trials(_, k):
+            raw = self.raw(3 * k)
             u1 = self._to_uniform(raw[0::3])
             u2 = self._to_uniform(raw[1::3])
             u = self._to_uniform(raw[2::3])
             x = np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
             v = (1.0 + c * x) ** 3
             ok = v > 0.0
-            accept = np.zeros(trials, dtype=bool)
+            accept = np.zeros(k, dtype=bool)
             accept[ok] = np.log(u[ok]) < (0.5 * x[ok] ** 2 + d - d * v[ok]
                                           + d * np.log(v[ok]))
-            got = d * v[accept]
-            out[filled:filled + got.size] = got
-            filled += got.size
-        return out
+            return d * v[accept]
+        return _fill(n, trials)
 
 
 @dataclass(frozen=True)
@@ -136,21 +169,19 @@ def _draw_simple(spec: dist.DistributionSpec, stream: SplitMix64,
         case dist.Nakagami(L=L, mu=mu):
             return mu * np.sqrt(stream.gammas(L, n) / L)
         case dist.Maxwell(sigma=sigma):
-            z = stream.normals(3 * n)
-            return sigma * np.sqrt(z[0::3] ** 2 + z[1::3] ** 2 + z[2::3] ** 2)
+            def draw(_, k):
+                z = stream.normals(3 * k)
+                return sigma * np.sqrt(z[0::3] ** 2 + z[1::3] ** 2
+                                       + z[2::3] ** 2)
+            return _fill(n, draw)
         case dist.Weibull(z=z, b=b):
-            return z * (-np.log(stream.uniform_open(n))) ** (1.0 / b)
+            return _fill(n, lambda _, k: z * (-np.log(
+                stream.uniform_open(k))) ** (1.0 / b))
         case dist.Rayleigh(z=z):
             return _draw_simple(dist.Weibull(z, 2.0), stream, n)
         case dist.InverseGamma(shape=a, scale=scale):
             return scale / stream.gammas(a, n)
     raise TypeError(f"not a simple family: {spec!r}")
-
-
-def _check_n(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"sample count must be an integer >= 1, got {n!r}")
-    return int(n)
 
 
 def sample(spec: dist.DistributionSpec, n: int, seed: int) -> SampleBatch:
@@ -159,7 +190,7 @@ def sample(spec: dist.DistributionSpec, n: int, seed: int) -> SampleBatch:
     Compound families draw hidden texture z and speckle u on split streams
     and return x = u * z with the texture retained in the batch.
     """
-    n = _check_n(n)
+    n = _check_count(n, 1, "sample count")
     comps = dist.components(spec)
     if comps is None:
         stream = SplitMix64(seed)
@@ -177,7 +208,7 @@ def sample_compound(speckle: dist.DistributionSpec,
     ``seed XOR TEXTURE_SEED_XOR``, so each factor batch is reproducible on
     its own.
     """
-    n = _check_n(n)
+    n = _check_count(n, 1, "sample count")
     for part, name in ((speckle, "speckle"), (texture, "texture")):
         if dist.components(part) is not None:
             raise ValueError(

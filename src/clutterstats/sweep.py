@@ -25,6 +25,13 @@ __all__ = ["SweepRow", "default_m_grid", "texture_sweep",
 SWEEP_CSV_HEADER = ("M,order,logmoment_data,logcumulant_texture_est,"
                     "logcumulant_texture_analytic,stderr")
 
+# The documented sweep, which ``simulate`` runs by default: speckle shape
+# L, texture mean mu, a log-spaced M grid (start, stop, count), draws per
+# point and the pinned seed.
+DEFAULT_L, DEFAULT_MU = 4.0, 1.0
+DEFAULT_M_GRID = (0.25, 20.0, 40)
+DEFAULT_SAMPLES, DEFAULT_SEED = 10**5, 2
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -42,8 +49,9 @@ class SweepRow:
             raise ValueError("stderr must be nonnegative")
 
 
-def default_m_grid(start: float = 0.25, stop: float = 20.0,
-                   count: int = 40) -> list[float]:
+def default_m_grid(start: float = DEFAULT_M_GRID[0],
+                   stop: float = DEFAULT_M_GRID[1],
+                   count: int = DEFAULT_M_GRID[2]) -> list[float]:
     """Log-spaced texture-shape grid."""
     if not (0.0 < start < stop) or count < 2:
         raise ValueError("need 0 < start < stop and count >= 2")
@@ -51,8 +59,9 @@ def default_m_grid(start: float = 0.25, stop: float = 20.0,
     return [math.exp(math.log(start) + i * step) for i in range(count)]
 
 
-def texture_sweep(L: float = 4.0, mu: float = 1.0, m_grid=None,
-                  n: int = 10**5, seed: int = 2) -> list[SweepRow]:
+def texture_sweep(L: float = DEFAULT_L, mu: float = DEFAULT_MU, m_grid=None,
+                  n: int = DEFAULT_SAMPLES,
+                  seed: int = DEFAULT_SEED) -> list[SweepRow]:
     """Two SweepRow entries (orders 2 and 4) per texture shape M.
 
     Sweep point i uses the derived seed ``seed + i`` so points are

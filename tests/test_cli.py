@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import clutterstats
-from clutterstats import verify
+from clutterstats import cli, sweep, verify
 from clutterstats.cli import main
 from clutterstats.specfun import polygamma
 from clutterstats.sweep import SWEEP_CSV_HEADER
@@ -280,6 +281,21 @@ class TestSimulate:
             run(capsys, "simulate", "--M-grid", "1:4:3", "--samples", "10000",
                 "--seed", "6", "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_defaults_are_the_documented_sweep(self, monkeypatch, tmp_path):
+        # the parser reads its defaults from sweep: a bare `simulate` runs
+        # texture_sweep() exactly
+        calls = []
+        monkeypatch.setattr(cli, "texture_sweep",
+                            lambda **kw: calls.append(kw) or [])
+        monkeypatch.setattr(cli, "write_sweep_csv", lambda rows, path: None)
+        assert main(["simulate", "--out", str(tmp_path / "s.csv")]) == 0
+        wanted = inspect.signature(sweep.texture_sweep).parameters
+        for name, value in calls[0].items():
+            if name == "m_grid":
+                assert value == sweep.default_m_grid()
+            else:
+                assert value == wanted[name].default, name
 
     def test_too_few_samples_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--M-grid", "1:4:3",

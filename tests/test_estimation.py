@@ -15,7 +15,7 @@ from clutterstats.estimation import (EmpiricalLogStats,
                                      empirical_log_stats, fit_molc,
                                      invert_polygamma, scale_fields,
                                      texture_log_cumulants)
-from clutterstats.mellin import LogStats
+from clutterstats.mellin import LogStats, moments_to_cumulants
 from clutterstats.sampling import sample
 from clutterstats.specfun import MAX_ORDER, digamma, polygamma
 
@@ -63,6 +63,22 @@ class TestEmpiricalLogStats:
         a = empirical_log_stats(batch, 2)
         b = empirical_log_stats(batch.values, 2)
         assert a == b
+
+    def test_split_cumulants_match_one_call_per_split(self):
+        # all the draws and the 10 splits run as one stacked call; the
+        # per-split calls it replaced are the reference
+        x = sample(dist.KAmplitude(2.0, 1.0), 10**4 + 7, 3).values
+        stats = empirical_log_stats(x, MAX_ORDER)
+        powers = np.stack([np.log(x) ** n for n in range(1, MAX_ORDER + 1)])
+        chunk = x.size // 10
+        split_k = np.array([moments_to_cumulants(
+            powers[:, i * chunk:(i + 1) * chunk].mean(axis=1))
+            for i in range(10)])
+        moments = tuple(float(v) for v in powers.mean(axis=1))
+        assert stats.log_moments == moments
+        assert stats.log_cumulants == tuple(moments_to_cumulants(moments))
+        assert stats.std_errors == tuple(
+            float(v) for v in split_k.std(axis=0, ddof=1) / math.sqrt(10))
 
     def test_order_validation(self):
         # no silent truncation: 2.9 is not order 2 and True is not order 1

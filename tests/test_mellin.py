@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from clutterstats import distributions as dist
-from clutterstats import mellin
+from clutterstats import mellin, verify
 from clutterstats._quad import adaptive_quad
 from clutterstats.mellin import (LogStats, NonConvergenceError,
                                  central_log_moments,
@@ -187,6 +187,59 @@ class TestCumulantAlgebra:
                 scale = max(1.0, float(np.abs(m).max()),
                             float(np.abs(k).max()))
                 assert np.max(np.abs(back - m)) <= 1e-12 * scale, order
+
+    def test_batched_equals_row_by_row_bit_for_bit(self):
+        # the scalar loop over Python floats (libm `pow` for every power)
+        # is the reference; the stack runs as one pass
+        def row_by_row(row, table):
+            x = [float(v) for v in row]
+            out = []
+            for n, terms in enumerate(table[:len(x)]):
+                acc = x[n]
+                for coef, factors in terms:
+                    for p, e in factors:
+                        coef *= x[p - 1] ** e
+                    acc += coef
+                out.append(acc)
+            return out
+
+        vectors = np.random.RandomState(1).uniform(
+            -10.0, 10.0, size=(verify.ROUND_TRIP_VECTORS, MAX_ORDER))
+        for order in range(1, MAX_ORDER + 1):
+            stack = vectors[:, :order]
+            for algebra, table in ((moments_to_cumulants,
+                                    mellin._CUMULANT_TERMS),
+                                   (cumulants_to_moments,
+                                    mellin._MOMENT_TERMS)):
+                batched = algebra(stack)
+                assert batched.shape == stack.shape
+                want = np.array([row_by_row(row, table) for row in stack])
+                assert batched.tobytes() == want.tobytes(), order
+                for row, expect in zip(stack[:200], want):
+                    one = algebra(row)
+                    assert isinstance(one, list)
+                    assert np.array(one).tobytes() == expect.tobytes()
+
+    def test_stack_keeps_its_leading_shape(self):
+        stack = np.arange(24.0).reshape(2, 3, 4) / 7.0
+        got = moments_to_cumulants(stack)
+        assert got.shape == (2, 3, 4)
+        assert got[1, 2].tolist() == moments_to_cumulants(stack[1, 2])
+
+    def test_non_finite_entry_in_a_stack_named_by_row(self):
+        stack = np.zeros((3, 4))
+        stack[1, 1] = math.nan
+        with pytest.raises(ValueError,
+                           match="row 1, the order-2 entry is nan"):
+            moments_to_cumulants(stack)
+        with pytest.raises(ValueError, match="unsupported order"):
+            cumulants_to_moments(np.zeros((5, 7)))
+
+    def test_round_trip_check_reads_the_recorded_error(self):
+        # the float the verify report prints as 3.142e-14
+        outcome = verify.cumulant_algebra_checks()[0]
+        assert outcome.name == "cumulant-round-trip"
+        assert outcome.max_error == float.fromhex("0x1.1af9ce361776ap-45")
 
     def test_unsupported_order(self):
         with pytest.raises(ValueError, match="unsupported order"):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -8,11 +9,14 @@ import pytest
 from clutterstats import distributions as dist
 from clutterstats._quad import gk15
 from clutterstats.estimation import empirical_log_stats
+from clutterstats import sampling
 from clutterstats.sampling import (SplitMix64, TEXTURE_SEED_XOR, sample,
                                    sample_compound)
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" /
                      "specfun_golden.json").read_text())
+STREAM_PINS = json.loads((Path(__file__).parent / "golden" /
+                          "sample_streams.json").read_text())
 
 MC_FAMILY_SPECS = [
     dist.GammaPower(4.0, 1.0), dist.Nakagami(3.0, 2.0), dist.Maxwell(1.5),
@@ -21,6 +25,12 @@ MC_FAMILY_SPECS = [
     dist.Fisher(3.0, 5.0, 1.0), dist.InverseGamma(4.0, 2.0),
 ]
 MC_BASE_SEED = 2000   # KS uses MC_BASE_SEED + 500 (= 2500 block)
+# one spec per family tag, the inverse gamma and a gamma boosted from
+# shape < 1: the specs whose streams sample_streams.json pins
+STREAM_SPECS = {
+    **{dist.family_tag(spec): spec for spec in MC_FAMILY_SPECS},
+    "gamma_shape_below_1": dist.GammaPower(0.5, 2.0),
+}
 
 
 class TestSplitMix64:
@@ -62,6 +72,79 @@ class TestSplitMix64:
     def test_seed_validation(self):
         with pytest.raises(ValueError):
             SplitMix64(1.5)
+
+    @pytest.mark.parametrize("shape", [math.nan, math.inf, -0.5, 0.0])
+    def test_gamma_shape_must_be_positive_and_finite(self, shape):
+        # nan and inf never accepted a trial; -0.5 gave positive draws and
+        # 0.0 a bare ZeroDivisionError
+        stream = SplitMix64(1)
+        with pytest.raises(ValueError, match="shape must be positive"):
+            stream.gammas(shape, 3)
+        assert stream.position == 0
+
+    @pytest.mark.parametrize("method", ["raw", "uniform_open", "normals",
+                                        "gammas"])
+    @pytest.mark.parametrize("count", [-4, 2.5, True, "3"])
+    def test_count_must_be_a_nonnegative_integer(self, method, count):
+        stream = SplitMix64(1)
+        args = (2.0, count) if method == "gammas" else (count,)
+        with pytest.raises(ValueError, match="count must be an integer"):
+            getattr(stream, method)(*args)
+        assert stream.position == 0
+
+    def test_zero_count_draws_nothing(self):
+        stream = SplitMix64(1)
+        for draws in (stream.raw(0), stream.uniform_open(0),
+                      stream.normals(0), stream.gammas(0.5, 0)):
+            assert draws.size == 0
+        assert stream.position == 0
+
+
+def _stream_digest(batch) -> str:
+    digest = hashlib.sha256(batch.values.tobytes())
+    if batch.texture is not None:
+        digest.update(batch.texture.tobytes())
+    return digest.hexdigest()
+
+
+def _drawn(n):
+    """Every sampler's draws, with the stream position after each."""
+    stream, out = SplitMix64(3), []
+    for draw in (lambda: stream.gammas(4.0, n), lambda: stream.gammas(0.5, n),
+                 lambda: stream.normals(n), lambda: stream.uniform_open(n)):
+        out.append((draw().tobytes(), stream.position))
+    out += [_stream_digest(sample(spec, n, 5)) for spec in STREAM_SPECS.values()]
+    return out
+
+
+class TestBlockedStreams:
+    """The samplers run in blocks of sampling._BLOCK; no block size may
+    move a value or the stream position."""
+
+    @pytest.mark.parametrize("name", list(STREAM_SPECS))
+    def test_streams_match_the_recorded_digests(self, name):
+        block = sampling._BLOCK
+        for n in (1, block - 1, block, block + 1, 3 * block + 7):
+            batch = sample(STREAM_SPECS[name], n, STREAM_PINS["seed"])
+            assert _stream_digest(batch) == \
+                STREAM_PINS["digests"][f"{name}/{n}"], n
+
+    @pytest.mark.parametrize("block, n", [(1, 300), (7, 2000),
+                                          (2**20, 3 * 16384 + 7)])
+    def test_block_size_moves_nothing(self, monkeypatch, block, n):
+        want = _drawn(n)
+        monkeypatch.setattr(sampling, "_BLOCK", block)
+        assert _drawn(n) == want
+
+    def test_gamma_position_is_three_words_per_trial(self):
+        # trial j reads words 3j..3j+2 and the call stops at the n-th
+        # acceptance, whatever the blocks
+        stream = SplitMix64(3)
+        stream.gammas(4.0, 1000)
+        assert stream.position == 3030
+        stream = SplitMix64(3)
+        stream.gammas(0.5, 1000)   # 3096 words at shape 1.5, then 1000
+        assert stream.position == 4096
 
 
 class TestSampleDeterminism:
