@@ -8,6 +8,9 @@ The algebra holds at every order up to ``specfun.MAX_ORDER`` through one
 partition sum: moments from cumulants are complete Bell polynomials, and
 cumulants from moments the same sums with weights (-1)^(b-1) (b-1)! for b
 parts (Kendall & Stuart, The Advanced Theory of Statistics, Vol. 1).
+Both directions take a stack of vectors as well as one vector, and work
+along the last axis in one pass.  Every power in them is Python's float
+power (libm ``pow``), so each row of a stack keeps the bits it has alone.
 Central moments come from the binomial shift.
 
 Every improper integral is evaluated after the substitution x = e^t, which
