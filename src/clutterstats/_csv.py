@@ -1,5 +1,6 @@
 """CSV text: rows of ``%.17g`` floats and decimal integers, written in
-chunks, and one numeric column read back.
+chunks, and one numeric column read back, both by numpy kernels exact to
+the bit.
 
 Python's ``'%.17g' % v`` costs about 0.8 us per float, which made CSV text
 most of the cost of writing a sampled batch.  ``_g17`` forms the same bytes
@@ -22,30 +23,75 @@ An element the kernel cannot certify is formatted by ``'%.17g' %`` itself:
 inexact product whose fraction lies within 1e-6 of one half.  So every value
 prints as Python prints it.
 
+``read_column`` reads the file in blocks of ``BLOCK_BYTES`` whole lines.
+For each block of printable ASCII with LF or CRLF endings, ``_parse``
+finds every line end, comma, '.' and 'e' in one scan, which bounds each
+line's field and places its '.' and 'e'; ``_read_fields`` then
+
+* gathers the _WIDTH bytes that end at the 'e' (or the field's end) and
+  turns them into the mantissa's digits, right-aligned with '0' before
+  them, with SWAR on 8-byte words (SIMD within a register: eight ASCII
+  digits per uint64, reduced by Lemire's multiply-and-shift); the exponent
+  is one more word;
+* scales the integer mantissa ``w < 2^64`` by ``10^q`` as a double-double
+  from the writer's table, whose error is below 2^-102 of the product
+  (Clinger, PLDI 1990; Lemire, SP&E 2021), and keeps ``p + t`` only when
+  ``p + (t - m)`` and ``p + (t + m)`` round to the same double, ``m`` a
+  2^-100 share of it, so the rounding is certainly the correctly rounded
+  one.
+
+A row the kernel does not certify goes to the scalar path,
+``_parse_line``, as does every row of a block holding any other byte: a
+sign other than a leading '-', blanks, inf and nan, more than 24 bytes
+before the 'e', more than 19 significant or 8 exponent digits, a power of
+ten outside the table (so every subnormal), a product too near a
+rounding boundary, a field ending in a block's first 24 bytes, and every
+malformed field.  The scalar path strips Unicode whitespace, checks the
+syntax that ``numpy.loadtxt`` accepted (Python's own ``float`` also takes
+``1_000`` and non-ASCII digits), reads the value with ``float`` and raises
+loadtxt's messages with the file line.
+
 The power and pattern tables are built on first use, not at import.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
+import os
 import re
-import warnings
 
 import numpy as np
 
-__all__ = ["CHUNK_ROWS", "write_csv", "format_rows", "read_column"]
+__all__ = ["CHUNK_ROWS", "BLOCK_BYTES", "write_csv", "format_rows",
+           "read_column"]
 
 # rows per chunk: small enough that a chunk's gather indices (24 intp per
 # float) stay in cache; 8192 formatted three-column rows about 1.5x faster
 # than 65536 on a 2-core Xeon
 CHUNK_ROWS = 8192
+# bytes the reader takes from the file at a time: about 5,800 rows of a
+# three-column sample file, whose work arrays stay in cache
+BLOCK_BYTES = 1 << 18
 
 _WIDTH = 24                  # '-' + 17 digits + '.' + 'e-308'
 _LO, _HI = 1e-240, 1e240     # magnitudes the kernel formats itself
 _E_MIN, _E_MAX = -241, 240   # floor(log10 |x|) over that range
+# powers of ten in the table: the writer's 10^(16-E) and the reader's 10^q
+# for 17-digit fields of magnitude down to _LO
+_K_MIN, _K_MAX = -257, 257
 _TIE_MARGIN = 1e-6
 _SPLIT = 134217729.0         # 2^27 + 1, Dekker's splitter
+
+# The reader: a line and its end; the syntax numpy.loadtxt accepted; SWAR
+# words, little-endian uint64 with eight ASCII bytes, the first in the
+# lowest byte; the reader's relative error bound, with room.
+_LINE = re.compile(rb"([^\r\n]*)(?:\r\n|\r|\n)")
+_NUMBER = re.compile(r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?"
+                     r"|inf(?:inity)?|nan)", re.ASCII | re.IGNORECASE)
+_WORD = np.dtype("<u8")
+_ZEROS = 0x3030303030303030  # '00000000'
+_ONES = np.uint64(2**64 - 1)
+_MARGIN = 2.0**-100
 
 # A pattern picks each output byte from a 32-byte row per element: '000'
 # and the 17 digits of D (bytes 0-19), the sign or NUL, '.', NUL, NUL
@@ -62,12 +108,12 @@ def _split(v):
 
 @functools.cache
 def _powers() -> tuple[np.ndarray, ...]:
-    """For each E in [_E_MIN, _E_MAX]: 10^(16-E) = hi + lo exactly to
+    """For each k in [_K_MIN, _K_MAX]: 10^k = hi + lo exactly to
     double-double precision, with hi also split in halves for TwoProduct."""
     from fractions import Fraction
     hi, lo = [], []
-    for e in range(_E_MIN, _E_MAX + 1):
-        exact = Fraction(10) ** (16 - e)
+    for k in range(_K_MIN, _K_MAX + 1):
+        exact = Fraction(10) ** k
         hi.append(float(exact))
         lo.append(float(exact - Fraction(hi[-1])))
     hi = np.array(hi)
@@ -124,7 +170,7 @@ def _g17(x: np.ndarray, out: np.ndarray) -> None:
     a = np.where(ok, ax, 1.0)
     e = np.floor(np.log10(a)).astype(np.intp)
     np.clip(e, _E_MIN, _E_MAX, out=e)
-    h, h_big, h_small, l = (table[e - _E_MIN] for table in _powers())
+    h, h_big, h_small, l = (table[16 - e - _K_MIN] for table in _powers())
     # y = a * 10^k = p + t, with p + err = a * h exactly (TwoProduct)
     p = a * h
     a_big, a_small = _split(a)
@@ -223,42 +269,266 @@ def write_csv(path, header: str, columns) -> None:
 def read_column(path) -> np.ndarray:
     """The values of one CSV column: the 'x' column when the first line is
     a header (its second field, or only field, is not a number), otherwise
-    the first column.  Blank and whitespace-only lines are skipped; fields
-    are parsed by ``np.loadtxt``.  A bad value or a short row raises its
-    ``ValueError`` with loadtxt's row replaced by the file line."""
-    with open(path, "r", newline="") as fh:
-        lines = itertools.filterfalse(str.isspace, fh)
-        first = next(lines, None)
-        if first is None:
-            raise ValueError("empty input")
-        column, start = 0, 0
-        first_fields = first.strip().split(",")
-        try:
-            float(first_fields[min(1, len(first_fields) - 1)])
-        except ValueError:
-            names = [f.strip().lower() for f in first_fields]
-            if "x" in names:
-                column = names.index("x")
-            start = 1
-        with warnings.catch_warnings():
-            # a header alone is an empty column, not an error
-            warnings.filterwarnings("ignore", "loadtxt: input contained no",
-                                    UserWarning)
+    the first column.  Blank and whitespace-only lines are skipped.  The
+    file is read as UTF-8, ``BLOCK_BYTES`` at a time.  A bad value or a
+    short row raises ``ValueError`` naming its file line."""
+    column, line, count = None, 1, 0
+    values = np.empty(0)
+    with open(path, "rb") as fh:
+        size, done = os.fstat(fh.fileno()).st_size, 0
+        for text in _blocks(fh):
+            done += len(text)
+            if column is None:
+                column, text, line = _header(text, line)
+                if column is None:
+                    continue
+            part, lines = _parse(text, column, line)
+            line += lines
+            if count + part.size > values.size:
+                # room for the rest of the file at this block's rows per
+                # byte, and 1/16 more
+                rest = max(size - done, 0) * part.size // max(len(text), 1)
+                grown = np.empty(count + part.size + rest + rest // 16)
+                grown[:count] = values[:count]
+                values = grown
+            values[count:count + part.size] = part
+            count += part.size
+    if column is None:
+        raise ValueError("empty input")
+    return values[:count]
+
+
+def _blocks(fh):
+    """The file in blocks of whole lines, each ending in LF, CRLF or CR."""
+    rest = b""
+    while chunk := fh.read(BLOCK_BYTES):
+        text = rest + chunk
+        # a CR that ends the block may be the first half of a CRLF
+        cut = 1 + max(text.rfind(b"\n"), text.rfind(b"\r", 0, len(text) - 1))
+        rest = text[cut:]
+        yield text[:cut]
+    if rest:
+        yield rest if rest.endswith((b"\n", b"\r")) else rest + b"\n"
+
+
+def _header(text: bytes, line: int):
+    """Find the first non-blank line in ``text`` (file line ``line`` on):
+    the column to read, the text from the first data line on and that
+    line's number; no column if every line is blank."""
+    for match in _LINE.finditer(text):
+        first = match[1].decode()
+        if first and not first.isspace():
+            fields = first.strip().split(",")
             try:
-                return np.loadtxt(itertools.chain([first], lines),
-                                  delimiter=",", comments=None,
-                                  usecols=column, skiprows=start, ndmin=1)
-            except ValueError as exc:
-                # name the file line: loadtxt counts the non-blank rows
-                # after the header from 0 in "at row 2, column 1." but
-                # from 1 in "at row 2 with 1 columns"
-                match = re.search(r"at row (\d+)(,| with)", str(exc))
-                if match is None:
-                    raise
-                fh.seek(0)
-                numbers = (n for n, text in enumerate(fh, 1)
-                           if not text.isspace())
-                index = start + int(match[1]) - (match[2] == " with")
-                line = next(itertools.islice(numbers, index, None))
-                raise ValueError(str(exc).replace(
-                    match[0], f"at line {line}{match[2]}")) from None
+                float(fields[min(1, len(fields) - 1)])
+                return 0, text[match.start():], line
+            except ValueError:
+                names = [f.strip().lower() for f in fields]
+                column = names.index("x") if "x" in names else 0
+                return column, text[match.end():], line + 1
+        line += 1
+    return None, b"", line
+
+
+def _parse(text: bytes, column: int, line: int) -> tuple[np.ndarray, int]:
+    """The values of ``column`` in ``text``, whole lines of which the first
+    is file line ``line``, and the number of lines.  Rows of printable
+    ASCII ending in LF or CRLF go through the kernel; a row it does not
+    certify, and every row of a block holding any other byte, through
+    ``_parse_line``."""
+    a = np.frombuffer(text, dtype=np.uint8)
+    if a.size < _WIDTH or a[-1] != 10 or a.max() > 126:
+        return _parse_lines(text, column, line)
+    # every line end, comma, '.' and 'e' or 'E', in order
+    flags = (a | 2) == 46
+    flags |= (a | 32) == 101
+    flags |= a == 10
+    marks = np.flatnonzero(flags)
+    kind = a[marks]
+    newline = np.flatnonzero(kind == 10)
+    n = newline.size
+    ends = marks[newline]
+    controls = np.count_nonzero(a < 32)
+    if controls > n:
+        cr = np.flatnonzero(a == 13)
+        if n + cr.size != controls or np.any(a[cr + 1] != 10):
+            return _parse_lines(text, column, line)
+        ends = ends - (a[ends - 1] == 13)
+    starts = np.zeros(n, dtype=np.intp)
+    starts[1:] = marks[newline[:-1]] + 1
+    # the marks that bound each line's field: the comma before it (or the
+    # line start) and the comma after it (or the line end)
+    commas = np.flatnonzero(kind == 44)
+    if column and not commas.size:
+        return _parse_lines(text, column, line)
+    upto = np.searchsorted(commas, newline)          # commas before the end
+    before = np.zeros(n, dtype=np.intp)              # and before the start
+    before[1:] = upto[:-1]
+    right = newline
+    if commas.size:
+        right = np.where(upto - before > column, commas[
+            np.minimum(before + column, commas.size - 1)], newline)
+    if column:
+        left = commas[np.minimum(before + column - 1, commas.size - 1)]
+        lo = marks[left] + 1
+    else:
+        left = np.empty(n, dtype=np.intp)
+        left[0] = -1
+        left[1:] = newline[:-1]
+        lo = starts
+    hi = np.where(right == newline, ends, marks[right])
+    values, ok = _read_fields(a, marks, kind, left, right, lo, hi)
+    ok &= upto - before >= column
+    keep = np.ones(n, dtype=bool)
+    for i in np.flatnonzero(~ok):
+        value = _parse_line(text[starts[i]:ends[i]], column, line + i)
+        keep[i] = value is not None
+        values[i] = value if keep[i] else 0.0
+    return values[keep], n
+
+
+def _parse_lines(text: bytes, column: int, line: int) -> tuple[np.ndarray, int]:
+    """``_parse`` one line at a time."""
+    rows = [match[1] for match in _LINE.finditer(text)]
+    values = [_parse_line(row, column, line + i) for i, row in enumerate(rows)]
+    return np.array([v for v in values if v is not None], dtype=float), \
+        len(rows)
+
+
+def _parse_line(row: bytes, column: int, line: int) -> float | None:
+    """The value in ``column`` of one line (without its line end), or None
+    for a blank line: the field, stripped of Unicode whitespace, must be
+    ASCII decimal or exponent notation, or inf, infinity or nan in any
+    case, with an optional sign."""
+    text = row.decode()
+    if not text or text.isspace():
+        return None
+    fields = text.split(",")
+    if column >= len(fields):
+        raise ValueError(f"invalid column index {column} at line {line} "
+                         f"with {len(fields)} columns")
+    field = fields[column]
+    if _NUMBER.fullmatch(field.strip()) is None:
+        raise ValueError(f"could not convert string {repr(field)[:100]} to "
+                         f"float64 at line {line}, column {column + 1}.")
+    return float(field.strip())
+
+
+def _digits(words: np.ndarray) -> np.ndarray:
+    """The value of the eight ASCII digits in each word (Lemire's
+    multiply-and-shift reduction)."""
+    v = words - _ZEROS
+    v *= 10
+    v += (words - _ZEROS) >> 8
+    pairs = v >> 16
+    pairs &= 0x000000FF000000FF
+    pairs *= 1 + (10**4 << 32)
+    v &= 0x000000FF000000FF
+    v *= 100 + (10**6 << 32)
+    v += pairs
+    v >>= 32
+    return v
+
+
+def _non_digits(words: np.ndarray) -> np.ndarray:
+    """Nonzero where a word holds a byte that is not an ASCII digit."""
+    bad = (words & 0xF0F0F0F0F0F0F0F0) \
+        | (((words + 0x0606060606060606) & 0xF0F0F0F0F0F0F0F0) >> 4)
+    bad ^= 0x3333333333333333
+    return bad
+
+
+def _low_bytes(count: np.ndarray, words: int = 3) -> np.ndarray:
+    """Masks of the first ``count`` bytes (none if count <= 0) of ``words``
+    consecutive words, one row per word and one column per count."""
+    shift = np.empty((words, count.size), dtype=np.int64)
+    shift[0] = 8 * count
+    for k in range(1, words):
+        np.subtract(shift[0], 64 * k, out=shift[k])
+    np.maximum(shift, 0, out=shift)
+    mask = _ONES << shift.view(np.uint64)
+    return np.invert(mask, out=mask)
+
+
+def _read_fields(a, marks, kind, left, right, lo, hi):
+    """Parse the fields ``a[lo:hi]``, which lie between the marks ``left``
+    and ``right``: the values, and which are certified.
+
+    A field is certified when it is ``[-] digits [. digits] [e [sign]
+    digits]`` with at most _WIDTH bytes before the 'e' (and _WIDTH bytes
+    of the block before that), at most 19 significant digits and at most
+    8 exponent digits, its power of ten is in the table, and ``_scale``
+    certifies its rounding."""
+    negative = a[lo] == 45
+    lo = lo + negative
+    # the '.' and 'e' marks inside the field: none, '.', 'e' or '.', 'e'
+    inner = right - left - 1
+    top = marks.size - 1
+    first = kind[np.minimum(left + 1, top)]
+    second = kind[np.minimum(left + 2, top)]
+    has_dot = (inner >= 1) & (first == 46)
+    has_e = np.where(inner == 1, first != 46,
+                     (inner == 2) & has_dot & ((second | 32) == 101))
+    e_at = np.where(has_e, marks[np.minimum(left + 1 + has_dot, top)], hi)
+    # any other mark is in the mantissa, where the digit test rejects it
+    length = e_at - lo
+    ok = (length > has_dot) & (length <= _WIDTH) & (e_at >= _WIDTH)
+    # the exponent: [sign] 1 to 8 digits, the last word of the field
+    exponent = np.zeros(lo.size, dtype=np.int64)
+    rows = np.flatnonzero(has_e)
+    if rows.size:
+        at, end = e_at[rows], hi[rows]
+        sign = a[at + 1]
+        signed = (sign == 43) | (sign == 45)
+        count = end - at - 1 - signed
+        words = np.lib.stride_tricks.sliding_window_view(a, 8)[end - 8] \
+            .view(_WORD)[:, 0]
+        words ^= (words ^ _ZEROS) & _low_bytes(8 - count, 1)[0]
+        ok[rows] &= (count >= 1) & (count <= 8) & (_non_digits(words) == 0)
+        value = _digits(words).astype(np.int64)
+        exponent[rows] = np.where(sign == 45, -value, value)
+    # the mantissa right-aligned in _WIDTH bytes: '0' before it, and the
+    # bytes left of the '.' moved one column right over it
+    windows = np.lib.stride_tricks.sliding_window_view(a, _WIDTH)
+    # one row per word, one column per field
+    words = windows[np.maximum(e_at - _WIDTH, 0)].view(_WORD).T.copy()
+    dot = np.where(has_dot, marks[np.minimum(left + 1, top)] - e_at
+                   + _WIDTH, -1)
+    moved = words << 8
+    moved[1:] |= words[:-1] >> 56
+    moved ^= words
+    moved &= _low_bytes(dot + 1)
+    words ^= moved
+    fill = words ^ _ZEROS
+    fill &= _low_bytes(_WIDTH - length + has_dot)
+    words ^= fill
+    bad = _non_digits(words)
+    ok &= (bad[0] | bad[1] | bad[2]) == 0
+    groups = _digits(words)
+    ok &= groups[0] < 1844                           # < 2^64
+    w = (groups[0] * 10**8 + groups[1]) * 10**8 + groups[2]
+    q = exponent - np.where(has_dot, _WIDTH - 1 - dot, 0)
+    r, certain = _scale(w, q)
+    ok &= certain
+    return np.where(negative, -r, r), ok
+
+
+def _scale(w: np.ndarray, q: np.ndarray):
+    """w * 10^q rounded to nearest, and whether that rounding is certain:
+    with the table's 10^q = hi + lo, the double-double product p + t is
+    within _MARGIN of the exact one, so the rounding is certain when p +
+    (t - m) and p + (t + m) round alike, m = _MARGIN |p|."""
+    index = np.minimum(np.maximum(q, _K_MIN), _K_MAX) - _K_MIN
+    h, h_big, h_small, l = (table[index] for table in _powers())
+    # w = wh + wl exactly
+    wh = w.astype(np.float64)
+    wl = (w - wh.astype(np.uint64)).view(np.int64).astype(np.float64)
+    p = wh * h
+    w_big, w_small = _split(wh)
+    err = ((w_big * h_big - p) + w_big * h_small + w_small * h_big) \
+        + w_small * h_small
+    t = err + (wh * l + wl * h)
+    m = p * _MARGIN
+    r = p + (t - m)
+    certain = (r == p + (t + m)) & (index == q - _K_MIN)
+    return r, certain | (w == 0)

@@ -195,8 +195,6 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     grid = _parse_m_grid(args.m_grid)
-    if args.samples < 10**4:
-        raise UsageError(f"--samples must be >= 10^4, got {args.samples}")
     rows = texture_sweep(L=args.L, mu=args.mu, m_grid=grid, n=args.samples,
                          seed=args.seed)
     try:

@@ -174,16 +174,29 @@ def cumulants_to_moments(log_cumulants):
     return _bell(log_cumulants, "cumulants_to_moments", _MOMENT_TERMS)
 
 
-def central_log_moments(log_moments) -> list[float]:
+def central_log_moments(log_moments):
     """Mean plus central moments of orders 2..n about the mean, by the
     binomial shift mu_n = sum_j C(n, j) m_j (-m_1)^(n-j) with m_0 = 1.
 
     At orders 2 and 3 these coincide with the cumulants; at order 4 the
-    central moment exceeds the cumulant by 3 k_2^2.
+    central moment exceeds the cumulant by 3 k_2^2.  Like its two siblings
+    it takes one vector (and gives a list) or a stack of vectors along the
+    last axis (and gives an array of its shape), with the same bits per
+    row either way: (-m_1)^k is Python's float power.
     """
-    m = [1.0, *_finite(log_moments, "central_log_moments").tolist()]
-    return [m[1]] + [sum(math.comb(n, j) * m[j] * (-m[1]) ** (n - j)
-                         for j in range(n + 1)) for n in range(2, len(m))]
+    x = _finite(log_moments, "central_log_moments")
+    rows = x.reshape(-1, x.shape[-1])
+    m = np.hstack([np.ones((rows.shape[0], 1)), rows])
+    shift = (-rows[:, :1]).astype(object)
+    powers = [(shift ** k).astype(float)[:, 0] for k in range(m.shape[1])]
+    out = rows.copy()
+    with np.errstate(over="ignore", invalid="ignore"):   # as Python floats
+        for n in range(2, m.shape[1]):
+            acc = np.zeros(rows.shape[0])
+            for j in range(n + 1):
+                acc = acc + math.comb(n, j) * m[:, j] * powers[n - j]
+            out[:, n - 1] = acc
+    return out[0].tolist() if x.ndim == 1 else out.reshape(x.shape)
 
 
 # quadrature oracle ----------------------------------------------------------

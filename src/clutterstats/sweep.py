@@ -31,6 +31,8 @@ SWEEP_CSV_HEADER = ("M,order,logmoment_data,logcumulant_texture_est,"
 DEFAULT_L, DEFAULT_MU = 4.0, 1.0
 DEFAULT_M_GRID = (0.25, 20.0, 40)
 DEFAULT_SAMPLES, DEFAULT_SEED = 10**5, 2
+# the fewest draws per point that the sweep accepts
+MIN_SAMPLES = 10**4
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,9 @@ def texture_sweep(L: float = DEFAULT_L, mu: float = DEFAULT_MU, m_grid=None,
     pinned (with the other defaults) so the documented property gates hold
     with margin; any explicit seed gives its own deterministic sweep.
     """
-    if n < 10**4:
-        raise ValueError(f"need at least 10^4 samples per point, got {n}")
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least 10^4 samples per point "
+                         f"(simulate --samples), got {n}")
     # rows are ordered by M; derived seeds attach to the sorted positions
     grid = default_m_grid() if m_grid is None else sorted(float(m) for m in m_grid)
     speckle = dist.GammaPower(L, 1.0)

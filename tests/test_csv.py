@@ -2,10 +2,13 @@
 Python's own formatter, the ``sample`` and sweep files against the per-row
 f-string loops they replaced, and the ``estimate`` reader."""
 
+import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import astuple, fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +183,203 @@ class TestReader:
         code, _, err = estimate(capsys, path)
         assert code == 2
         assert f"{path}: empty input" in err
+
+
+def loadtxt_column(path, column):
+    """The reader that ``read_column`` replaced, as the reference: the
+    rows after the header line, parsed by ``np.loadtxt``."""
+    return np.loadtxt(path, delimiter=",", comments=None, usecols=column,
+                      skiprows=1, ndmin=1)
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(
+        got.view(np.uint64), want.view(np.uint64))
+
+
+# below 2^64 and exactly halfway between two doubles: 2^53 + 1 and 2^53 + 3
+# (ulp 2), 2^54 + 2 (ulp 4), 2^63 + 1024 (ulp 2048); and the midpoint of
+# 1 and its successor, too long for the kernel
+HALFWAY = ["9007199254740993", "9007199254740995", "18014398509481986",
+           "9223372036854776832",
+           "1.00000000000000011102230246251565404236316680908203125"]
+# both block sizes: every row through the scalar path, and the default
+BLOCKS = [1, _csv.BLOCK_BYTES]
+# enough rows ahead of the tested ones that the kernel parses them
+LEAD = "index,x\n" + "0,0.5\n" * 8
+
+
+class TestExactReader:
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                           | st.integers(0, 2**64 - 1).map(bits).filter(
+                               np.isfinite), min_size=1, max_size=40),
+           formats=st.lists(st.sampled_from(["%.17g", "repr"]), min_size=1))
+    @example(values=[0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     2.2250738585072009e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 1e-240, 1e240, 1e23],
+             formats=["%.17g", "repr"])
+    @example(values=[float(f"1e{k}") for k in range(-323, 309)],
+             formats=["%.17g"])
+    def test_written_doubles_read_back_bit_identical(self, values, formats,
+                                                     tmp_path_factory):
+        texts = [repr(v) if formats[i % len(formats)] == "repr"
+                 else "%.17g" % v for i, v in enumerate(values)]
+        path = tmp_path_factory.mktemp("p") / "v.csv"
+        path.write_text(LEAD + "".join(f"{i},{t}\n"
+                                       for i, t in enumerate(texts)))
+        got = _csv.read_column(path)[8:]
+        assert same_bits(got, [float(t) for t in texts])
+        assert same_bits(got, values)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_hand_typed_forms_match_loadtxt(self, block, tmp_path,
+                                            monkeypatch):
+        forms = ["+1.5", ".5", "5.", "1E5", "1e+05", "1e400", "1e-400",
+                 "-Infinity", "NaN", "-0", "-.0e-0", "+0.000e+0000", "1e-9",
+                 "-2.5E-0003", "007", "1.e5", "12345678901234567890123",
+                 "0.00000000000000000000001", "1e0000000000005", "inF",
+                 "infinity", "-nan", *HALFWAY, "4.9406564584124654e-324",
+                 "2.4703282292062328e-324", "2.4703282292062327e-324",
+                 "1.7976931348623158e308", "1.7976931348623159e308"]
+        path = tmp_path / "forms.csv"
+        path.write_text(LEAD + "".join(f"{i},{f}\n"
+                                       for i, f in enumerate(forms)))
+        monkeypatch.setattr(_csv, "BLOCK_BYTES", block)
+        got = _csv.read_column(path)
+        assert same_bits(got, loadtxt_column(path, 1))
+        assert got[8:10].tolist() == [1.5, 0.5]
+        assert got[13:15].tolist() == [math.inf, 0.0]
+        assert same_bits(got[8:], [float(f) for f in forms])
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("field", ["1_000", "١٢", "1e", "--1", "0x1p3",
+                                       "1.5.5", "1e5e5", "e5", ".", "+",
+                                       "1 5", "nan(1)"])
+    def test_rejected_with_the_loadtxt_message(self, field, block, tmp_path,
+                                               monkeypatch):
+        path = tmp_path / "bad.csv"
+        path.write_text(LEAD + f"9,{field}\n10,1.0\n", encoding="utf-8")
+        monkeypatch.setattr(_csv, "BLOCK_BYTES", block)
+        message = f"could not convert string {field!r} to float64 at "
+        with pytest.raises(ValueError) as exc:
+            _csv.read_column(path)
+        assert str(exc.value) == message + "line 10, column 2."
+        with pytest.raises(ValueError, match=re.escape(message + "row")):
+            loadtxt_column(path, 1)
+
+    def test_scale_rounds_as_exact_arithmetic(self):
+        # w * 10^q for w < 10^19 over the whole table, against the exact
+        # rational rounded once
+        rng = np.random.default_rng(11)
+        w = rng.integers(0, 10**19, 3000, dtype=np.uint64)
+        w[:1000] //= 10 ** rng.integers(0, 19, 1000).astype(np.uint64)
+        q = rng.integers(_csv._K_MIN, _csv._K_MAX + 1, w.size)
+        r, certain = _csv._scale(w, q)
+        assert certain.mean() > 0.999
+        exact = [float(Fraction(int(a)) * Fraction(10) ** int(b))
+                 for a, b in zip(w[certain], q[certain])]
+        assert same_bits(r[certain], exact)
+
+    def test_long_bad_field_is_cut_as_loadtxt_cuts_it(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text(LEAD + "9," + "1" * 200 + "x\n")
+        with pytest.raises(ValueError, match=r"^could not convert string "
+                           r"'1{99} to float64 at line 10, column 2\.$"):
+            _csv.read_column(path)
+
+    @staticmethod
+    def scalar_rows(monkeypatch) -> list:
+        """The rows ``_parse_line`` is called for from now on."""
+        calls = []
+        parse_line = _csv._parse_line
+        monkeypatch.setattr(_csv, "_parse_line",
+                            lambda *args: calls.append(args)
+                            or parse_line(*args))
+        return calls
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    @pytest.mark.parametrize("family, params, spec", [
+        ("wnak", "c=1.5,alpha=2,b=1", dist.WeibullNakagami(1.5, 2.0, 1.0)),
+        ("gamma", "L=4,mu=1", dist.GammaPower(4.0, 1.0))])
+    def test_writer_output_takes_the_kernel(self, family, params, spec,
+                                            ending, tmp_path, monkeypatch):
+        # every sampled value is certified by the kernel, except rows
+        # that end within the first bytes of a block; 'x' is the middle
+        # column of a wnak file and the last of a gamma file
+        out = tmp_path / "w.csv"
+        main(["sample", "--family", family, "--params", params,
+              "--n", "50000", "--seed", "5", "--out", str(out)])
+        out.write_bytes(out.read_bytes().replace(b"\n", ending.encode()))
+        calls = self.scalar_rows(monkeypatch)
+        assert same_bits(_csv.read_column(out),
+                         sample(spec, 50000, 5).values)
+        assert len(calls) <= -(-out.stat().st_size // _csv.BLOCK_BYTES)
+
+    def test_kernel_forms(self, tmp_path, monkeypatch):
+        forms = ["1.5", "-0", ".5", "5.", "1E5", "1e+05", "-2.5E-0003",
+                 "1e-9", "007", "9999999999999999999", "-1e+00000257",
+                 "0.0000000000000000000001", "1.2345678901234567e-240"]
+        path = tmp_path / "kernel.csv"
+        path.write_text(LEAD + "".join(f"{i},{f}\n"
+                                       for i, f in enumerate(forms)))
+        calls = self.scalar_rows(monkeypatch)
+        assert same_bits(_csv.read_column(path)[8:],
+                         [float(f) for f in forms])
+        assert all(line < 10 for _, _, line in calls)
+
+
+class TestReaderBlocks:
+    ROWS = "".join(f"{i},{v!r},{-v!r}\n" for i, v in enumerate(
+        (np.random.default_rng(7).standard_normal(60)
+         * 10.0 ** np.arange(-30, 30)).tolist()))
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 23, 24, 25, 31, 64, 100,
+                                       257, 4096])
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_rows_and_numbers_split_across_blocks(self, block, ending,
+                                                  tmp_path, monkeypatch):
+        path = tmp_path / "split.csv"
+        text = ("index,x,z\n" + self.ROWS).replace("\n", ending)
+        path.write_bytes(text.encode())
+        want = loadtxt_column(path, 1)
+        monkeypatch.setattr(_csv, "BLOCK_BYTES", block)
+        assert same_bits(_csv.read_column(path), want)
+        # no final line end: the last row still counts
+        path.write_bytes(text.rstrip("\r\n").encode())
+        assert same_bits(_csv.read_column(path), want)
+
+    def test_bad_field_at_every_block_edge_names_its_line(self, tmp_path,
+                                                           monkeypatch):
+        lines = ["index,x"] + [f"{i},{i}.25" for i in range(30)]
+        lines[20] = "19,1.2.5"
+        path = tmp_path / "edge.csv"
+        path.write_text("\n".join(lines) + "\n")
+        for block in range(1, len(path.read_bytes()) + 2):
+            monkeypatch.setattr(_csv, "BLOCK_BYTES", block)
+            with pytest.raises(ValueError, match="could not convert string "
+                               "'1.2.5' to float64 at line 21, column 2."):
+                _csv.read_column(path)
+
+    def test_short_first_row_of_a_block(self, tmp_path):
+        # the kernel sees no field ending within a block's first _WIDTH
+        # bytes: the bytes after it would fill its window
+        path = tmp_path / "short.csv"
+        path.write_text("x\n1\n" + "2" * 30 + "\n")
+        assert _csv.read_column(path).tolist() == [1.0, float("2" * 30)]
+
+    @pytest.mark.parametrize("block", [1, 3, 4096])
+    def test_header_only_and_blank_only(self, block, tmp_path, monkeypatch):
+        monkeypatch.setattr(_csv, "BLOCK_BYTES", block)
+        path = tmp_path / "h.csv"
+        for body in ["index,x\n", "index,x", "\n\r\n  \nindex,x\r\n\n"]:
+            path.write_text(body, newline="")
+            got = _csv.read_column(path)
+            assert got.shape == (0,) and got.dtype == np.float64
+        path.write_text("\n \r\n\t\n", newline="")
+        with pytest.raises(ValueError, match="^empty input$"):
+            _csv.read_column(path)
 
 
 def test_weak_k4_vote_is_reported(tmp_path, capsys):

@@ -235,6 +235,36 @@ class TestCumulantAlgebra:
         with pytest.raises(ValueError, match="unsupported order"):
             cumulants_to_moments(np.zeros((5, 7)))
 
+    def test_central_moments_of_a_stack_equal_the_loop_bit_for_bit(self):
+        # the binomial shift written out per vector, as a 1-D call has
+        # always computed it
+        def central(m):
+            m = [1.0, *m]
+            return [m[1]] + [sum(math.comb(n, j) * m[j] * (-m[1]) ** (n - j)
+                                 for j in range(n + 1))
+                             for n in range(2, len(m))]
+
+        rng = np.random.RandomState(1)
+        for order in range(1, MAX_ORDER + 1):
+            stack = rng.standard_normal((200, order)) * 3.0
+            stack[:5] = 0.0
+            stack[5:10] *= 1e-3
+            got = central_log_moments(stack)
+            want = np.array([central(row) for row in stack.tolist()])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            for row, out in zip(stack[:20], got[:20]):
+                assert central_log_moments(row) == out.tolist()
+
+    def test_central_moments_keep_the_stack_shape_and_name_a_bad_row(self):
+        assert central_log_moments(np.zeros((3, 4))).tolist() == \
+            [[0.0] * 4] * 3
+        assert central_log_moments(np.ones((2, 3, 4))).shape == (2, 3, 4)
+        stack = np.ones((3, 4))
+        stack[2, 3] = math.inf
+        with pytest.raises(ValueError, match="central_log_moments: row 2, "
+                                             "the order-4 entry is inf"):
+            central_log_moments(stack)
+
     def test_round_trip_check_reads_the_recorded_error(self):
         # the float the verify report prints as 3.142e-14
         outcome = verify.cumulant_algebra_checks()[0]
