@@ -378,6 +378,7 @@ def _parse(text: bytes, column: int, line: int) -> tuple[np.ndarray, int]:
         lo = starts
     hi = np.where(right == newline, ends, marks[right])
     values, ok = _read_fields(a, marks, kind, left, right, lo, hi)
+    # a row with too few commas took its left mark from another line
     ok &= upto - before >= column
     keep = np.ones(n, dtype=bool)
     for i in np.flatnonzero(~ok):

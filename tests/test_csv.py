@@ -362,6 +362,15 @@ class TestReaderBlocks:
                                "'1.2.5' to float64 at line 21, column 2."):
                 _csv.read_column(path)
 
+    def test_short_row_after_the_last_comma(self, tmp_path):
+        # the block's last comma is on an earlier line; the field between
+        # it and this line's end would read as 123e45
+        path = tmp_path / "short.csv"
+        path.write_text("index,x\n" + "0,123\n" * 10 + "45\n")
+        with pytest.raises(ValueError, match="^invalid column index 1 at "
+                                             "line 12 with 1 columns$"):
+            _csv.read_column(path)
+
     def test_short_first_row_of_a_block(self, tmp_path):
         # the kernel sees no field ending within a block's first _WIDTH
         # bytes: the bytes after it would fill its window
