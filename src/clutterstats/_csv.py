@@ -299,9 +299,11 @@ def read_column(path) -> np.ndarray:
 
 
 def _blocks(fh):
-    """The file in blocks of whole lines, each ending in LF, CRLF or CR."""
+    """The file in blocks of whole lines, each ending in LF, CRLF or CR.
+    A line longer than a block doubles the next read, so it is copied a
+    bounded number of times."""
     rest = b""
-    while chunk := fh.read(BLOCK_BYTES):
+    while chunk := fh.read(max(BLOCK_BYTES, len(rest))):
         text = rest + chunk
         # a CR that ends the block may be the first half of a CRLF
         cut = 1 + max(text.rfind(b"\n"), text.rfind(b"\r", 0, len(text) - 1))
@@ -337,7 +339,10 @@ def _parse(text: bytes, column: int, line: int) -> tuple[np.ndarray, int]:
     certify, and every row of a block holding any other byte, through
     ``_parse_line``."""
     a = np.frombuffer(text, dtype=np.uint8)
-    if a.size < _WIDTH or a[-1] != 10 or a.max() > 126:
+    # a block past twice the size holds a line longer than a block, whose
+    # marks would take several times its bytes
+    if not _WIDTH <= a.size <= 2 * BLOCK_BYTES or a[-1] != 10 \
+            or a.max() > 126:
         return _parse_lines(text, column, line)
     # every line end, comma, '.' and 'e' or 'E', in order
     flags = (a | 2) == 46
@@ -400,11 +405,12 @@ def _parse_line(row: bytes, column: int, line: int) -> float | None:
     """The value in ``column`` of one line (without its line end), or None
     for a blank line: the field, stripped of Unicode whitespace, must be
     ASCII decimal or exponent notation, or inf, infinity or nan in any
-    case, with an optional sign."""
+    case, with an optional sign.  The line is split no further than the
+    field, so a short row has all its fields."""
     text = row.decode()
     if not text or text.isspace():
         return None
-    fields = text.split(",")
+    fields = text.split(",", column + 1)
     if column >= len(fields):
         raise ValueError(f"invalid column index {column} at line {line} "
                          f"with {len(fields)} columns")
