@@ -47,9 +47,10 @@ before the 'e', more than 19 significant or 8 exponent digits, a power of
 ten outside the table (so every subnormal), a product too near a
 rounding boundary, a field ending in a block's first 24 bytes, and every
 malformed field.  The scalar path strips Unicode whitespace, checks the
-syntax that ``numpy.loadtxt`` accepted (Python's own ``float`` also takes
-``1_000`` and non-ASCII digits), reads the value with ``float`` and raises
-loadtxt's messages with the file line.
+syntax (ASCII decimal or exponent notation, inf, infinity or nan, each
+with an optional sign; Python's own ``float`` also takes ``1_000`` and
+non-ASCII digits), reads the value with ``float`` and raises
+``ValueError`` naming the file line and column.
 
 The power and pattern tables are built on first use, not at import.
 """
@@ -82,7 +83,7 @@ _K_MIN, _K_MAX = -257, 257
 _TIE_MARGIN = 1e-6
 _SPLIT = 134217729.0         # 2^27 + 1, Dekker's splitter
 
-# The reader: a line and its end; the syntax numpy.loadtxt accepted; SWAR
+# The reader: a line and its end; the syntax of a value; SWAR
 # words, little-endian uint64 with eight ASCII bytes, the first in the
 # lowest byte; the reader's relative error bound, with room.
 _LINE = re.compile(rb"([^\r\n]*)(?:\r\n|\r|\n)")
@@ -282,7 +283,10 @@ def read_column(path) -> np.ndarray:
                 column, text, line = _header(text, line)
                 if column is None:
                     continue
-            part, lines = _parse(text, column, line)
+            # a block past twice the size holds a line longer than a block,
+            # whose marks would take several times its bytes
+            parse = _parse_lines if len(text) > 2 * BLOCK_BYTES else _parse
+            part, lines = parse(text, column, line)
             line += lines
             if count + part.size > values.size:
                 # room for the rest of the file at this block's rows per
@@ -339,10 +343,7 @@ def _parse(text: bytes, column: int, line: int) -> tuple[np.ndarray, int]:
     certify, and every row of a block holding any other byte, through
     ``_parse_line``."""
     a = np.frombuffer(text, dtype=np.uint8)
-    # a block past twice the size holds a line longer than a block, whose
-    # marks would take several times its bytes
-    if not _WIDTH <= a.size <= 2 * BLOCK_BYTES or a[-1] != 10 \
-            or a.max() > 126:
+    if a.size < _WIDTH or a[-1] != 10 or a.max() > 126:
         return _parse_lines(text, column, line)
     # every line end, comma, '.' and 'e' or 'E', in order
     flags = (a | 2) == 46
