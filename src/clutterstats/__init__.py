@@ -16,10 +16,10 @@ from .estimation import (
 from .mellin import (
     LogStats, NonConvergenceError, TransformTable,
     central_log_moments, cumulants_to_moments, log_moments_numeric,
-    mellin_numeric, mellin_table, moments_to_cumulants, verify_convolution,
+    mellin_numeric, mellin_table, moments_to_cumulants,
 )
 from .sampling import SampleBatch, SplitMix64, sample, sample_compound
-from .specfun import bessel_k, digamma, ln_gamma, log_bessel_k, polygamma
+from .specfun import digamma, ln_gamma, polygamma
 from .sweep import SweepRow, default_m_grid, texture_sweep
 
 __version__ = "0.1.0"

@@ -57,6 +57,7 @@ The power and pattern tables are built on first use, not at import.
 
 from __future__ import annotations
 
+import codecs
 import functools
 import os
 import re
@@ -271,13 +272,16 @@ def read_column(path) -> np.ndarray:
     """The values of one CSV column: the 'x' column when the first line is
     a header (its second field, or only field, is not a number), otherwise
     the first column.  Blank and whitespace-only lines are skipped.  The
-    file is read as UTF-8, ``BLOCK_BYTES`` at a time.  A bad value or a
-    short row raises ``ValueError`` naming its file line."""
+    file is read as UTF-8, ``BLOCK_BYTES`` at a time; a byte-order mark
+    at its start is dropped.  A bad value or a short row raises
+    ``ValueError`` naming its file line."""
     column, line, count = None, 1, 0
     values = np.empty(0)
     with open(path, "rb") as fh:
         size, done = os.fstat(fh.fileno()).st_size, 0
         for text in _blocks(fh):
+            if not done:   # the start of the file
+                text = text.removeprefix(codecs.BOM_UTF8)
             done += len(text)
             if column is None:
                 column, text, line = _header(text, line)

@@ -11,10 +11,10 @@
 * :func:`adaptive_quad` -- globally adaptive Gauss-Kronrod bisection on a
   finite interval, used by the Mellin oracle (and the tests) only, so the
   oracle shares no integration code with the densities it checks.  Its
-  integrand may be vector-valued (shape (k, m) for m nodes): the k
-  components then share one subdivision and one integrand call per node,
-  and a panel is split while any component misses its own tolerance.
-  :func:`gk15` evaluates a whole batch of panels in one integrand call.
+  integrand is vector-valued, shape (k, m) for m nodes: the k components
+  share one subdivision and one integrand call per node, and a panel is
+  split while any component misses its own tolerance.  :func:`gk15`
+  evaluates a whole batch of panels in one integrand call.
 
 Everything here is deterministic (no randomized rules), so repeated runs
 produce bit-identical results for identical inputs.
@@ -58,9 +58,9 @@ _W_GAUSS[1::2] = [0.129484966168870, 0.279705391489277, 0.381830050505119,
 class NonConvergenceError(RuntimeError):
     """Raised when the subdivision budget runs out before the tolerance.
 
-    Carries the best available estimate and its error bound so callers can
-    degrade gracefully or report diagnostics: floats for a scalar
-    integrand, per-component arrays for a vector-valued one.
+    Carries the best available estimate and its error bound, arrays with
+    one entry per component, so callers can degrade gracefully or report
+    diagnostics.
     """
 
     def __init__(self, message: str, estimate, error_bound):
@@ -85,8 +85,6 @@ def gk15(f, a, b):
     # row sums, not matmul: a panel's value must not depend on the batch
     ik = half * (y * _W_KRONROD).sum(axis=-1)
     ig = half * (y * _W_GAUSS).sum(axis=-1)
-    if ik.ndim == 0:
-        return float(ik), float(abs(ik - ig))
     return ik, np.abs(ik - ig)
 
 
@@ -97,44 +95,40 @@ def adaptive_quad(
     rel_tol: float = 1e-9,
     abs_tol: float = ABS_TOL,
     max_subdivisions: int = 2000,
-    initial_edges=None,
+    initial_edges=(),
 ):
     """Globally adaptive bisection of [a, b] using GK15 panels.
 
-    ``f`` must accept a numpy array of abscissas and return values of
-    the same shape, or of shape (k, m) for a k-component integrand: every
-    component then shares one subdivision and each node costs one call
-    of ``f`` for all of them (the ``fdim`` integrands of S. G. Johnson's
-    ``cubature``).  The panel split next is the one whose error is largest
-    against a component's tolerance ``max(abs_tol, rel_tol |value_k|)``,
-    and the loop ends when every component meets its own, so no
-    component's tolerance is loosened by sharing.  ``initial_edges``, when
-    given, is a sorted sequence of interior break points seeding the first
-    panels (useful when the caller knows where the integrand mass sits);
-    they are evaluated in one call of ``f``, and each split in one more.
+    ``f`` must map a numpy array of m abscissas to values of shape (k, m)
+    for a k-component integrand: every component shares one subdivision
+    and each node costs one call of ``f`` for all of them (the ``fdim``
+    integrands of S. G. Johnson's ``cubature``).  The panel split next is
+    the one whose error is largest against a component's tolerance
+    ``max(abs_tol, rel_tol |value_k|)``, and the loop ends when every
+    component meets its own, so no component's tolerance is loosened by
+    sharing.  ``initial_edges`` are interior break points seeding the
+    first panels (useful when the caller knows where the integrand mass
+    sits); they are evaluated in one call of ``f``, and each split in one
+    more.
 
-    Returns ``(value, error_bound)``: floats for a scalar integrand,
-    arrays of shape (k,) for a vector one.  Raises
+    Returns ``(value, error_bound)``, arrays of shape (k,).  Raises
     :class:`NonConvergenceError` if the subdivision budget (a cap on the
     number of panels) is exhausted first.
     """
     if not (b > a):
         raise ValueError(f"invalid interval [{a}, {b}]")
-    edges = [a, b]
-    if initial_edges is not None:
-        edges = sorted({a, b, *(float(e) for e in initial_edges if a < e < b)})
-    edges = np.array(edges, dtype=float)
+    edges = np.array(sorted({a, b, *(float(e) for e in initial_edges
+                                     if a < e < b)}), dtype=float)
 
     val, err = gk15(f, edges[:-1], edges[1:])
-    scalar = val.ndim == 1
     # panels in insertion order, one row each; a split panel's row takes
     # its left half and the right half is appended
-    n = edges.size - 1
-    size, k = max(n, max_subdivisions) + 1, 1 if scalar else val.shape[0]
+    k, n = val.shape
+    size = max(n, max_subdivisions) + 1
     lo, hi = np.empty(size), np.empty(size)
     vals, errs = np.empty((size, k)), np.empty((size, k))
     lo[:n], hi[:n] = edges[:-1], edges[1:]
-    vals[:n], errs[:n] = val.reshape(-1, n).T, err.reshape(-1, n).T
+    vals[:n], errs[:n] = val.T, err.T
 
     while True:
         total, total_err = vals[:n].sum(axis=0), errs[:n].sum(axis=0)
@@ -142,14 +136,12 @@ def adaptive_quad(
         if not np.any(total_err > tol):
             break
         if n >= max_subdivisions:
-            estimate, bound = ((float(total[0]), float(total_err[0]))
-                               if scalar else (total, total_err))
             raise NonConvergenceError(
                 f"adaptive quadrature hit the subdivision limit "
-                f"({max_subdivisions}); estimate {estimate!r} with error "
-                f"bound {bound!r}",
-                estimate=estimate,
-                error_bound=bound,
+                f"({max_subdivisions}); estimate {total!r} with error "
+                f"bound {total_err!r}",
+                estimate=total,
+                error_bound=total_err,
             )
         with np.errstate(divide="ignore", invalid="ignore"):
             score = np.nan_to_num(errs[:n] / tol)   # 0/0 where tol is 0
@@ -160,13 +152,11 @@ def adaptive_quad(
             errs[i] = 0.0
             continue
         val, err = gk15(f, np.array([lo[i], mid]), np.array([mid, hi[i]]))
-        val, err = val.reshape(-1, 2).T, err.reshape(-1, 2).T
+        val, err = val.T, err.T
         lo[n], hi[n], vals[n], errs[n] = mid, hi[i], val[1], err[1]
         hi[i], vals[i], errs[i] = mid, val[0], err[0]
         n += 1
 
-    if scalar:
-        return float(total[0]), float(total_err[0])
     return total, total_err
 
 

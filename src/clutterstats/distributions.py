@@ -179,14 +179,18 @@ def family_tag(spec: DistributionSpec) -> str:
     raise TypeError(f"not a distribution spec: {spec!r}")
 
 
-def make_spec(tag: str, params: dict[str, float]) -> DistributionSpec:
-    """Build a spec from a CLI family tag and a parameter dict."""
+def _family_class(tag: str) -> type:
     try:
-        cls = FAMILY_TAGS[tag]
+        return FAMILY_TAGS[tag]
     except KeyError:
         raise ValueError(
             f"unknown family {tag!r}; expected one of {sorted(FAMILY_TAGS)}"
         ) from None
+
+
+def make_spec(tag: str, params: dict[str, float]) -> DistributionSpec:
+    """Build a spec from a CLI family tag and a parameter dict."""
+    cls = _family_class(tag)
     names = [f.name for f in fields(cls)]
     unknown = sorted(set(params) - set(names))
     if unknown:

@@ -195,14 +195,6 @@ def invert_polygamma(order: int, target: float) -> float:
     return _invert_polygamma(order, target)[0]
 
 
-def _family_class(family: str) -> type:
-    try:
-        return dist.FAMILY_TAGS[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}; expected one of "
-                         f"{sorted(dist.FAMILY_TAGS)}") from None
-
-
 def _entries(form) -> list[float]:
     """[scale, a_0, c_0, a_1, c_1, ...]: a_i at 2i + 1, c_i at 2i + 2."""
     return [form.scale, *(v for term in form.terms for v in term)]
@@ -238,7 +230,7 @@ def _layout(cls: type, held: dict[str, float]) -> _Layout:
 def scale_fields(family: str) -> tuple[str, ...]:
     """The fields of a catalog family that enter only the scale of its
     canonical form (gamma mu, weibull z, maxwell sigma)."""
-    layout = _layout(_family_class(family), {})
+    layout = _layout(dist._family_class(family), {})
     return tuple(n for n, column in zip(layout.free, layout.powers.T)
                  if not column[1:].any())
 
@@ -373,7 +365,7 @@ def fit_molc(family: str, stats: LogStats,
     polygamma inversion does not converge.
     """
     held = {} if c_known is None else {"c": c_known}
-    layout = _layout(_family_class(family), held)
+    layout = _layout(dist._family_class(family), held)
     shapes, d = layout.shapes, len(layout.shapes)
     if stats.order < d + 1:
         raise ValueError(

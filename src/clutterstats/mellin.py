@@ -1,8 +1,9 @@
 """Independent numerical ground truth for the analytic catalog.
 
 Quadrature-based Mellin transforms and log-moments for arbitrary densities
-on (0, inf), the moment/cumulant algebra, and the convolution product
-verifier for compound families.
+on (0, inf), and the moment/cumulant algebra.  The engine takes a density
+as a plain function and knows no family of the catalog; ``verify`` holds
+the checks that compare it with the closed forms.
 
 The algebra holds at every order up to ``specfun.MAX_ORDER`` through one
 partition sum: moments from cumulants are complete Bell polynomials, and
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import distributions as dist
 from ._quad import ABS_TOL, NonConvergenceError, adaptive_quad
 from .specfun import MAX_ORDER, check_order
 
@@ -46,7 +46,6 @@ __all__ = [
     "LogStats", "NonConvergenceError", "TransformTable",
     "mellin_table", "mellin_numeric", "log_moments_numeric",
     "moments_to_cumulants", "cumulants_to_moments", "central_log_moments",
-    "verify_convolution",
 ]
 
 _WINDOW = 40.0   # the scan starts on [-40, 40] and widens by 40 a side
@@ -339,28 +338,3 @@ def log_moments_numeric(density, n_max: int) -> LogStats:
     moments, _ = _integrate(
         _log_domain_integrand(density, [1.0] * n_max, orders))
     return LogStats.from_moments(moments)
-
-
-def verify_convolution(compound, s_grid,
-                       table: TransformTable | None = None) -> float:
-    """Max relative gap between the numeric transform of a compound density
-    and the product of its factor transforms, over a grid of s values.
-
-    The numeric side is read from ``table`` (which must hold every s of
-    the grid) or, when it is None, from one :func:`mellin_table` pass."""
-    comps = dist.components(compound)
-    if comps is None:
-        raise ValueError(
-            f"{dist.family_tag(compound)} is a simple family: no "
-            "speckle/texture factorization to verify"
-        )
-    speckle, texture = comps
-    if table is None:
-        table = mellin_table(lambda x: dist.pdf(compound, x), s_grid)
-    worst = 0.0
-    for s in s_grid:
-        numeric, _ = table.at(s)
-        analytic = (dist.chf2_analytic(speckle, s)
-                    * dist.chf2_analytic(texture, s))
-        worst = max(worst, abs(numeric - analytic) / abs(analytic))
-    return worst

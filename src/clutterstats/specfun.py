@@ -17,7 +17,7 @@ downstream:
   the latent integral of two unit gammas at q = 1
   (``_quad.log_latent_integral``, the kernel of the compound densities),
   good to a few 1e-13 in log for x from the smallest subnormal to the
-  largest double.  ``log_bessel_k`` and ``bessel_k`` are its scalar forms.
+  largest double.  It is the only K form; a float x gives a 0-d array.
 
 All functions are pure and reentrant.
 """
@@ -29,10 +29,10 @@ import math
 import numpy as np
 
 from ._quad import adaptive_quad  # noqa: F401  bound for bench/tracing.py
-from ._quad import LOG_DBL_MAX, log_latent_integral
+from ._quad import log_latent_integral
 
 __all__ = ["MAX_ORDER", "check_order", "ln_gamma", "digamma", "polygamma",
-           "bessel_k", "log_bessel_k", "log_bessel_k_batch"]
+           "log_bessel_k_batch"]
 
 MAX_ORDER = 6
 
@@ -180,29 +180,3 @@ def log_bessel_k_batch(nu: float, x) -> np.ndarray:
     out = (log_latent_integral(1.0, 1.0, 1.0 + nu, 1.0, big_t)
            - (1.0 + 0.5 * nu) * big_t - math.log(2.0))
     return out.reshape(x.shape)
-
-
-def log_bessel_k(nu: float, x: float) -> float:
-    """log of the modified Bessel function of the second kind, K_nu(x).
-
-    Safe where K itself would overflow or underflow double precision.
-    """
-    x = _require_positive_finite("log_bessel_k", x)
-    return float(log_bessel_k_batch(nu, x))
-
-
-def bessel_k(nu: float, x: float) -> float:
-    """Modified Bessel function of the second kind, K_nu(x) = K_{-nu}(x).
-
-    Raises OverflowError when the value exceeds the double range (small x
-    combined with large |nu|).
-    """
-    log_value = log_bessel_k(nu, x)
-    if log_value > LOG_DBL_MAX:
-        raise OverflowError(
-            f"bessel_k({nu}, {x}) exceeds the double range "
-            f"(log value {log_value:.6g})"
-        )
-    return math.exp(log_value)
-
-

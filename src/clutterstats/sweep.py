@@ -115,6 +115,8 @@ def _panel(rows, order: int, offset_x: int) -> list[str]:
     ana = [r.logcumulant_texture_analytic for r in pts]
     moments = [r.logmoment_data for r in pts]
     lo_x, hi_x = min(xs), max(xs)
+    if hi_x == lo_x:
+        hi_x = lo_x + 1.0
     ys = est + ana + moments
     lo_y, hi_y = min(ys), max(ys)
     if hi_y == lo_y:

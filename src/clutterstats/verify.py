@@ -191,6 +191,19 @@ def transform_agreement_checks(families=None,
     return out
 
 
+def _convolution_error(spec, table) -> float:
+    """Max relative gap over ``CONVOLUTION_S`` between ``table`` and the
+    product of the speckle and texture transforms of compound ``spec``."""
+    speckle, texture = dist.components(spec)
+    worst = 0.0
+    for s in CONVOLUTION_S:
+        numeric, _ = table.at(s)
+        analytic = (dist.chf2_analytic(speckle, s)
+                    * dist.chf2_analytic(texture, s))
+        worst = max(worst, abs(numeric - analytic) / abs(analytic))
+    return worst
+
+
 def convolution_checks(families=None, tables=None) -> list[CheckOutcome]:
     """Compound transform equals the product of its factor transforms."""
     compound = [f for f in _selected(families)
@@ -198,8 +211,8 @@ def convolution_checks(families=None, tables=None) -> list[CheckOutcome]:
     tables = tables or transform_tables(compound)
     return [_quadrature_outcome(
         "convolution-product", family, CONVOLUTION_GATE,
-        [(mellin.verify_convolution(spec, CONVOLUTION_S, table=tables[spec]),
-          _spec_label(spec), spec, CONVOLUTION_S)
+        [(_convolution_error(spec, tables[spec]), _spec_label(spec), spec,
+          CONVOLUTION_S)
          for spec in PARAM_GRID[family]], tables)
         for family in compound]
 

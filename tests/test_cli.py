@@ -1,6 +1,8 @@
 import inspect
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -274,6 +276,17 @@ class TestSimulate:
         assert float(first[4]) == pytest.approx(polygamma(1, 0.5), rel=1e-12)
         svg = plot.read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    @pytest.mark.parametrize("m_grid", [[2.0], [2.0, 2.0]])
+    def test_plot_of_a_single_m_value(self, m_grid, tmp_path):
+        # one M on the x axis: no span to divide by
+        plot = tmp_path / "one.svg"
+        sweep.render_sweep_svg(sweep.texture_sweep(m_grid=m_grid, n=10**4),
+                               plot)
+        attrs = re.findall(r' (?:c?[xy]|[xy][12]|points)="([^"]*)"',
+                           plot.read_text())
+        coords = [float(v) for s in attrs for v in re.split("[ ,]", s)]
+        assert coords and all(map(math.isfinite, coords))
 
     def test_byte_stable_output(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -378,6 +378,20 @@ class TestReaderBlocks:
         path.write_text("x\n1\n" + "2" * 30 + "\n")
         assert _csv.read_column(path).tolist() == [1.0, float("2" * 30)]
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 4096])
+    def test_byte_order_mark_is_dropped(self, block, tmp_path, monkeypatch):
+        # a BOM before a number once made the first row read as a header
+        monkeypatch.setattr(_csv, "BLOCK_BYTES", block)
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n3.5\n")
+        assert _csv.read_column(path).tolist() == [1.5, 2.5, 3.5]
+        path.write_bytes(b"\xef\xbb\xbfindex,x\n0,1.5\n1,2.5\n")
+        assert _csv.read_column(path).tolist() == [1.5, 2.5]
+        # file lines keep their numbers
+        path.write_bytes(b"\xef\xbb\xbfx\n1.0\nabc\n")
+        with pytest.raises(ValueError, match="'abc' to float64 at line 3,"):
+            _csv.read_column(path)
+
     @pytest.mark.parametrize("block", [1, 3, 4096])
     def test_header_only_and_blank_only(self, block, tmp_path, monkeypatch):
         monkeypatch.setattr(_csv, "BLOCK_BYTES", block)

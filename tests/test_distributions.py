@@ -124,9 +124,10 @@ class TestPdf:
                 return (2.0 * r / z) * np.exp(-r * r / z) \
                     * b**alpha * z**alpha * np.exp(-b * z) / math.gamma(alpha)
             # z-integral of the conditional Rayleigh against the gamma texture
-            oracle, _ = adaptive_quad(integrand, -40.0, 40.0, rel_tol=1e-10,
-                                      abs_tol=1e-306, max_subdivisions=1000,
-                                      initial_edges=np.linspace(-39, 39, 79))
+            (oracle,), _ = adaptive_quad(
+                lambda u: integrand(u)[None, :], -40.0, 40.0, rel_tol=1e-10,
+                abs_tol=1e-306, max_subdivisions=1000,
+                initial_edges=np.linspace(-39, 39, 79))
             assert dist.pdf(KAmplitude(alpha, b), r) == pytest.approx(
                 oracle, rel=1e-8)
 
@@ -139,9 +140,10 @@ class TestPdf:
                 return (2.0 * c * b**alpha / math.gamma(alpha) * r**(c - 1)
                         * z**(2 * alpha - c) * np.exp(-(r / z)**c - b * z * z)
                         / z) * z    # measure dz = z du
-            oracle, _ = adaptive_quad(integrand, -40.0, 40.0, rel_tol=1e-10,
-                                      abs_tol=1e-306, max_subdivisions=1000,
-                                      initial_edges=np.linspace(-39, 39, 79))
+            (oracle,), _ = adaptive_quad(
+                lambda u: integrand(u)[None, :], -40.0, 40.0, rel_tol=1e-10,
+                abs_tol=1e-306, max_subdivisions=1000,
+                initial_edges=np.linspace(-39, 39, 79))
             assert dist.pdf(spec, r) == pytest.approx(oracle, rel=1e-7)
 
     def test_wn_pdf_golden_table(self):

@@ -10,8 +10,8 @@ from clutterstats._quad import adaptive_quad
 from clutterstats.mellin import (LogStats, NonConvergenceError,
                                  central_log_moments,
                                  cumulants_to_moments, log_moments_numeric,
-                                 mellin_numeric, moments_to_cumulants,
-                                 verify_convolution)
+                                 mellin_numeric, mellin_table,
+                                 moments_to_cumulants)
 from clutterstats.specfun import MAX_ORDER, digamma, polygamma
 
 
@@ -307,17 +307,27 @@ class TestLogStats:
             LogStats.from_moments([1.0, math.nan])
 
 
+def convolution_error(spec) -> float:
+    """The verify comparison on a table of its own, one engine pass."""
+    table = mellin_table(lambda x: dist.pdf(spec, x), verify.CONVOLUTION_S)
+    return verify._convolution_error(spec, table)
+
+
 class TestVerifyConvolution:
     def test_ggamma(self):
-        err = verify_convolution(dist.GammaGamma(4.0, 2.0, 1.0),
-                                 (1.5, 2.0, 2.5))
-        assert err <= 1e-5
+        assert convolution_error(dist.GammaGamma(4.0, 2.0, 1.0)) <= 1e-5
 
     def test_k_amplitude(self):
-        err = verify_convolution(dist.KAmplitude(2.0, 1.0), (1.5, 2.0, 2.5))
-        assert err <= 1e-5
+        assert convolution_error(dist.KAmplitude(2.0, 1.0)) <= 1e-5
 
-    def test_simple_family_rejected(self):
-        with pytest.raises(ValueError, match="simple family"):
-            verify_convolution(dist.GammaPower(4.0, 1.0), (1.5,))
-
+    def test_checks_read_the_recorded_errors(self):
+        # the floats verify prints as 4.774e-15, 4.942e-15, 8.533e-14 and
+        # 6.023e-15; any change to the comparison's order of operations
+        # moves their last bits
+        got = {o.target: o.max_error for o in verify.convolution_checks()}
+        assert got == {
+            "ggamma": float.fromhex("0x1.5800000000000p-48"),
+            "k": float.fromhex("0x1.641460c2bc0f5p-48"),
+            "wnak": float.fromhex("0x1.804d1a4ae4301p-44"),
+            "fisher": float.fromhex("0x1.b200000000000p-48"),
+        }
