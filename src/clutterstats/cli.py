@@ -83,8 +83,8 @@ def _parse_m_grid(text: str) -> list[float]:
         count = int(parts[2])
     except ValueError:
         raise UsageError(f"bad --M-grid {text!r}") from None
-    if not (0.0 < start < stop) or count < 2:
-        raise UsageError("--M-grid needs 0 < start < stop and count >= 2")
+    if not (0.0 < start < stop < math.inf) or count < 2:
+        raise UsageError("--M-grid needs 0 < start < stop < inf, count >= 2")
     if log_spaced:
         return default_m_grid(start, stop, count)
     step = (stop - start) / (count - 1)

@@ -315,13 +315,8 @@ def _log_gamma_ratio(a: float, d: float) -> tuple[float, float]:
                + specfun._stirling_series(b) - specfun._stirling_series(a))
 
 
-def chf2_analytic(spec: DistributionSpec, s: float) -> float:
-    """Second-kind characteristic function Phi(s) = E[X^(s-1)].
-
-    Phi(1) = 1 exactly by construction.  Raises StripError outside the
-    family's strip of analyticity, and OverflowError where Phi(s) exceeds
-    the double range; values below it underflow towards 0.
-    """
+def _chf2_parts(spec: DistributionSpec, s: float) -> tuple[float, int]:
+    """Phi(s) as (m, e) with value m * 2**e, past the double range."""
     _check_strip(spec, s)
     form = _mellin_form(spec)
     delta = float(s) - 1.0
@@ -330,6 +325,17 @@ def chf2_analytic(spec: DistributionSpec, s: float) -> float:
         m_ratio, e_ratio = _gamma_ratio(a, c * delta)
         m, k = math.frexp(m * m_ratio)
         e += e_ratio + k
+    return m, e
+
+
+def chf2_analytic(spec: DistributionSpec, s: float) -> float:
+    """Second-kind characteristic function Phi(s) = E[X^(s-1)].
+
+    Phi(1) = 1 exactly by construction.  Raises StripError outside the
+    family's strip of analyticity, and OverflowError where Phi(s) exceeds
+    the double range; values below it underflow towards 0.
+    """
+    m, e = _chf2_parts(spec, s)
     try:
         return math.ldexp(m, e)
     except OverflowError:
@@ -339,15 +345,9 @@ def chf2_analytic(spec: DistributionSpec, s: float) -> float:
 
 
 def log_chf2_analytic(spec: DistributionSpec, s: float) -> float:
-    """log Phi(s), formed from log-gamma sums so large shapes stay finite."""
-    _check_strip(spec, s)
-    form = _mellin_form(spec)
-    delta = float(s) - 1.0
-    total = delta * math.log(form.scale)
-    for a, c in form.terms:
-        power, rest = _log_gamma_ratio(a, c * delta)
-        total += power * math.log(a) + rest
-    return total
+    """log Phi(s), also where Phi(s) leaves the double range."""
+    m, e = _chf2_parts(spec, s)
+    return math.log(m) + e * math.log(2.0)
 
 
 def classical_moment(spec: DistributionSpec, n: int) -> float:

@@ -9,6 +9,8 @@ the family's fields, so probing the form with each field at 1 and at 2
 shows which field owns which entry.  The d shape entries some field owns
 (0, 1 or 2) match k_2..k_(d+1) through k_n = sum_i c_i^n psi^(n-1)(a_i),
 k_1 fixes the scale, and one linear solve in logs gives the fields.
+One bracketed root finder, with no derivative, inverts polygamma (in
+log x, inside a bracket in closed form) and refines the two-shape roots.
 The one solver setting is fixed, not an option: relative tolerance 1e-10
 for the polygamma inversions and for the residual of a converged fit.
 """
@@ -87,10 +89,10 @@ class EmpiricalLogStats(LogStats):
 
 @dataclass(frozen=True)
 class FitResult:
-    """A fitted law.  ``iterations`` counts the Newton steps of the polygamma
-    inversion for one free shape and the k_2-curve points evaluated for
-    two; ``alternatives`` are the other distinct laws that match the same
-    log-cumulants, in rank order."""
+    """A fitted law.  ``iterations`` counts the root finder's evaluations
+    in the polygamma inversion for one free shape and the k_2-curve points
+    evaluated for two; ``alternatives`` are the other distinct laws that
+    match the same log-cumulants, in rank order."""
     spec: dist.DistributionSpec
     iterations: int
     residual: float
@@ -139,55 +141,60 @@ def empirical_log_stats(batch, n_max: int = 4) -> EmpiricalLogStats:
     return EmpiricalLogStats(moments, cumulants, errors, x.size)
 
 
+_LOG_DOUBLES = (math.log(math.ulp(0.0)), math.log(np.finfo(float).max))
+
+
+def _root(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float,
+          width: float) -> tuple[float, int]:
+    """A root of f in [lo, hi], where f(lo) = f_lo and f(hi) = f_hi differ
+    in sign, and the evaluations it took: regula falsi that halves the
+    value at an end kept twice in a row (Illinois; Dowell & Jarratt, BIT
+    11, 1971) and bisects where the secant leaves the bracket.  It stops at
+    |f| <= tol, an end where f is 0, or ends ``width`` * max|end| apart."""
+    a, f_a, b, f_b = (hi, f_hi, lo, f_lo) if abs(f_lo) < abs(f_hi) \
+        else (lo, f_lo, hi, f_hi)
+    for steps in range(101):
+        if abs(f_b) <= tol or abs(b - a) <= width * max(abs(a), abs(b)):
+            return b, steps
+        c = b - f_b * (b - a) / (f_b - f_a)
+        c = c if (c - a) * (c - b) < 0.0 else 0.5 * (a + b)
+        f_c = f(c)
+        a, f_a = (b, f_b) if f_c * f_b < 0.0 else (a, 0.5 * f_a)
+        b, f_b = c, f_c
+    raise SolverNonConvergenceError("no root in 100 steps", b, abs(f_b))
+
+
 def _invert_polygamma(order: int, target: float) -> tuple[float, int]:
     if not isinstance(order, (int, np.integer)) or isinstance(order, bool) \
             or order < 1:
         raise ValueError(f"order must be an integer >= 1, got {order!r}")
-    m = int(order)
-    target = float(target)
+    m, target = int(order), float(target)
     sign = 1.0 if m % 2 == 1 else -1.0
     y = sign * target
-    if not (y > 0.0) or not math.isfinite(y):
-        lo, hi = ("0", "+inf") if sign > 0 else ("-inf", "0")
-        raise OutOfRangeError(
-            f"polygamma order {m} maps (0, inf) onto ({lo}, {hi}) "
-            f"exclusively; target {target!r} is outside"
-        )
+    if not 0.0 < y < math.inf:
+        raise OutOfRangeError(f"polygamma order {m} is finite, of sign "
+                              f"{sign:+.0f}; target {target!r} is not")
 
-    # brackets from both asymptotic regimes: |psi^(m)(x)| ~ (m-1)!/x^m for
-    # large x and ~ m!/x^(m+1) for small x, in logs (m! overflows past 170)
+    # |psi^(m)(x)| = m! sum_k (x + k)^-(m+1) is between max(A, B) and A + B
+    # for A = (m-1)!/x^m its integral and B = m!/x^(m+1) its first term, so
+    # the root is in [r, 2r], r the larger root of A = y and B = y.  In
+    # u = log x (m! overflows past 170), widened 2x for rounding, clamped:
     log_y = math.log(y)
-    guess_hi = math.exp((math.lgamma(m) - log_y) / m)
-    guess_lo = math.exp((math.lgamma(m + 1) - log_y) / (m + 1))
-    lo = 0.5 * min(guess_lo, guess_hi)
-    hi = 2.0 * max(guess_lo, guess_hi)
-    f = lambda x: sign * polygamma(m, x) - y   # decreasing in x
-    while f(lo) <= 0.0:
-        lo *= 0.25
-    while f(hi) >= 0.0:
-        hi *= 4.0
+    log_r = max((math.lgamma(m) - log_y) / m,
+                (math.lgamma(m + 1) - log_y) / (m + 1))
+    lo, hi = (min(max(u, _LOG_DOUBLES[0]), _LOG_DOUBLES[1])
+              for u in (log_r - math.log(2.0), log_r + math.log(4.0)))
 
-    # residual gate relative to the target keeps the recovered x accurate
-    # even in the flat large-x tail; the bracket-collapse exit guarantees
-    # termination at the floating-point resolution of x
-    tol = _REL_TOL * 0.01 * y
-    x = math.sqrt(lo * hi)
-    for iteration in range(1, 200):
-        r = sign * polygamma(m, x) - y
-        if abs(r) <= tol or (hi - lo) <= 1e-13 * lo:
-            return x, iteration
-        if r > 0.0:
-            lo = x
-        else:
-            hi = x
-        step = r / (sign * polygamma(m + 1, x))   # Newton on the monotone branch
-        x_new = x - step
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        x = x_new
-    raise SolverNonConvergenceError(
-        f"invert_polygamma({m}, {target}) did not converge", x,
-        abs(sign * polygamma(m, x) - y))
+    def gap(u: float) -> float:        # nearly linear, slope about -m
+        v = sign * polygamma(m, math.exp(u))
+        return math.log(v) - log_y if v > 0.0 else -math.inf
+
+    f_lo, f_hi = gap(lo), gap(hi)
+    if not f_lo >= 0.0 >= f_hi:
+        raise OutOfRangeError(f"polygamma order {m} takes {target!r} only "
+                              "at an x outside the double range")
+    u, steps = _root(gap, lo, hi, f_lo, f_hi, _REL_TOL * 0.01, 1e-15)
+    return math.exp(u), steps
 
 
 def invert_polygamma(order: int, target: float) -> float:
@@ -246,8 +253,8 @@ def _k(e: list[float], n: int) -> float:
 
 
 def _solve_entry(e: list[float], j: int, target: float) -> tuple[float, int]:
-    """Entry j such that its term gives target > 0 of k_2, and the Newton
-    steps that took: a polygamma inversion for an a, closed form for a c."""
+    """Entry j whose term gives target > 0 of k_2, and the root finder's
+    evaluations: a polygamma inversion for an a, closed form for a c."""
     i = j - (j - 1) % 2
     if j == i:
         return _invert_polygamma(1, target / e[i + 1] ** 2)
@@ -271,11 +278,11 @@ def _scan_roots(e: list[float], shapes: list[int], excess: float, k,
 
     The first free entry takes a share of ``excess`` that grows with tau in
     (0, 1): an a is ``lim / tau``, a c is ``lim * tau``, where ``lim`` takes
-    all of it; the second entry takes the rest.  Each sign change of the
-    k_3 gap over a grid of tau is bisected.  Where |gap| dips between grid
-    points without a sign change, golden section finds the dip's extremum:
-    a sign change there brackets a close pair of roots, and |gap| <= tol
-    there is a tangent root (ggamma at L = M).
+    all of it; the second entry takes the rest.  ``_root`` refines each
+    sign change of the k_3 gap over a grid of tau.  Where |gap| dips
+    between grid points without a sign change, golden section finds the
+    dip's extremum: a sign change there brackets a close pair of roots,
+    and |gap| <= tol there is a tangent root (ggamma at L = M).
     """
     j1, j2 = shapes
     power = 1 if j1 % 2 == 0 else -1
@@ -293,16 +300,6 @@ def _scan_roots(e: list[float], shapes: list[int], excess: float, k,
         p[j2] = _solve_entry(p, j2, rest)[0]
         return p, _k(p, 3) - k[2]
 
-    def bisect(lo: float, hi: float) -> float:
-        g_lo = point(lo)[1]
-        while hi - lo > 1e-15 * hi:
-            g_mid = point(0.5 * (lo + hi))[1]
-            if g_lo * g_mid <= 0.0:
-                hi = 0.5 * (lo + hi)
-            else:
-                lo, g_lo = 0.5 * (lo + hi), g_mid
-        return 0.5 * (lo + hi)
-
     def extremum(lo: float, hi: float, sign: float) -> float:
         while hi - lo > 1e-12 * hi:    # golden section on sign * gap
             x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
@@ -314,7 +311,7 @@ def _scan_roots(e: list[float], shapes: list[int], excess: float, k,
 
     gaps = np.array([point(tau)[1] for tau in _SCAN])
     signs, size = np.sign(gaps), np.abs(gaps)
-    brackets = [(_SCAN[i], _SCAN[i + 1])
+    brackets = [(_SCAN[i], _SCAN[i + 1], gaps[i], gaps[i + 1])
                 for i in np.flatnonzero(signs[:-1] * signs[1:] <= 0.0)]
     taus = []
     for i in 1 + np.flatnonzero((size[1:-1] < size[:-2])
@@ -325,10 +322,12 @@ def _scan_roots(e: list[float], shapes: list[int], excess: float, k,
         tau = extremum(lo, hi, -signs[i])
         gap = point(tau)[1]
         if gap * signs[i] < 0.0:
-            brackets += [(lo, tau), (tau, hi)]
+            brackets += [(lo, tau, gaps[i - 1], gap),
+                         (tau, hi, gap, gaps[i + 1])]
         elif abs(gap) <= tol:
             taus.append(tau)
-    taus += [bisect(float(lo), float(hi)) for lo, hi in brackets]
+    taus += [_root(lambda tau: point(tau)[1], *map(float, bracket), 0.0,
+                   1e-15)[0] for bracket in brackets]
 
     # the first free term's largest share first: the smallest speckle
     # shape, and L <= M for mirrored ggamma roots

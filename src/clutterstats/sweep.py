@@ -55,8 +55,8 @@ def default_m_grid(start: float = DEFAULT_M_GRID[0],
                    stop: float = DEFAULT_M_GRID[1],
                    count: int = DEFAULT_M_GRID[2]) -> list[float]:
     """Log-spaced texture-shape grid."""
-    if not (0.0 < start < stop) or count < 2:
-        raise ValueError("need 0 < start < stop and count >= 2")
+    if not (0.0 < start < stop < math.inf) or count < 2:
+        raise ValueError("need 0 < start < stop < inf and count >= 2")
     step = (math.log(stop) - math.log(start)) / (count - 1)
     return [math.exp(math.log(start) + i * step) for i in range(count)]
 

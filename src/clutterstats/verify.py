@@ -252,10 +252,10 @@ def monte_carlo_checks(families=None, seed: int = DEFAULT_MC_SEED,
     """Empirical log-cumulants of 10^6 draws within 4 standard errors of
     the analytic values.  For the K and Weibull-Nakagami forms it confirms
     that the log-cumulants carry the speckle term as well as the texture one."""
-    wanted = None if families is None else set(families)
+    wanted = set(_selected(families))
     out = []
     for index, (family, spec) in enumerate(MC_SPECS):
-        if wanted is not None and family not in wanted:
+        if family not in wanted:
             continue
         batch = sample(spec, n, seed + index)
         stats = empirical_log_stats(batch, 4)

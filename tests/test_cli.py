@@ -323,6 +323,18 @@ class TestSimulate:
                          str(tmp_path / "s.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("m_grid", ["1:inf:3", "0.5:inf:3:log"])
+    def test_infinite_grid_bound_exit_2(self, capsys, tmp_path, m_grid):
+        code, _, err = run(capsys, "simulate", "--M-grid", m_grid,
+                           "--samples", "20000", "--out",
+                           str(tmp_path / "s.csv"))
+        assert code == 2
+        assert "--M-grid" in err and "nan" not in err
+
+    def test_default_m_grid_rejects_an_infinite_bound(self):
+        with pytest.raises(ValueError, match="< inf"):
+            sweep.default_m_grid(1.0, math.inf, 3)
+
 
 class TestVerifyCommand:
     def test_family_filter_passes(self, capsys):
@@ -363,6 +375,14 @@ class TestVerifyCommand:
                            "--tolerance", "1e-15", "--json")
         assert code == 1
         assert not all(o["passed"] for o in json.loads(out))
+
+    def test_monte_carlo_family_filter_rejects_unknown_names(self):
+        for families in (["bogus", "gamma"], ["bogus"]):
+            with pytest.raises(ValueError,
+                               match=r"unknown families \['bogus'\]"):
+                verify.monte_carlo_checks(families)
+        # wnak is a known family with no Monte-Carlo spec
+        assert verify.monte_carlo_checks(["wnak"]) == []
 
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "--families", "gamma",

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import astuple
 
 import numpy as np
@@ -10,8 +11,9 @@ from clutterstats import distributions as dist
 from clutterstats.estimation import (EmpiricalLogStats,
                                      NonFiniteSamplesError, NoSolutionError,
                                      OutOfRangeError,
+                                     SolverNonConvergenceError,
                                      TooFewSamplesError, ZeroSamplesError,
-                                     _entries, _layout,
+                                     _entries, _layout, _root,
                                      empirical_log_stats, fit_molc,
                                      invert_polygamma, scale_fields,
                                      texture_log_cumulants)
@@ -119,6 +121,70 @@ class TestInvertPolygamma:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             invert_polygamma(0, 1.0)
+
+    @pytest.mark.parametrize("m, target, root", [
+        (1, 1e-300, 1e300),            # a root near the largest double
+        (1, 1e308, 1e-154),            # a target near the largest double
+        (4, -1e-320, 1.5650789e80),    # a subnormal target
+    ])
+    def test_roots_near_the_ends_of_the_doubles(self, m, target, root):
+        x = invert_polygamma(m, target)
+        assert x == pytest.approx(root, rel=1e-7)
+        assert abs(polygamma(m, x) - target) <= 1e-12 * abs(target)
+
+    def test_root_past_the_largest_double_is_out_of_range(self):
+        # psi'(x) ~ 1/x, so the root of psi'(x) = 1e-310 is about 1e310
+        with pytest.raises(OutOfRangeError, match="outside the double range"):
+            invert_polygamma(1, 1e-310)
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(m=st.sampled_from([1, 2, 3, 4, 5, 6, 171, 400]),
+           log10_x=st.floats(-300.0, 300.0))
+    def test_round_trip_over_the_doubles(self, m, log10_x):
+        x = 10.0 ** log10_x
+        target = polygamma(m, x)
+        if target == 0.0 or math.isinf(target):
+            with pytest.raises(OutOfRangeError):
+                invert_polygamma(m, target)
+            return
+        back = invert_polygamma(m, target)
+        if abs(target) >= sys.float_info.min:
+            assert back == pytest.approx(x, rel=1e-9)
+        else:                          # a subnormal target has few digits
+            assert abs(polygamma(m, back) - target) <= 1e-10 * abs(target)
+
+
+class TestRoot:
+    """The one bracketed root finder of the polygamma inversion and of the
+    two-shape scan."""
+
+    def never(self, x):
+        raise AssertionError(f"evaluated at {x}")
+
+    def test_an_end_at_zero_is_the_root(self):
+        assert _root(self.never, 0.5, 2.0, 0.0, -1.0, 0.0, 1e-15) == (0.5, 0)
+        assert _root(self.never, 0.5, 2.0, 3.0, 0.0, 0.0, 1e-15) == (2.0, 0)
+
+    def test_smooth_root(self):
+        root, steps = _root(lambda x: x * x - 2.0, 0.0, 2.0, -2.0, 2.0,
+                            1e-15, 1e-15)
+        assert root == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert steps <= 12
+
+    def test_infinite_end(self):
+        f = lambda u: math.inf if u < -1.0 else -u
+        root, _ = _root(f, -5.0, 5.0, math.inf, -5.0, 1e-14, 1e-15)
+        assert abs(root) <= 1e-14
+
+    def test_jump_ends_once_the_bracket_collapses(self):
+        # no x has |f| <= tol: the bracket closes on the jump at 0.3
+        step = lambda x: 1.0 if x < 0.3 else -1.0
+        root, _ = _root(step, 0.0, 1.0, 1.0, -1.0, 0.0, 1e-15)
+        assert root == pytest.approx(0.3, rel=1e-14)
+        # at zero width a bracket one ulp wide cannot close: the cap ends it
+        with pytest.raises(SolverNonConvergenceError):
+            _root(step, 0.0, 1.0, 1.0, -1.0, 0.0, 0.0)
 
 
 NOISELESS_CASES = [
