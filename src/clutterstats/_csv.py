@@ -240,7 +240,10 @@ def format_rows(columns) -> bytes:
     """Rows of the given equal-length columns, comma-separated and
     LF-terminated: floats as ``%.17g``, integers in decimal."""
     blocks = []
-    for col in map(np.asarray, columns):
+    for col in columns:
+        # np.asarray would convert a range one Python int at a time
+        col = np.arange(col.start, col.stop, col.step) \
+            if isinstance(col, range) else np.asarray(col)
         if col.dtype.kind in "iu":
             blocks.append((_decimal, col, _decimal_width(col)))
         else:

@@ -66,7 +66,8 @@ class TooFewSamplesError(ValueError):
 
 
 class OutOfRangeError(ValueError):
-    """Target outside the range of the polygamma function."""
+    """Target outside the range of the polygamma function, or a fitted
+    field outside the doubles."""
 
 
 class NoSolutionError(ValueError):
@@ -110,6 +111,10 @@ def empirical_log_stats(batch, n_max: int = 4) -> EmpiricalLogStats:
     Accepts a SampleBatch or a plain array of positive values; requires at
     least 30 samples, raises NonFiniteSamplesError if any value is inf or
     nan and ZeroSamplesError if any value is <= 0.
+
+    Besides a float copy of non-float input, it holds two arrays of the
+    sample's size whatever ``n_max`` is: the logs and one buffer that
+    takes each power in turn.
     """
     values = batch.values if isinstance(batch, SampleBatch) else batch
     x = np.asarray(values, dtype=float).ravel()
@@ -125,13 +130,19 @@ def empirical_log_stats(batch, n_max: int = 4) -> EmpiricalLogStats:
         raise ZeroSamplesError(bad)
 
     logs = np.log(x)
-    powers = np.stack([logs ** n for n in range(1, n_max + 1)])
+    buf = np.empty_like(logs)
     # row 0 is all the draws; standard errors come from rows 1..10, the
-    # consecutive equal splits (remainder dropped)
+    # consecutive equal splits (remainder dropped).  Each power is reduced
+    # before the next one overwrites the buffer.
     chunk = x.size // _N_SPLITS
-    means = np.stack([powers.mean(axis=1)]
-                     + [powers[:, i * chunk:(i + 1) * chunk].mean(axis=1)
-                        for i in range(_N_SPLITS)])
+    means = np.empty((1 + _N_SPLITS, n_max))
+    for n in range(1, n_max + 1):
+        # the loops that ``logs ** n`` runs: a copy, square, then pow
+        power = logs if n == 1 else np.square(logs, out=buf) if n == 2 \
+            else np.power(logs, n, out=buf)
+        means[0, n - 1] = power.mean()
+        means[1:, n - 1] = power[:_N_SPLITS * chunk].reshape(
+            _N_SPLITS, chunk).mean(axis=1)
     all_k = moments_to_cumulants(means)
     moments = tuple(means[0].tolist())
     cumulants = tuple(all_k[0].tolist())
@@ -348,8 +359,14 @@ def _spec_of(layout: _Layout, e: list[float], k1: float):
     rhs = [log_scale - math.log(layout.ref[0])]
     rhs += [math.log(e[j] / layout.ref[j]) for j in layout.shapes]
     logs = np.linalg.solve(layout.powers[[0, *layout.shapes]], rhs)
-    return dataclasses.replace(layout.spec, **{
-        n: math.exp(v) for n, v in zip(layout.free, logs)})
+    values = {}
+    for name, v in zip(layout.free, logs.tolist()):
+        values[name] = math.exp(v) if v <= _LOG_DOUBLES[1] else math.inf
+        if not 0.0 < values[name] < math.inf:
+            raise OutOfRangeError(
+                f"the fitted {type(layout.spec).__name__}.{name} is "
+                f"exp({v:.6g}), outside the double range")
+    return dataclasses.replace(layout.spec, **values)
 
 
 def fit_molc(family: str, stats: LogStats,

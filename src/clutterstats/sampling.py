@@ -163,11 +163,18 @@ class SampleBatch:
 
 def _draw_simple(spec: dist.DistributionSpec, stream: SplitMix64,
                  n: int) -> np.ndarray:
+    # each fresh draw is scaled in place, so a batch holds one array of n
     match spec:
         case dist.GammaPower(L=L, mu=mu):
-            return (mu / L) * stream.gammas(L, n)
+            g = stream.gammas(L, n)
+            g *= mu / L
+            return g
         case dist.Nakagami(L=L, mu=mu):
-            return mu * np.sqrt(stream.gammas(L, n) / L)
+            g = stream.gammas(L, n)
+            g /= L
+            np.sqrt(g, out=g)
+            g *= mu
+            return g
         case dist.Maxwell(sigma=sigma):
             def draw(_, k):
                 z = stream.normals(3 * k)
@@ -180,7 +187,8 @@ def _draw_simple(spec: dist.DistributionSpec, stream: SplitMix64,
         case dist.Rayleigh(z=z):
             return _draw_simple(dist.Weibull(z, 2.0), stream, n)
         case dist.InverseGamma(shape=a, scale=scale):
-            return scale / stream.gammas(a, n)
+            g = stream.gammas(a, n)
+            return np.divide(scale, g, out=g)
     raise TypeError(f"not a simple family: {spec!r}")
 
 
@@ -219,4 +227,5 @@ def sample_compound(speckle: dist.DistributionSpec,
     texture_stream = SplitMix64(speckle_stream.seed ^ TEXTURE_SEED_XOR)
     u = _draw_simple(speckle, speckle_stream, n)
     z = _draw_simple(texture, texture_stream, n)
-    return SampleBatch(None, speckle_stream.seed, u * z, z)
+    u *= z   # x = u * z, formed in the speckle draw's own array
+    return SampleBatch(None, speckle_stream.seed, u, z)

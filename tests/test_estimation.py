@@ -24,6 +24,11 @@ from clutterstats.specfun import MAX_ORDER, digamma, polygamma
 TRIGAMMA_1 = polygamma(1, 1.0)
 
 
+@pytest.fixture(scope="module")
+def ggamma_draws():
+    return sample(dist.GammaGamma(4.0, 2.0, 1.0), 10**5 + 7, 5).values
+
+
 class TestEmpiricalLogStats:
     def test_all_ones_give_zero_stats(self):
         stats = empirical_log_stats(np.ones(100), 4)
@@ -81,6 +86,27 @@ class TestEmpiricalLogStats:
         assert stats.log_cumulants == tuple(moments_to_cumulants(moments))
         assert stats.std_errors == tuple(
             float(v) for v in split_k.std(axis=0, ddof=1) / math.sqrt(10))
+
+    @pytest.mark.parametrize("n", [30, 31, 10**5 + 7])
+    @pytest.mark.parametrize("n_max", range(1, MAX_ORDER + 1))
+    def test_one_power_buffer_matches_the_stacked_powers(self, ggamma_draws,
+                                                         n, n_max):
+        # ggamma logs are about 64 % negative, so orders past 2 take
+        # numpy's slower pow path; the stacked formula is the reference
+        x = ggamma_draws[:n]
+        logs = np.log(x)
+        powers = np.stack([logs ** k for k in range(1, n_max + 1)])
+        chunk = n // 10
+        means = np.stack([powers.mean(axis=1)]
+                         + [powers[:, i * chunk:(i + 1) * chunk].mean(axis=1)
+                            for i in range(10)])
+        all_k = moments_to_cumulants(means)
+        want = (means[0], all_k[0],
+                all_k[1:].std(axis=0, ddof=1) / math.sqrt(10))
+        stats = empirical_log_stats(x, n_max)
+        got = (stats.log_moments, stats.log_cumulants, stats.std_errors)
+        for g, w in zip(got, want):
+            assert [v.hex() for v in g] == [float(v).hex() for v in w]
 
     def test_order_validation(self):
         # no silent truncation: 2.9 is not order 2 and True is not order 1
@@ -332,6 +358,17 @@ class TestIdentifiability:
             stats = LogStats.from_cumulants(
                 dist.log_cumulants_analytic(spec, 4))
             assert fit_molc(tag, stats).alternatives == ()
+
+    @pytest.mark.parametrize("tag, k, field", [
+        # the shape is about 1e-150, so the log scale is about 1e150
+        ("gamma", [0.0, 1e300], "GammaPower.mu"),
+        # the fitted log rate is about -2e5
+        ("k", [0.0, 1e10], "KAmplitude.b"),
+    ])
+    def test_field_outside_the_doubles_is_out_of_range(self, tag, k, field):
+        with pytest.raises(OutOfRangeError,
+                           match=rf"{field} .* outside the double range"):
+            fit_molc(tag, LogStats.from_cumulants(k))
 
     def test_held_field_must_exist(self):
         stats = LogStats.from_cumulants([0.0, 1.0])

@@ -1,0 +1,60 @@
+"""Peak memory of the 10^6-row paths, by tracemalloc.
+
+numpy reports its array allocations to tracemalloc, so each peak is an
+exact count of bytes, the same on every host.  At 10^6 draws one float
+array is 8 MB; each budget is a whole number of such arrays plus a margin
+for the sampler blocks and the reader's work arrays.
+"""
+
+import tracemalloc
+
+import pytest
+
+from clutterstats import distributions as dist
+from clutterstats.cli import main
+from clutterstats.estimation import empirical_log_stats
+from clutterstats.sampling import sample
+from clutterstats.verify import monte_carlo_checks
+
+N = 10**6
+MB = 10**6
+
+
+def peak_bytes(f, *args):
+    """f(*args)'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = f(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n_max", [4, 6])
+def test_log_stats_hold_two_arrays_whatever_the_order(n_max):
+    # the logs and one power buffer: 16 MB, where the stacked powers took
+    # 72 MB at order 4 and 104 MB at order 6
+    batch = sample(dist.GammaGamma(4.0, 2.0, 1.0), N, 1)
+    _, peak = peak_bytes(empirical_log_stats, batch, n_max)
+    assert 2 * 8 * MB <= peak <= 17 * MB
+
+
+def test_monte_carlo_checks_hold_one_batch_at_a_time():
+    # a compound batch (draws and texture) plus the logs and the buffer
+    outcomes, peak = peak_bytes(monte_carlo_checks)
+    assert len(outcomes) == 5
+    assert peak <= 34 * MB
+
+
+def test_estimate_of_a_million_rows(tmp_path, capsys):
+    path = str(tmp_path / "x.csv")
+    assert main(["sample", "--family", "ggamma", "--params", "L=4,M=2,mu=1",
+                 "--n", str(N), "--out", path]) == 0
+    with open(path) as fh:
+        assert fh.readline() == "index,x,z\n"
+    code, peak = peak_bytes(main, ["estimate", "--family", "ggamma",
+                                   "--input", path])
+    capsys.readouterr()
+    assert code == 0
+    assert peak <= 34 * MB
