@@ -104,7 +104,6 @@ def _cmd_table(args) -> int:
     orders = check_order(args.orders, "--orders")
     print(f"family: {_spec_text(spec)}")
     print(f"{'n':>2s}  {'m_n':>20s}  {'ktilde_n':>20s}")
-    cumulants = dist.log_cumulants_analytic(spec, orders)
     for n in range(1, orders + 1):
         try:
             moment = f"{dist.classical_moment(spec, n):.12g}"
@@ -112,7 +111,11 @@ def _cmd_table(args) -> int:
             moment = "undefined (n >= M)"
         except OverflowError:
             moment = "overflow"
-        print(f"{n:2d}  {moment:>20s}  {cumulants[n - 1]:>20.12g}")
+        try:
+            cumulant = f"{dist.log_cumulants_analytic(spec, n)[-1]:.12g}"
+        except OverflowError:
+            cumulant = "overflow"
+        print(f"{n:2d}  {moment:>20s}  {cumulant:>20s}")
     return EXIT_OK
 
 
@@ -293,7 +296,7 @@ def main(argv=None) -> int:
         print(f"estimation error: {exc}; last iterate {exc.last_iterate}, "
               f"residual {exc.residual:.3e}", file=sys.stderr)
         return EXIT_ESTIMATION
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -18,7 +18,8 @@ form, the strip of analyticity, the log-cumulants
     k1 = log(scale) + sum_i c_i psi(a_i)
     kn = sum_i c_i^n psi^(n-1)(a_i),   n >= 2
 
-and the density, by its shape: generalized gamma (one term), beta prime
+(each term by ``term_log_cumulant``, which the MoLC fit calls too) and the
+density, by its shape: generalized gamma (one term), beta prime
 (c1 = -c2) or a latent integral over one of the two gammas (c1, c2 > 0,
 ``_quad.log_latent_integral``; at c1 = c2 it is the Bessel-K law, and
 ``specfun.log_bessel_k_batch`` reads K off the same integral).
@@ -41,7 +42,7 @@ __all__ = [
     "GammaGamma", "KAmplitude", "WeibullNakagami", "Fisher", "InverseGamma",
     "DistributionSpec", "StripError", "MomentDoesNotExistError",
     "pdf", "chf2_analytic", "log_chf2_analytic", "classical_moment",
-    "log_cumulants_analytic", "components",
+    "log_cumulants_analytic", "term_log_cumulant", "components",
     "strip", "FAMILY_TAGS", "family_tag", "make_spec",
 ]
 
@@ -293,7 +294,7 @@ def _gamma_ratio(a: float, d: float) -> tuple[float, int]:
             m, k = math.frexp(m * (a + j if n >= 0 else a - j))
             e += k
         return (m, e) if n >= 0 else (1.0 / m, -e)
-    power, rest = _log_gamma_ratio(a, d)
+    power, rest = specfun.log_gamma_ratio(a, d)
     m, e = _power_parts(a, power)
     if abs(rest) < 708.0:
         m_rest, e_rest = math.frexp(math.exp(rest))
@@ -301,18 +302,6 @@ def _gamma_ratio(a: float, d: float) -> tuple[float, int]:
         m_rest, e_rest = _exp2_parts(rest / math.log(2.0))
     m, k = math.frexp(m * m_rest)
     return m, e + e_rest + k
-
-
-def _log_gamma_ratio(a: float, d: float) -> tuple[float, float]:
-    """ln Gamma(a + d) - ln Gamma(a) as (p, r), the value p log(a) + r.
-    Where a and a + d are in the Stirling range their Stirling forms are
-    differenced term by term (p = d), which keeps the digits of a log a
-    that ln_gamma(a + d) - ln_gamma(a) loses (all once a + d == a)."""
-    b = a + d
-    if min(a, b) < specfun._SHIFT_THRESHOLD:
-        return 0.0, specfun.ln_gamma(b) - specfun.ln_gamma(a)
-    return d, ((b - 0.5) * math.log1p(d / a) - d
-               + specfun._stirling_series(b) - specfun._stirling_series(a))
 
 
 def _chf2_parts(spec: DistributionSpec, s: float) -> tuple[float, int]:
@@ -352,8 +341,7 @@ def log_chf2_analytic(spec: DistributionSpec, s: float) -> float:
 
 def classical_moment(spec: DistributionSpec, n: int) -> float:
     """Classical moment m_n = Phi(n+1); m_0 = 1 always."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"moment order must be an integer >= 0, got {n!r}")
+    n = specfun.check_integer(n, "moment order", 0)
     _, hi = strip(spec)
     if n + 1 >= hi:
         raise MomentDoesNotExistError(
@@ -368,16 +356,27 @@ def log_cumulants_analytic(spec: DistributionSpec, n_max: int) -> list[float]:
 
     For the compound families these are the full derivatives of the
     transform, i.e. they include the speckle gamma-term contribution as well
-    as the texture one.
+    as the texture one.  Raises OverflowError where a term of some k_n
+    leaves the double range, also when two such terms would cancel.
     """
     n_max = specfun.check_order(n_max, "log_cumulants_analytic")
     form = _mellin_form(spec)
-    out = [math.log(form.scale)
-           + sum(c * specfun.digamma(a) for a, c in form.terms)]
-    for n in range(2, n_max + 1):
-        out.append(sum(c ** n * specfun.polygamma(n - 1, a)
-                       for a, c in form.terms))
+    out = [sum(term_log_cumulant(a, c, n) for a, c in form.terms)
+           for n in range(1, n_max + 1)]
+    out[0] += math.log(form.scale)
+    for n, k in enumerate(out, start=1):
+        if not math.isfinite(k):       # a term past the double range
+            raise OverflowError(f"log_cumulants_analytic: k_{n} of {spec!r} "
+                                "is outside the double range")
     return out
+
+
+def term_log_cumulant(a: float, c: float, n: int) -> float:
+    """The part of k_n from one gamma term (a, c) of a canonical form:
+    c psi(a) for n = 1, c^n psi^(n-1)(a) for n >= 2."""
+    if n == 1:
+        return c * specfun.digamma(a)
+    return c ** n * specfun.polygamma(n - 1, a)
 
 
 def components(

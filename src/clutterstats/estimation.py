@@ -1,6 +1,6 @@
 """Method-of-log-cumulants (MoLC) parameter estimation.
 
-Empirical log statistics from sample batches, one fit for every family
+Empirical log statistics from arrays of draws, one fit for every family
 read off its canonical Mellin form, and texture log-cumulant extraction
 through the additivity of log-cumulants under the product model.
 
@@ -8,7 +8,8 @@ Each entry of a form (the scale, each a_i and each |c_i|) is a monomial in
 the family's fields, so probing the form with each field at 1 and at 2
 shows which field owns which entry.  The d shape entries some field owns
 (0, 1 or 2) match k_2..k_(d+1) through k_n = sum_i c_i^n psi^(n-1)(a_i),
-k_1 fixes the scale, and one linear solve in logs gives the fields.
+whose terms come from ``distributions.term_log_cumulant``; k_1 fixes the
+scale, and one linear solve in logs gives the fields.
 One bracketed root finder, with no derivative, inverts polygamma (in
 log x, inside a bracket in closed form) and refines the two-shape roots.
 The one solver setting is fixed, not an option: relative tolerance 1e-10
@@ -25,9 +26,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import distributions as dist
+from ._quad import LOG_DBL_MAX
 from .mellin import LogStats, cumulants_to_moments, moments_to_cumulants
-from .sampling import SampleBatch
-from .specfun import check_order, digamma, polygamma
+from .specfun import check_integer, check_order, polygamma
 
 __all__ = [
     "EmpiricalLogStats", "FitResult",
@@ -105,10 +106,10 @@ _N_SPLITS = 10
 _REL_TOL = 1e-10   # polygamma inversions, and the fit's residual gate
 
 
-def empirical_log_stats(batch, n_max: int = 4) -> EmpiricalLogStats:
+def empirical_log_stats(values, n_max: int = 4) -> EmpiricalLogStats:
     """Empirical log-moments/log-cumulants with 10-way split standard errors.
 
-    Accepts a SampleBatch or a plain array of positive values; requires at
+    Takes an array of positive values (a batch's ``.values``); requires at
     least 30 samples, raises NonFiniteSamplesError if any value is inf or
     nan and ZeroSamplesError if any value is <= 0.
 
@@ -116,7 +117,6 @@ def empirical_log_stats(batch, n_max: int = 4) -> EmpiricalLogStats:
     sample's size whatever ``n_max`` is: the logs and one buffer that
     takes each power in turn.
     """
-    values = batch.values if isinstance(batch, SampleBatch) else batch
     x = np.asarray(values, dtype=float).ravel()
     n_max = check_order(n_max, "empirical_log_stats")
     if x.size < 30:
@@ -152,7 +152,7 @@ def empirical_log_stats(batch, n_max: int = 4) -> EmpiricalLogStats:
     return EmpiricalLogStats(moments, cumulants, errors, x.size)
 
 
-_LOG_DOUBLES = (math.log(math.ulp(0.0)), math.log(np.finfo(float).max))
+_LOG_DOUBLES = (math.log(math.ulp(0.0)), LOG_DBL_MAX)
 
 
 def _root(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float,
@@ -176,10 +176,7 @@ def _root(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float,
 
 
 def _invert_polygamma(order: int, target: float) -> tuple[float, int]:
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool) \
-            or order < 1:
-        raise ValueError(f"order must be an integer >= 1, got {order!r}")
-    m, target = int(order), float(target)
+    m, target = check_integer(order, "order", 1), float(target)
     sign = 1.0 if m % 2 == 1 else -1.0
     y = sign * target
     if not 0.0 < y < math.inf:
@@ -254,13 +251,15 @@ def scale_fields(family: str) -> tuple[str, ...]:
 
 
 def _term_k(e: list[float], j: int, n: int) -> float:
-    """c^n psi^(n-1)(a), the part of k_n (n >= 2) from the term of entry j."""
+    """The part of k_n from the term (a, c) that entry j belongs to."""
     i = j - (j - 1) % 2
-    return e[i + 1] ** n * polygamma(n - 1, e[i])
+    return dist.term_log_cumulant(e[i], e[i + 1], n)
 
 
 def _k(e: list[float], n: int) -> float:
-    return sum(_term_k(e, j, n) for j in range(1, len(e), 2))
+    """k_n of the terms of e, less log(scale) at n = 1."""
+    return sum(dist.term_log_cumulant(a, c, n)
+               for a, c in zip(e[1::2], e[2::2]))
 
 
 def _solve_entry(e: list[float], j: int, target: float) -> tuple[float, int]:
@@ -355,7 +354,7 @@ def _scan_roots(e: list[float], shapes: list[int], excess: float, k,
 def _spec_of(layout: _Layout, e: list[float], k1: float):
     """The family member with the shape entries of e and the scale that
     matches k_1: one linear solve in the logs of the free fields."""
-    log_scale = k1 - sum(c * digamma(a) for a, c in zip(e[1::2], e[2::2]))
+    log_scale = k1 - _k(e, 1)
     rhs = [log_scale - math.log(layout.ref[0])]
     rhs += [math.log(e[j] / layout.ref[j]) for j in layout.shapes]
     logs = np.linalg.solve(layout.powers[[0, *layout.shapes]], rhs)
@@ -409,7 +408,10 @@ def fit_molc(family: str, stats: LogStats,
         if not roots:
             raise NoSolutionError(f"no {family} law matches (k_2, k_3)")
     specs = [_spec_of(layout, e, k[0]) for e in roots]
-    fitted = dist.log_cumulants_analytic(specs[0], d + 1)
+    try:
+        fitted = dist.log_cumulants_analytic(specs[0], d + 1)
+    except OverflowError as exc:
+        raise OutOfRangeError(f"{family} fit: {exc}") from None
     residual = max((abs(a - b) for a, b in zip(fitted[1:], k[1:])),
                    default=0.0)
     return FitResult(specs[0], iterations, residual, residual <= tol,
@@ -433,7 +435,5 @@ def texture_log_cumulants(data_stats: LogStats,
     speckle_k = dist.log_cumulants_analytic(speckle, n)
     cumulants = tuple(a - b for a, b in zip(data_stats.log_cumulants, speckle_k))
     moments = tuple(cumulants_to_moments(cumulants))
-    if isinstance(data_stats, EmpiricalLogStats):
-        return EmpiricalLogStats(moments, cumulants, data_stats.std_errors,
-                                 data_stats.n_samples)
-    return LogStats(moments, cumulants)
+    return dataclasses.replace(data_stats, log_moments=moments,
+                               log_cumulants=cumulants)

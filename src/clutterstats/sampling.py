@@ -38,11 +38,12 @@ component batches can be reproduced standalone with those seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import distributions as dist
+from .specfun import check_integer
 
 __all__ = ["SplitMix64", "SampleBatch", "sample", "sample_compound",
            "SPLITMIX64_GAMMA", "TEXTURE_SEED_XOR"]
@@ -54,13 +55,6 @@ _MASK64 = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
 _TWO_PI = 2.0 * math.pi
 _BLOCK = 16384   # values (or gamma trials) per block: about 128 KiB a temporary
-
-
-def _check_count(n, least: int = 0, what: str = "count") -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) \
-            or n < least:
-        raise ValueError(f"{what} must be an integer >= {least}, got {n!r}")
-    return int(n)
 
 
 def _fill(n: int, draw) -> np.ndarray:
@@ -80,14 +74,12 @@ class SplitMix64:
     """Counter-based splitmix64 stream over numpy uint64."""
 
     def __init__(self, seed: int):
-        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
-        self.seed = int(seed) & _MASK64
+        self.seed = check_integer(seed, "seed") & _MASK64
         self.position = 0
 
     def raw(self, n: int) -> np.ndarray:
         """Next n raw 64-bit words."""
-        n = _check_count(n)
+        n = check_integer(n, "count", 0)
         idx = np.arange(self.position + 1, self.position + n + 1,
                         dtype=np.uint64)
         self.position += n
@@ -105,7 +97,7 @@ class SplitMix64:
 
     def uniform_open(self, n: int) -> np.ndarray:
         """n uniforms strictly inside (0, 1)."""
-        return _fill(_check_count(n),
+        return _fill(check_integer(n, "count", 0),
                      lambda _, k: self._to_uniform(self.raw(k)))
 
     def normals(self, n: int) -> np.ndarray:
@@ -113,20 +105,22 @@ class SplitMix64:
         def draw(_, k):
             u = self._to_uniform(self.raw(2 * k))
             return np.sqrt(-2.0 * np.log(u[0::2])) * np.cos(_TWO_PI * u[1::2])
-        return _fill(_check_count(n), draw)
+        return _fill(check_integer(n, "count", 0), draw)
 
     def gammas(self, shape: float, n: int) -> np.ndarray:
         """n gamma(shape, scale=1) draws."""
         if not (0.0 < shape < math.inf):
             raise ValueError(f"gamma shape must be positive and finite, "
                              f"got {shape!r}")
-        n = _check_count(n)
+        n = check_integer(n, "count", 0)
         if shape < 1.0:
-            # boost transform: draw at shape+1, multiply by U^(1/shape)
+            # boost transform: draw at shape+1, times U^(1/shape) in place
             base = self.gammas(shape + 1.0, n)
             power = 1.0 / shape
-            return _fill(n, lambda start, k: base[start:start + k]
-                         * self._to_uniform(self.raw(k)) ** power)
+            for start in range(0, n, _BLOCK):
+                k = min(_BLOCK, n - start)
+                base[start:start + k] *= self._to_uniform(self.raw(k)) ** power
+            return base
         d = shape - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
 
@@ -148,8 +142,6 @@ class SplitMix64:
 @dataclass(frozen=True)
 class SampleBatch:
     """Generated observations plus, for compound draws, the hidden texture."""
-    family: dist.DistributionSpec | None
-    seed: int
     values: np.ndarray
     texture: np.ndarray | None = None
 
@@ -198,13 +190,11 @@ def sample(spec: dist.DistributionSpec, n: int, seed: int) -> SampleBatch:
     Compound families draw hidden texture z and speckle u on split streams
     and return x = u * z with the texture retained in the batch.
     """
-    n = _check_count(n, 1, "sample count")
+    n = check_integer(n, "sample count", 1)
     comps = dist.components(spec)
     if comps is None:
-        stream = SplitMix64(seed)
-        values = _draw_simple(spec, stream, n)
-        return SampleBatch(spec, stream.seed, values)
-    return replace(sample_compound(*comps, n, seed), family=spec)
+        return SampleBatch(_draw_simple(spec, SplitMix64(seed), n))
+    return sample_compound(*comps, n, seed)
 
 
 def sample_compound(speckle: dist.DistributionSpec,
@@ -216,7 +206,7 @@ def sample_compound(speckle: dist.DistributionSpec,
     ``seed XOR TEXTURE_SEED_XOR``, so each factor batch is reproducible on
     its own.
     """
-    n = _check_count(n, 1, "sample count")
+    n = check_integer(n, "sample count", 1)
     for part, name in ((speckle, "speckle"), (texture, "texture")):
         if dist.components(part) is not None:
             raise ValueError(
@@ -228,4 +218,4 @@ def sample_compound(speckle: dist.DistributionSpec,
     u = _draw_simple(speckle, speckle_stream, n)
     z = _draw_simple(texture, texture_stream, n)
     u *= z   # x = u * z, formed in the speckle draw's own array
-    return SampleBatch(None, speckle_stream.seed, u, z)
+    return SampleBatch(u, z)

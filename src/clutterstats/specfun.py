@@ -1,4 +1,5 @@
-"""Special-function kernel: log-gamma, digamma, polygamma, Bessel K.
+"""Special-function kernel: log-gamma, digamma, polygamma, Bessel K, and
+the package's one integer-argument check.
 
 Self-contained (no dependency on the rest of the package beyond the
 latent-integral kernel in ``_quad``) and accurate enough for everything
@@ -6,6 +7,11 @@ downstream:
 
 * ``ln_gamma``  -- Stirling series after an upward recurrence shift,
   absolute accuracy a few ulp of the result over [1e-3, 1e6].
+  ``log_gamma_ratio`` differences two Stirling series term by term, so
+  ln Gamma(a + d) - ln Gamma(a) keeps its digits for large a.
+* ``check_integer`` -- the one test of an integer argument (an order, a
+  count, a seed): a Python or numpy integer, not a bool, at least a
+  given value; ``check_order`` adds the ``MAX_ORDER`` cap.
 * ``digamma`` / ``polygamma`` -- Bernoulli asymptotic series, shifted
   upward until the argument is >= 10 (>= 2m + 2 for polygamma of order
   m >= 5).  ``polygamma(m, x)`` meets mpmath to about 1e-15 through
@@ -31,8 +37,8 @@ import numpy as np
 from ._quad import adaptive_quad  # noqa: F401  bound for bench/tracing.py
 from ._quad import log_latent_integral
 
-__all__ = ["MAX_ORDER", "check_order", "ln_gamma", "digamma", "polygamma",
-           "log_bessel_k_batch"]
+__all__ = ["MAX_ORDER", "check_integer", "check_order", "ln_gamma",
+           "log_gamma_ratio", "digamma", "polygamma", "log_bessel_k_batch"]
 
 MAX_ORDER = 6
 
@@ -58,13 +64,24 @@ def _require_positive_finite(name: str, x: float) -> float:
     return x
 
 
+def check_integer(n, what: str, least: int | None = None) -> int:
+    """``n`` as an int if it is an integer (not a bool) of at least ``least``."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) \
+            or least is not None and n < least:
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{what} must be an integer{bound}, got {n!r}")
+    return int(n)
+
+
 def check_order(n, what: str) -> int:
     """``n`` if it is an integer (not a bool) in [1, MAX_ORDER]."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) \
-            or not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"unsupported order {n!r} for {what}: orders are "
-                         f"integers from 1 to {MAX_ORDER}")
-    return int(n)
+    try:
+        if check_integer(n, "order", 1) <= MAX_ORDER:
+            return int(n)
+    except ValueError:
+        pass
+    raise ValueError(f"unsupported order {n!r} for {what}: orders are "
+                     f"integers from 1 to {MAX_ORDER}")
 
 
 def ln_gamma(x: float) -> float:
@@ -91,6 +108,18 @@ def _stirling_series(y: float) -> float:
     return series
 
 
+def log_gamma_ratio(a: float, d: float) -> tuple[float, float]:
+    """ln Gamma(a + d) - ln Gamma(a) as (p, r), the value p log(a) + r.
+    Where a and a + d are in the Stirling range their Stirling forms are
+    differenced term by term (p = d), which keeps the digits of a log a
+    that ln_gamma(a + d) - ln_gamma(a) loses (all once a + d == a)."""
+    b = a + d
+    if min(a, b) < _SHIFT_THRESHOLD:
+        return 0.0, ln_gamma(b) - ln_gamma(a)
+    return d, ((b - 0.5) * math.log1p(d / a) - d
+               + _stirling_series(b) - _stirling_series(a))
+
+
 def digamma(x: float) -> float:
     """psi(x) = d/dx ln_gamma(x) for x > 0."""
     x = _require_positive_finite("digamma", x)
@@ -114,10 +143,7 @@ def polygamma(order: int, x: float) -> float:
     The sign alternates: psi^(m) has sign (-1)^(m+1) everywhere on x > 0.
     A value past the double range is +-inf.
     """
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool) \
-            or order < 1:
-        raise ValueError(f"polygamma order must be an integer >= 1, got {order!r}")
-    m = int(order)
+    m = check_integer(order, "polygamma order", 1)
     x = _require_positive_finite("polygamma", x)
     # the series needs y >> m: its terms grow like (2k + m)! / (2 pi y)^(2k)
     threshold = max(_SHIFT_THRESHOLD, 2.0 * m + 2.0)

@@ -137,7 +137,8 @@ def test_criterion_7_molc_round_trips():
     statistical_ok = True
     for seed in (1, 2, 3):
         for tag, spec, n_max, limit in STATISTICAL_GRID:
-            stats = empirical_log_stats(sample(spec, 10**6, seed), n_max)
+            stats = empirical_log_stats(sample(spec, 10**6, seed).values,
+                                        n_max)
             fit = fit_molc(tag, stats)
             rel = float(np.max(np.abs(_canonical(tag, fit.spec)
                                       - _canonical(tag, spec))

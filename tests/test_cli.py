@@ -52,6 +52,16 @@ class TestTable:
         assert rows[0][1] == "1e+300"
         assert [r[1] for r in rows[1:]] == ["overflow", "overflow"]
 
+    def test_log_cumulant_past_double_range_prints_overflow(self, capsys):
+        # the speckle and texture terms of k_2..k_4 overflow with opposite
+        # signs, which once printed inf, nan, inf
+        code, out, _ = run(capsys, "table", "--family", "fisher", "--params",
+                           "L=1e-300,M=1e-300,mu=1", "--orders", "4")
+        assert code == 0
+        rows = [ln.split() for ln in out.splitlines()[2:]]
+        assert math.isfinite(float(rows[0][-1]))
+        assert [r[-1] for r in rows[1:]] == ["overflow"] * 3
+
     def test_huge_shape_prints_defined_cells(self, capsys):
         # polygamma(n, 1e300) underflows instead of overflowing y**n
         code, out, _ = run(capsys, "table", "--family", "gamma",
@@ -252,6 +262,18 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", "--family", "k",
                            "--input", str(bad))
         assert code == 3
+
+    def test_speckle_past_double_range_exit_2(self, capsys, tmp_path):
+        data = tmp_path / "g.csv"
+        run(capsys, "sample", "--family", "gamma", "--params", "L=4,mu=1",
+            "--n", "100", "--out", str(data))
+        code, out, err = run(capsys, "estimate", "--family", "gamma",
+                             "--input", str(data), "--speckle", "L=1e-200")
+        assert code == 2
+        assert err == ("error: log_cumulants_analytic: k_2 of "
+                       "GammaPower(L=1e-200, mu=1.0) is outside the double "
+                       "range\n")
+        assert "estimate:" not in out
 
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "estimate", "--family", "gamma",

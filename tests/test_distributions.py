@@ -10,13 +10,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clutterstats import distributions as dist
+from clutterstats import verify
 from clutterstats._quad import adaptive_quad, log_latent_integral
 from clutterstats.distributions import (Fisher, GammaGamma, GammaPower,
                                         InverseGamma, KAmplitude, Maxwell,
                                         MomentDoesNotExistError, Nakagami,
                                         Rayleigh, StripError, Weibull,
                                         WeibullNakagami)
-from clutterstats.specfun import MAX_ORDER, polygamma
+from clutterstats.specfun import MAX_ORDER, digamma, polygamma
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" /
                      "specfun_golden.json").read_text())
@@ -547,6 +548,35 @@ class TestLogCumulants:
         for bad in (0, 2.9, True, MAX_ORDER + 1):
             with pytest.raises(ValueError):
                 dist.log_cumulants_analytic(GammaPower(1.0, 1.0), bad)
+
+    @pytest.mark.parametrize("spec, order", [
+        # speckle and texture terms overflow with opposite signs: k_2 is
+        # inf + inf and k_3 -inf + inf, once returned as inf and nan
+        (Fisher(1e-200, 1e-200, 1.0), 2),
+        (GammaPower(1e-200, 1.0), 2),
+        # psi''(1e-120) = -2e360 while psi'(1e-120) = 1e240 still holds
+        (GammaGamma(1e-120, 4.0, 1.0), 3),
+    ])
+    def test_order_past_the_doubles_raises(self, spec, order):
+        assert all(map(math.isfinite,
+                       dist.log_cumulants_analytic(spec, order - 1)))
+        with pytest.raises(OverflowError,
+                           match=rf"k_{order} of {type(spec).__name__}\("):
+            dist.log_cumulants_analytic(spec, MAX_ORDER)
+
+    @pytest.mark.parametrize("spec", [
+        *(spec for specs in verify.PARAM_GRID.values() for spec in specs),
+        *(spec for _, spec in verify.MC_SPECS)], ids=repr)
+    def test_the_mellin_formula_bit_for_bit(self, spec):
+        # k_1 = log(scale) + sum_i c_i psi(a_i),
+        # k_n = sum_i c_i^n psi^(n-1)(a_i), written out once more here
+        form = dist._mellin_form(spec)
+        want = [math.log(form.scale)
+                + sum(c * digamma(a) for a, c in form.terms)]
+        want += [sum(c ** n * polygamma(n - 1, a) for a, c in form.terms)
+                 for n in range(2, 7)]
+        got = dist.log_cumulants_analytic(spec, 6)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 class TestRayleighWeibullIdentity:

@@ -35,16 +35,30 @@ def peak_bytes(f, *args):
 def test_log_stats_hold_two_arrays_whatever_the_order(n_max):
     # the logs and one power buffer: 16 MB, where the stacked powers took
     # 72 MB at order 4 and 104 MB at order 6
-    batch = sample(dist.GammaGamma(4.0, 2.0, 1.0), N, 1)
-    _, peak = peak_bytes(empirical_log_stats, batch, n_max)
+    values = sample(dist.GammaGamma(4.0, 2.0, 1.0), N, 1).values
+    _, peak = peak_bytes(empirical_log_stats, values, n_max)
     assert 2 * 8 * MB <= peak <= 17 * MB
 
 
 def test_monte_carlo_checks_hold_one_batch_at_a_time():
-    # a compound batch (draws and texture) plus the logs and the buffer
+    # a compound draw (draws and texture) while it is sampled, then the
+    # draws, the logs and the buffer: the texture is freed before the logs
     outcomes, peak = peak_bytes(monte_carlo_checks)
     assert len(outcomes) == 5
-    assert peak <= 34 * MB
+    assert peak <= 26 * MB
+
+
+@pytest.mark.parametrize("spec,budget", [
+    # one array of n: the boost U^(1/shape) multiplies the shape + 1 draws
+    # in place, where a second array of n took 16.5 MB
+    (dist.GammaPower(0.5, 1.0), 11 * MB),
+    # speckle and texture, where the boosted texture took 24.5 MB
+    (dist.GammaGamma(4.0, 0.5, 1.0), 19 * MB),
+])
+def test_boosted_gamma_draws_hold_one_array_per_factor(spec, budget):
+    batch, peak = peak_bytes(sample, spec, N, 1)
+    assert batch.values.size == N
+    assert peak <= budget
 
 
 def test_estimate_of_a_million_rows(tmp_path, capsys):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import clutterstats
+from clutterstats import distributions, estimation, sampling, specfun
 
 MODULES = ["clutterstats"] + [
     f"clutterstats.{info.name}"
@@ -29,3 +30,35 @@ def test_console_scripts_import_to_callables():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+# every public entry point that takes an integer argument: the call, the
+# least value it takes (None: any integer) and its message before the value
+INTEGER_ARGUMENTS = {
+    "polygamma order": (lambda v: specfun.polygamma(v, 1.0), 1,
+                        "polygamma order must be an integer >= 1, got "),
+    "invert_polygamma order": (
+        lambda v: estimation.invert_polygamma(v, 1.0), 1,
+        "order must be an integer >= 1, got "),
+    "classical_moment order": (
+        lambda v: distributions.classical_moment(
+            distributions.GammaPower(1.0, 1.0), v), 0,
+        "moment order must be an integer >= 0, got "),
+    "SplitMix64 count": (lambda v: sampling.SplitMix64(1).raw(v), 0,
+                         "count must be an integer >= 0, got "),
+    "sample count": (
+        lambda v: sampling.sample(distributions.GammaPower(1.0, 1.0), v, 1),
+        1, "sample count must be an integer >= 1, got "),
+    "seed": (lambda v: sampling.SplitMix64(v), None,
+             "seed must be an integer, got "),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+def test_integer_arguments_reject_bools_fractions_and_small_values(name):
+    call, least, message = INTEGER_ARGUMENTS[name]
+    bad = [True, 1.5] + ([] if least is None else [least - 1])
+    for value in bad:
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == message + repr(value)
