@@ -12,16 +12,26 @@ for a whole column with numpy:
 * round: the 17-digit integer ``D`` is ``floor(y)`` plus the rounding of
   the fraction; for ``0 <= 16-E <= 22`` the power and the product are exact
   and a tie rounds half to even, as CPython's formatter does;
-* lay out: the digits of ``D``, the position of the last nonzero one and
-  ``E`` pick one byte pattern (fixed notation for ``-4 <= E < 17``,
-  scientific otherwise) that one gather fills; the NUL padding of the
-  patterns is deleted from each chunk's bytes.
+* lay out: uint64 division cuts ``D`` into one digit and four groups of
+  four, and a table of the ASCII of 0000..9999 fills a 32-byte row per
+  value with its digits, '-', '.' and the exponent suffix.  The sign,
+  ``E`` and the trailing zeros of ``D`` (counted past the last group only
+  in the rows where it is 0000) pick one of 782 byte patterns (fixed
+  notation for ``-4 <= E < 17``, scientific otherwise).  The pattern's row
+  positions, plus each row's offset added in place, index one gather
+  into the column's own contiguous buffer, which ``format_rows`` copies
+  into the chunk's rows once; the NUL padding of the patterns is deleted
+  from each chunk's bytes.
 
 An element the kernel cannot certify is formatted by ``'%.17g' %`` itself:
 0, -0, inf and nan, ``|x|`` outside ``[1e-240, 1e240]``, an ``E`` that
 ``log10`` got off by one, a ``D`` that rounds up to ``10^17``, and an
 inexact product whose fraction lies within 1e-6 of one half.  So every value
 prints as Python prints it.
+
+An integer column takes the same digit groups; a group is looked up in a
+second table, whose words have their leading zeros as NUL, until a group
+before it is nonzero, so the number comes out right-aligned after NULs.
 
 ``read_column`` reads the file in blocks of ``BLOCK_BYTES`` whole lines.
 For each block of printable ASCII with LF or CRLF endings, ``_parse``
@@ -67,10 +77,13 @@ import numpy as np
 __all__ = ["CHUNK_ROWS", "BLOCK_BYTES", "write_csv", "format_rows",
            "read_column"]
 
-# rows per chunk: small enough that a chunk's gather indices (24 intp per
-# float) stay in cache; 8192 formatted three-column rows about 1.5x faster
-# than 65536 on a 2-core Xeon
-CHUNK_ROWS = 8192
+# rows per chunk.  A chunk's largest work array is the gather index, 24
+# intp per float: 0.8 MB here, which stays in a 2 MB L2 cache.  Its work
+# arrays also stay under glibc's heap trim threshold, so a fresh `sample`
+# process reuses their pages: at 8192 rows, writing 10^6 K rows took about
+# 10^5 minor page faults and at 4096 rows about 2,600, those of the draws
+# (2-core Xeon, numpy 2.4.6)
+CHUNK_ROWS = 4096
 # bytes the reader takes from the file at a time: about 5,800 rows of a
 # three-column sample file, whose work arrays stay in cache
 BLOCK_BYTES = 1 << 18
@@ -96,9 +109,10 @@ _ONES = np.uint64(2**64 - 1)
 _MARGIN = 2.0**-100
 
 # A pattern picks each output byte from a 32-byte row per element: '000'
-# and the 17 digits of D (bytes 0-19), the sign or NUL, '.', NUL, NUL
-# (20-23) and the exponent suffix, NUL-padded (24-31).
-_DIGIT0, _SIGN, _DOT, _PAD, _SUFFIX = 3, 20, 21, 22, 24
+# and the 17 digits of D (bytes 0-19), '-', '.', NUL, NUL (20-23) and the
+# exponent suffix, NUL-padded (24-31).
+_DIGIT0, _MINUS, _DOT, _PAD, _SUFFIX = 3, 20, 21, 22, 24
+_LAYOUTS = 23 * 17           # (x, kept digits) pairs of one sign
 _ROW = 32
 
 
@@ -126,11 +140,11 @@ def _suffix(x: int) -> str:
     return f"e{x:+03d}"
 
 
-def _layout(x: int, kept: int) -> list[int]:
-    """Row positions of the bytes of '%.17g' for decimal exponent x and
-    `kept` significant digits (trailing zeros stripped); x = -5 or 17
-    stands for every exponent written in scientific notation, whose
-    suffix the row holds NUL-padded."""
+def _layout(negative: bool, x: int, kept: int) -> list[int]:
+    """Row positions of the bytes of '%.17g' for the sign, decimal
+    exponent x and `kept` significant digits (trailing zeros stripped);
+    x = -5 or 17 stands for every exponent written in scientific notation,
+    whose suffix the row holds NUL-padded."""
     digits = [_DIGIT0 + k for k in range(kept)]
     if 0 <= x < 17:
         # zeros left of the point are written, not stripped
@@ -143,68 +157,103 @@ def _layout(x: int, kept: int) -> list[int]:
     else:
         text = digits[:1] + ([_DOT] + digits[1:] if kept > 1 else [])
         text += range(_SUFFIX, _SUFFIX + len(_suffix(_E_MIN)))
-    return [_SIGN] + text + [_PAD] * (_WIDTH - 1 - len(text))
+    return [_MINUS if negative else _PAD] + text \
+        + [_PAD] * (_WIDTH - 1 - len(text))
 
 
 @functools.cache
 def _tables() -> tuple[np.ndarray, ...]:
-    """The layouts of every (x, kept digits) with x in [-5, 17], indexed
-    (x + 5) * 17 + kept - 1; each E's suffix as a uint64; the ASCII of
-    0000..9999 as uint32 words with the trailing zero count of each (4 for
+    """The layouts of every (sign, x, kept digits) with x in [-5, 17],
+    indexed negative * _LAYOUTS + (x + 5) * 17 + kept - 1, as intp row
+    positions; each E's suffix as a uint64; the ASCII of 0000..9999 as
+    uint32 words, after the same words with their leading zeros as NUL
+    (all four for 0); the trailing zero count of each of 0..9999 (4 for
     0)."""
-    layouts = np.array([_layout(x, kept) for x in range(-5, 18)
-                        for kept in range(1, 18)], dtype=np.uint8)
+    layouts = np.array([_layout(negative, x, kept)
+                        for negative in (False, True)
+                        for x in range(-5, 18) for kept in range(1, 18)],
+                       dtype=np.intp)
     suffixes = np.frombuffer(b"".join(
         _suffix(x).encode().ljust(8, b"\0")
         for x in range(_E_MIN, _E_MAX + 1)), dtype="<u8")
-    quads = np.frombuffer("".join(f"{i:04d}" for i in range(10**4))
-                          .encode(), dtype="<u4")
+    led = "".join(f"{i:>4}" if i else "    " for i in range(10**4))
+    quads = np.frombuffer((led.replace(" ", "\0") + "".join(
+        f"{i:04d}" for i in range(10**4))).encode(), dtype="<u4")
     i = np.arange(10**4)
     zeros = sum((i % 10**k == 0).astype(np.intp) for k in range(1, 5))
     return layouts, suffixes, quads, zeros
 
 
+def _groups(d: np.ndarray, count: int) -> list[np.ndarray]:
+    """The base-10^4 digit groups of the uint64 values d, most significant
+    first, the first one holding what is left above the other count - 1,
+    as int64 (uint64 division is the faster one, int64 the index type)."""
+    groups = []
+    for k in range(count - 1, 0, -1):
+        g = d // np.uint64(10**(4 * k))
+        d = d - g * np.uint64(10**(4 * k))
+        groups.append(g)
+    return [g.view(np.int64) for g in groups + [d]]
+
+
 def _g17(x: np.ndarray, out: np.ndarray) -> None:
-    """Write ``'%.17g' % v`` of each float into the rows of ``out``, an
-    (n, 24) uint8 block, NUL-padded."""
-    ax = np.abs(x)
-    ok = (ax >= _LO) & (ax <= _HI)
-    a = np.where(ok, ax, 1.0)
-    e = np.floor(np.log10(a)).astype(np.intp)
-    np.clip(e, _E_MIN, _E_MAX, out=e)
-    h, h_big, h_small, l = (table[16 - e - _K_MIN] for table in _powers())
+    """Write ``'%.17g' % v`` of each float into the rows of ``out``, a
+    contiguous (n, 24) uint8 block, NUL-padded."""
+    n = x.size
+    a = np.abs(x)
+    ok = a >= _LO
+    ok &= a <= _HI
+    np.copyto(a, 1.0, where=~ok)
+    e = np.log10(a)
+    # in [_E_MIN, _E_MAX], as a is 1 or in [_LO, _HI]
+    e = np.floor(e, out=e).astype(np.intp)
+    k = 16 - _K_MIN - e
+    h, h_big, h_small, l = (table[k] for table in _powers())
     # y = a * 10^k = p + t, with p + err = a * h exactly (TwoProduct)
     p = a * h
-    a_big, a_small = _split(a)
-    err = ((a_big * h_big - p) + a_big * h_small + a_small * h_big) \
-        + a_small * h_small
-    t = err + a * l
-    whole = np.floor(t)
-    frac = t - whole
-    base = p.astype(np.int64) + whole.astype(np.int64)
+    a_big = a * _SPLIT
+    tmp = a_big - a
+    a_big -= tmp
+    a_small = a - a_big
+    t = a_big * h_big
+    t -= p
+    for u, v in ((a_big, h_small), (a_small, h_big), (a_small, h_small),
+                 (a, l)):
+        t += np.multiply(u, v, out=tmp)
+    whole = np.floor(t, out=tmp)
+    frac = np.subtract(t, whole, out=t)
+    base = p.astype(np.int64)
+    base += whole.astype(np.int64)
     exact = l == 0.0
-    d = base + ((frac > 0.5) | ((frac == 0.5) & exact & (base % 2 == 1)))
+    d = base + ((frac > 0.5) | ((frac == 0.5) & exact & (base & 1 == 1)))
     ok &= (base >= 10**16) & (d < 10**17)
     ok &= exact | (np.abs(frac - 0.5) > _TIE_MARGIN)
 
     # D = g0 g1 g2 g3 g4: one digit, then four groups of four
     layouts, suffixes, quads, zeros = _tables()
-    top, bottom = np.divmod(d, 10**8)
-    g0, rest = np.divmod(top, 10**8)
-    groups = (g0, *np.divmod(rest, 10**4), *np.divmod(bottom, 10**4))
-    row = np.empty((x.size, _ROW // 4), dtype="<u4")
-    for k, g in enumerate(groups):
-        row[:, k] = quads[g]
-    row[:, 5] = np.where(np.signbit(x), 0x2E2D, 0x2E00)    # '-.', '\0.'
+    groups = _groups(d.view(np.uint64), 5)
+    row = np.empty((n, _ROW // 4), dtype="<u4")
+    for c, g in enumerate(groups):
+        row[:, c] = quads[10**4:][g]
+    row[:, 5] = 0x2E2D                                     # '-.'
     row[:, 6:].view("<u8")[:, 0] = suffixes[e - _E_MIN]
     trailing = zeros[groups[4]]
-    run = groups[4] == 0
-    for g in groups[3:0:-1]:
-        trailing += run * zeros[g]
-        run &= g == 0
-    notation = np.clip(e, -5, 17) + 5
-    index = np.take(layouts, notation * 17 + (16 - trailing), axis=0) \
-        + np.arange(0, x.size * _ROW, _ROW)[:, None]
+    rows = np.flatnonzero(groups[4] == 0)
+    if rows.size:
+        tail = trailing[rows]
+        run = np.ones(rows.size, dtype=bool)
+        for g in groups[3:0:-1]:
+            g = g[rows]
+            tail += run * zeros[g]
+            run &= g == 0
+        trailing[rows] = tail
+    code = np.clip(e, -5, 17)
+    code *= 17
+    code += 5 * 17 + 16
+    code -= trailing
+    np.add(code, _LAYOUTS, out=code, where=np.signbit(x))
+    index = np.take(layouts, code, axis=0)
+    index += np.arange(0, n * _ROW, _ROW)[:, None]
     np.take(row.view(np.uint8).ravel(), index, out=out, mode="clip")
     for i in np.flatnonzero(~ok):
         text = b"%.17g" % x[i]
@@ -221,19 +270,16 @@ def _decimal_width(v: np.ndarray) -> int:
 
 
 def _decimal(v: np.ndarray, out: np.ndarray) -> None:
-    """Write ``str(i)`` of each integer into the rows of ``out``,
-    right-aligned, with NUL for the leading zeros."""
+    """Write ``str(i)`` of each integer into the rows of ``out``, a
+    contiguous block, right-aligned, with NUL for the leading zeros."""
     quads = _tables()[2]
-    n, width = out.shape
-    words = np.empty((n, width // 4), dtype="<u4")
-    rest = v.astype(np.int64)
-    for k in range(width // 4 - 1, -1, -1):
-        rest, group = np.divmod(rest, 10**4)
-        words[:, k] = quads[group]
-    out[...] = words.view(np.uint8)
-    digits = 1 + np.searchsorted(10 ** np.arange(1, 16, dtype=np.int64), v,
-                                 side="right")
-    out *= np.arange(width) >= width - digits[:, None]
+    words = out.view("<u4")
+    # a group takes its NUL-led word until a group before it is nonzero
+    started = np.zeros(v.size, dtype=bool)
+    for c, g in enumerate(_groups(v.astype(np.uint64), words.shape[1])):
+        words[:, c] = quads[g + started * 10**4]
+        started |= g != 0
+    words[~started, -1] = 0x30000000      # 0 is '0'
 
 
 def format_rows(columns) -> bytes:
@@ -248,11 +294,14 @@ def format_rows(columns) -> bytes:
             blocks.append((_decimal, col, _decimal_width(col)))
         else:
             blocks.append((_g17, col.astype(np.float64, copy=False), _WIDTH))
-    text = np.empty((len(blocks[0][1]), sum(w + 1 for _, _, w in blocks)),
-                    dtype=np.uint8)
+    n = len(blocks[0][1])
+    text = np.empty((n, sum(w + 1 for _, _, w in blocks)), dtype=np.uint8)
     start = 0
     for kernel, col, width in blocks:
-        kernel(col, text[:, start:start + width])
+        # each kernel fills a contiguous buffer, copied into the rows once
+        buffer = np.empty((n, width), dtype=np.uint8)
+        kernel(col, buffer)
+        text[:, start:start + width] = buffer
         text[:, start + width] = ord(",")
         start += width + 1
     text[:, -1] = ord("\n")

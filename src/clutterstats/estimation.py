@@ -303,12 +303,16 @@ def _scan_roots(e: list[float], shapes: list[int], excess: float, k,
         nonlocal evaluations
         evaluations += 1
         p = list(e)
-        p[j1] = lim * tau ** power
-        rest = excess - _term_k(p, j1, 2)
+        # a k_2 or k_3 term past the doubles rounds to inf (c^2 and c^3
+        # of a finite c can overflow), and its gap brackets no root
+        with np.errstate(over="ignore"):
+            p[j1] = lim * tau ** power
+            rest = excess - _term_k(p, j1, 2)
         if not rest > 0.0:             # rounding at the end of the curve
             return p, math.nan
         p[j2] = _solve_entry(p, j2, rest)[0]
-        return p, _k(p, 3) - k[2]
+        with np.errstate(over="ignore"):
+            return p, _k(p, 3) - k[2]
 
     def extremum(lo: float, hi: float, sign: float) -> float:
         while hi - lo > 1e-12 * hi:    # golden section on sign * gap

@@ -134,11 +134,17 @@ def _bell(values, what: str, table):
     table = table[:rows.shape[1]]
     # x^1 is x exactly, in libm as anywhere
     powers = {(p, 1): rows[:, p - 1] for p in range(1, rows.shape[1] + 1)}
-    pairs = sorted({f for terms in table for _, factors in terms
-                    for f in factors if f[1] > 1})
-    exponents = np.array([e for _, e in pairs], dtype=object)
-    powers.update(zip(pairs, (rows[:, [p - 1 for p, _ in pairs]]
-                              .astype(object) ** exponents).astype(float).T))
+    pairs = {f for terms in table for _, factors in terms
+             for f in factors if f[1] > 1}
+    # x_p^e enters first at order p * e, so the first to overflow names
+    # the lowest order it breaks
+    for p, e in sorted(pairs, key=lambda f: (math.prod(f), f)):
+        try:
+            powers[p, e] = (rows[:, p - 1].astype(object) ** e).astype(float)
+        except OverflowError:
+            raise OverflowError(f"{what}: order {p * e} takes entry {p} to "
+                                f"the power {e}, which is outside the double "
+                                "range") from None
     out = np.empty_like(rows)
     with np.errstate(over="ignore", invalid="ignore"):   # as Python floats
         for n, terms in enumerate(table):

@@ -30,6 +30,12 @@ Since each raw word is a pure function of its index and every derived
 variate is elementwise, the block size moves neither the values nor the
 stream position.
 
+How a block computes is not part of the stream rule, and the rule above is
+unchanged by it: each block mixes its counters in place, forms its
+uniforms in the raw words' own buffer, and runs the Marsaglia-Tsang test
+on every trial, rejecting those with ``v <= 0`` after it.  Every value,
+and the words each trial reads, are those of the rule.
+
 Compound families draw speckle from the stream seeded with ``seed`` and
 texture from the stream seeded with ``seed XOR TEXTURE_SEED_XOR``, so the
 component batches can be reproduced standalone with those seeds.
@@ -80,20 +86,27 @@ class SplitMix64:
     def raw(self, n: int) -> np.ndarray:
         """Next n raw 64-bit words."""
         n = check_integer(n, "count", 0)
-        idx = np.arange(self.position + 1, self.position + n + 1,
-                        dtype=np.uint64)
+        z = np.arange(self.position + 1, self.position + n + 1,
+                      dtype=np.uint64)
         self.position += n
-        z = np.uint64(self.seed) + idx * np.uint64(SPLITMIX64_GAMMA)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
+        # the mix, in place on the counters with one shift buffer
+        z *= np.uint64(SPLITMIX64_GAMMA)
+        z += np.uint64(self.seed)
+        shifted = np.empty_like(z)
+        for shift, factor in ((30, 0xBF58476D1CE4E5B9),
+                              (27, 0x94D049BB133111EB)):
+            z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+            z *= np.uint64(factor)
+        z ^= np.right_shift(z, np.uint64(31), out=shifted)
         return z
 
     @staticmethod
     def _to_uniform(raw: np.ndarray) -> np.ndarray:
-        return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
+        """The uniforms of fresh raw words, formed in their buffer."""
+        raw >>= np.uint64(11)
+        u = np.add(raw, 0.5, out=raw.view(np.float64))
+        u *= _INV_2_53
+        return u
 
     def uniform_open(self, n: int) -> np.ndarray:
         """n uniforms strictly inside (0, 1)."""
@@ -125,17 +138,33 @@ class SplitMix64:
         c = 1.0 / math.sqrt(9.0 * d)
 
         def trials(_, k):
-            raw = self.raw(3 * k)
-            u1 = self._to_uniform(raw[0::3])
-            u2 = self._to_uniform(raw[1::3])
-            u = self._to_uniform(raw[2::3])
-            x = np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
-            v = (1.0 + c * x) ** 3
-            ok = v > 0.0
-            accept = np.zeros(k, dtype=bool)
-            accept[ok] = np.log(u[ok]) < (0.5 * x[ok] ** 2 + d - d * v[ok]
-                                          + d * np.log(v[ok]))
-            return d * v[accept]
+            # one row per word of a trial, so each variate is contiguous
+            u1, u2, u = self._to_uniform(self.raw(3 * k).reshape(k, 3).T
+                                         .copy())
+            w = np.multiply(u2, _TWO_PI)
+            np.cos(w, out=w)
+            x = np.log(u1)
+            x *= -2.0
+            np.sqrt(x, out=x)
+            x *= w
+            v = c * x
+            v += 1.0
+            v **= 3
+            # log u < x^2 / 2 + d - d v + d log v on every trial; one with
+            # v <= 0 gets nan or -inf from log v and is rejected after it
+            x **= 2
+            x *= 0.5
+            x += d
+            x -= np.multiply(v, d, out=w)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                np.log(v, out=w)
+            w *= d
+            x += w
+            accept = np.log(u, out=w) < x
+            accept &= v > 0.0
+            v = v[accept]
+            v *= d
+            return v
         return _fill(n, trials)
 
 

@@ -275,6 +275,22 @@ class TestEstimate:
                        "range\n")
         assert "estimate:" not in out
 
+    def test_texture_moment_past_double_range_exit_2(self, capsys, tmp_path,
+                                                     monkeypatch):
+        # no catalog speckle gets there (its k_n overflow first), so a
+        # speckle k_1 of -1e200 stands in; the texture's m_2 takes k_1^2
+        data = tmp_path / "g.csv"
+        run(capsys, "sample", "--family", "gamma", "--params", "L=4,mu=1",
+            "--n", "100", "--out", str(data))
+        monkeypatch.setattr(cli.dist, "log_cumulants_analytic",
+                            lambda spec, n: [-1e200] + [1.0] * (n - 1))
+        code, out, err = run(capsys, "estimate", "--family", "gamma",
+                             "--input", str(data), "--speckle", "L=4")
+        assert code == 2
+        assert err == ("error: cumulants_to_moments: order 2 takes entry 1 "
+                       "to the power 2, which is outside the double range\n")
+        assert "estimate:" not in out
+
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "estimate", "--family", "gamma",
                          "--input", "/does/not/exist.csv")

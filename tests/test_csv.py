@@ -96,6 +96,79 @@ class TestKernel:
             for i, v in zip(range(start, stop), x)).encode()
 
 
+def layout_of(text: str) -> tuple[int, int]:
+    """The notation of one '%.17g' text, its decimal exponent in fixed
+    notation and -5 or 17 in scientific, and its significant digits
+    without trailing zeros: the kernel's layout of it."""
+    mantissa, _, exponent = text.lstrip("-").partition("e")
+    whole, _, frac = mantissa.partition(".")
+    if exponent:
+        notation = -5 if int(exponent) < 0 else 17
+    elif whole != "0":
+        notation = len(whole) - 1
+    else:
+        notation = -1 - (len(frac) - len(frac.lstrip("0")))
+    return notation, len((whole + frac).strip("0"))
+
+
+def layout_pool(rng) -> dict:
+    """Values by layout: decimals of 1 to 17 digits at exponents -8 to 23
+    and dyadic rationals of 1 to 53 bits, each kept in the layout its
+    '%.17g' text has."""
+    pool = []
+    for e in range(-8, 24):
+        for k in range(1, 18):
+            for _ in range(3):
+                # k digits, the last one nonzero
+                d = int(rng.integers(10**(k - 1), 10**k)) // 10 * 10 \
+                    + int(rng.integers(1, 10))
+                pool.append(float(f"{d}e{e - k + 1}"))
+    for j in range(-70, 60):
+        for bits in range(1, 54, 4):
+            pool.append((int(rng.integers(2**(bits - 1), 2**bits)) | 1)
+                        * 2.0**j)
+    layouts = {}
+    for v in pool:
+        layouts.setdefault(layout_of("%.17g" % v), []).append(v)
+    return layouts
+
+
+class TestChunks:
+    """One chunk of CHUNK_ROWS rows whose per-row paths all mix."""
+
+    def test_every_layout_and_fallback_in_one_chunk(self):
+        rng = np.random.default_rng(16)
+        layouts = layout_pool(rng)
+        assert {x for x, _ in layouts} == set(range(-5, 18))   # 23
+        assert {kept for _, kept in layouts} == set(range(1, 18))
+        values = [v * sign for group in layouts.values()
+                  for v, sign in zip(group[:4], (1, -1, -1, 1))]
+        values += TIES + [-v for v in TIES]
+        values += [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                   -1e-300, float(np.nextafter(1e-240, 0.0)),
+                   float(np.nextafter(-1e240, -math.inf)), 1e300,
+                   -1.7976931348623157e308]
+        fill = _csv.CHUNK_ROWS - len(values)
+        assert fill > 0
+        values += (10.0 ** rng.uniform(-250, 250, fill)
+                   * rng.choice([-1.0, 1.0], fill)).tolist()
+        column = rng.permutation(np.array(values))
+        assert _csv.format_rows([column]) == reference_column(column)
+
+    def test_integers_of_every_width_in_one_chunk(self):
+        rng = np.random.default_rng(17)
+        columns = []
+        for top in range(1, 17):
+            # widths 1..top digits, 0 among them
+            digits = 1 + np.arange(_csv.CHUNK_ROWS) % top
+            column = rng.integers(10 ** (digits - 1), 10 ** digits)
+            column[::97] = 0
+            columns.append(rng.permutation(column))
+        assert _csv.format_rows(columns) == "".join(
+            ",".join(str(int(c[i])) for c in columns) + "\n"
+            for i in range(_csv.CHUNK_ROWS)).encode()
+
+
 class TestSampleFiles:
     @pytest.mark.parametrize("family", sorted(dist.FAMILY_TAGS))
     def test_every_family_matches_the_loop(self, family, tmp_path, capsys):
@@ -107,8 +180,10 @@ class TestSampleFiles:
                      "--n", "2000", "--seed", "4", "--out", str(out)]) == 0
         assert out.read_bytes() == reference_sample(sample(spec, 2000, 4))
 
-    @pytest.mark.parametrize("n", [_csv.CHUNK_ROWS - 1, _csv.CHUNK_ROWS,
-                                   _csv.CHUNK_ROWS + 1, 65535, 65536, 65537])
+    @pytest.mark.parametrize("n", [
+        _csv.CHUNK_ROWS - 1, _csv.CHUNK_ROWS, _csv.CHUNK_ROWS + 1,
+        2 * _csv.CHUNK_ROWS - 1, 2 * _csv.CHUNK_ROWS, 2 * _csv.CHUNK_ROWS + 1,
+        65535, 65536, 65537])
     def test_chunk_edges(self, n, tmp_path, capsys):
         out = tmp_path / "k.csv"
         assert main(["sample", "--family", "k", "--params", "alpha=2,b=1",

@@ -411,6 +411,13 @@ class TestInfeasibleConditions:
         with pytest.raises(NoSolutionError):
             fit_molc("fisher", stats)
 
+    def test_two_shape_scan_past_the_doubles_has_no_solution(self):
+        # a k_3 term overflows on the k_2 curve: numpy's overflow warning
+        # (an error under -W error) became NoSolutionError
+        stats = LogStats.from_cumulants([0.0, 1e210, 1e300])
+        with pytest.raises(NoSolutionError, match="no wnak law"):
+            fit_molc("wnak", stats)
+
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
             fit_molc("cauchy", LogStats.from_cumulants([0.0, 1.0]))

@@ -177,6 +177,21 @@ class TestCumulantAlgebra:
         with pytest.raises(ValueError, match="order-2 entry is inf"):
             central_log_moments([0.0, math.inf])
 
+    @pytest.mark.parametrize("values, order, power", [
+        ([1e200, 1.0], 2, "entry 1 to the power 2"),
+        ([1e100, 1.0, 1.0, 1.0], 4, "entry 1 to the power 4"),
+        ([0.0, 1e160, 0.0, 1.0], 4, "entry 2 to the power 2"),
+        ([[0.0, 1.0], [-1e200, 1.0]], 2, "entry 1 to the power 2"),
+    ])
+    def test_power_past_the_doubles_is_named_by_order(self, values, order,
+                                                      power):
+        # a bare OverflowError: (34, 'Numerical result out of range') once
+        with pytest.raises(OverflowError,
+                           match=f"^cumulants_to_moments: order {order} "
+                                 f"takes {power}, which is outside the "
+                                 "double range$"):
+            cumulants_to_moments(values)
+
     def test_round_trip_random(self):
         rng = np.random.RandomState(11)
         for order in range(1, MAX_ORDER + 1):

@@ -8,8 +8,10 @@ for the sampler blocks and the reader's work arrays.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from clutterstats import _csv
 from clutterstats import distributions as dist
 from clutterstats.cli import main
 from clutterstats.estimation import empirical_log_stats
@@ -72,3 +74,16 @@ def test_estimate_of_a_million_rows(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert peak <= 34 * MB
+
+
+def test_csv_writer_holds_one_chunk_of_buffers(tmp_path):
+    # a chunk's work arrays, whatever the row count: 2.0 MB in chunks of
+    # 4096 rows, of which the gather index (24 intp per float) is 0.8 MB;
+    # 8192-row chunks took 4.5 MB, and the file is 4.4 MB
+    n = 10**5
+    batch = sample(dist.KAmplitude(2.0, 1.0), n, 1)
+    _csv.format_rows([np.ones(1)])      # the tables, built on first use
+    _, peak = peak_bytes(_csv.write_csv, tmp_path / "k.csv", "index,x,z",
+                         [range(n), batch.values, batch.texture])
+    assert (tmp_path / "k.csv").stat().st_size > 4 * MB
+    assert peak <= 2.5 * MB

@@ -25,11 +25,14 @@ MC_FAMILY_SPECS = [
     dist.Fisher(3.0, 5.0, 1.0), dist.InverseGamma(4.0, 2.0),
 ]
 MC_BASE_SEED = 2000   # KS uses MC_BASE_SEED + 500 (= 2500 block)
-# one spec per family tag, the inverse gamma and a gamma boosted from
-# shape < 1: the specs whose streams sample_streams.json pins
+# one spec per family tag, the inverse gamma, a gamma boosted from
+# shape < 1 and a gamma at shape 1, where about 0.7 % of the
+# Marsaglia-Tsang trials have v <= 0: the specs whose streams
+# sample_streams.json pins
 STREAM_SPECS = {
     **{dist.family_tag(spec): spec for spec in MC_FAMILY_SPECS},
     "gamma_shape_below_1": dist.GammaPower(0.5, 2.0),
+    "gamma_shape_1": dist.GammaPower(1.0, 1.0),
 }
 
 
