@@ -152,14 +152,17 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _cmd_estimate(args) -> int:
-    orders = check_order(args.orders, "--orders")
+def _read_column(path: str):
     try:
-        values = _csv.read_column(args.input)
+        return _csv.read_column(path)
     except ValueError as exc:
-        raise UsageError(f"{args.input}: {exc}") from None
-    stats = estimation.empirical_log_stats(values, n_max=orders)
-    used = stats
+        raise UsageError(f"{path}: {exc}") from None
+
+
+def _cmd_estimate(args) -> int:
+    # the arguments are checked before the file is read
+    orders = check_order(args.orders, "--orders")
+    speckle = None
     if args.speckle:
         params, speckle_family = _parse_params(args.speckle)
         speckle_family = speckle_family or "gamma"
@@ -167,6 +170,12 @@ def _cmd_estimate(args) -> int:
         for name in estimation.scale_fields(speckle_family):
             params.setdefault(name, 1.0)
         speckle = dist.make_spec(speckle_family, params)
+    estimation.check_fit(args.family, orders, args.c_known)
+    # the column is only an argument, so it is freed once its logs exist
+    stats = estimation.empirical_log_stats(_read_column(args.input),
+                                           n_max=orders)
+    used = stats
+    if speckle is not None:
         used = estimation.texture_log_cumulants(stats, speckle)
         print(f"speckle: {_spec_text(speckle)} (log-cumulants subtracted)")
     fit = estimation.fit_molc(args.family, used, c_known=args.c_known)

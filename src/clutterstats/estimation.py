@@ -35,7 +35,8 @@ __all__ = [
     "ZeroSamplesError", "NonFiniteSamplesError", "TooFewSamplesError",
     "OutOfRangeError",
     "NoSolutionError", "SolverNonConvergenceError",
-    "empirical_log_stats", "invert_polygamma", "fit_molc", "scale_fields",
+    "empirical_log_stats", "invert_polygamma", "check_fit", "fit_molc",
+    "scale_fields",
     "texture_log_cumulants",
 ]
 
@@ -113,9 +114,15 @@ def empirical_log_stats(values, n_max: int = 4) -> EmpiricalLogStats:
     least 30 samples, raises NonFiniteSamplesError if any value is inf or
     nan and ZeroSamplesError if any value is <= 0.
 
-    Besides a float copy of non-float input, it holds two arrays of the
-    sample's size whatever ``n_max`` is: the logs and one buffer that
-    takes each power in turn.
+    It holds two arrays of the sample's size whatever ``n_max`` is: first
+    the input (or a float copy of non-float input) and its logs, then the
+    logs and one buffer that takes each power in turn.  It drops its own
+    references to the input once the logs exist, so an input that only
+    the call holds (``empirical_log_stats(sample(...).values)``) is freed
+    before the buffer is allocated.  That needs CPython 3.11 or later,
+    whose calls hand the argument to the callee; before 3.11 the caller's
+    stack keeps it alive to the end of the call, which costs an array of
+    memory and changes nothing else.
     """
     x = np.asarray(values, dtype=float).ravel()
     n_max = check_order(n_max, "empirical_log_stats")
@@ -130,11 +137,12 @@ def empirical_log_stats(values, n_max: int = 4) -> EmpiricalLogStats:
         raise ZeroSamplesError(bad)
 
     logs = np.log(x)
+    del values, x
     buf = np.empty_like(logs)
     # row 0 is all the draws; standard errors come from rows 1..10, the
     # consecutive equal splits (remainder dropped).  Each power is reduced
     # before the next one overwrites the buffer.
-    chunk = x.size // _N_SPLITS
+    chunk = logs.size // _N_SPLITS
     means = np.empty((1 + _N_SPLITS, n_max))
     for n in range(1, n_max + 1):
         # the loops that ``logs ** n`` runs: a copy, square, then pow
@@ -149,7 +157,7 @@ def empirical_log_stats(values, n_max: int = 4) -> EmpiricalLogStats:
     split_k = all_k[1:]
     errors = tuple(float(v) for v in
                    split_k.std(axis=0, ddof=1) / math.sqrt(_N_SPLITS))
-    return EmpiricalLogStats(moments, cumulants, errors, x.size)
+    return EmpiricalLogStats(moments, cumulants, errors, logs.size)
 
 
 _LOG_DOUBLES = (math.log(math.ulp(0.0)), LOG_DBL_MAX)
@@ -372,6 +380,22 @@ def _spec_of(layout: _Layout, e: list[float], k1: float):
     return dataclasses.replace(layout.spec, **values)
 
 
+def check_fit(family: str, order: int,
+              c_known: float | None = None) -> _Layout:
+    """The checks ``fit_molc(family, stats, c_known)`` makes before it reads
+    statistics of this order: a ValueError for an unknown family, for a
+    ``c_known`` on a family with no c, or for an order below d + 1, d the
+    family's free shapes.  Returns the layout the fit solves."""
+    held = {} if c_known is None else {"c": c_known}
+    layout = _layout(dist._family_class(family), held)
+    d = len(layout.shapes)
+    if order < d + 1:
+        raise ValueError(
+            f"{family} estimation needs log-cumulants up to order {d + 1}, "
+            f"got {order}")
+    return layout
+
+
 def fit_molc(family: str, stats: LogStats,
              c_known: float | None = None) -> FitResult:
     """Estimate family parameters by matching analytic log-cumulants.
@@ -383,13 +407,8 @@ def fit_molc(family: str, stats: LogStats,
     conditions and SolverNonConvergenceError (with the last iterate) if a
     polygamma inversion does not converge.
     """
-    held = {} if c_known is None else {"c": c_known}
-    layout = _layout(dist._family_class(family), held)
+    layout = check_fit(family, stats.order, c_known)
     shapes, d = layout.shapes, len(layout.shapes)
-    if stats.order < d + 1:
-        raise ValueError(
-            f"{family} estimation needs log-cumulants up to order {d + 1}, "
-            f"got {stats.order}")
     k = stats.log_cumulants
     tol = _REL_TOL * max([1.0, *(abs(v) for v in k[1:d + 1])])
     roots, iterations = [list(layout.ref)], 0

@@ -187,13 +187,21 @@ def central_log_moments(log_moments):
     central moment exceeds the cumulant by 3 k_2^2.  Like its two siblings
     it takes one vector (and gives a list) or a stack of vectors along the
     last axis (and gives an array of its shape), with the same bits per
-    row either way: (-m_1)^k is Python's float power.
+    row either way: (-m_1)^k is Python's float power.  A power past the
+    doubles raises OverflowError naming the order it enters first (k).
     """
     x = _finite(log_moments, "central_log_moments")
     rows = x.reshape(-1, x.shape[-1])
     m = np.hstack([np.ones((rows.shape[0], 1)), rows])
-    shift = (-rows[:, :1]).astype(object)
-    powers = [(shift ** k).astype(float)[:, 0] for k in range(m.shape[1])]
+    shift = (-rows[:, 0]).astype(object)
+    powers = []
+    for k in range(m.shape[1]):
+        try:
+            powers.append((shift ** k).astype(float))
+        except OverflowError:
+            raise OverflowError(f"central_log_moments: order {k} takes entry "
+                                f"1 to the power {k}, which is outside the "
+                                "double range") from None
     out = rows.copy()
     with np.errstate(over="ignore", invalid="ignore"):   # as Python floats
         for n in range(2, m.shape[1]):

@@ -257,7 +257,8 @@ def monte_carlo_checks(families=None, seed: int = DEFAULT_MC_SEED,
     for index, (family, spec) in enumerate(MC_SPECS):
         if family not in wanted:
             continue
-        # only the draws are kept: a compound texture is freed before the logs
+        # the batch is a temporary: its texture is freed once .values is
+        # read, and the draws once empirical_log_stats has their logs
         stats = empirical_log_stats(sample(spec, n, seed + index).values, 4)
         analytic = dist.log_cumulants_analytic(spec, 4)
         z = max(abs(stats.log_cumulants[i] - analytic[i]) / stats.std_errors[i]

@@ -296,6 +296,27 @@ class TestEstimate:
                          "--input", "/does/not/exist.csv")
         assert code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--family", "bogus"], "unknown family 'bogus'; expected one of "),
+        (["--family", "gamma", "--speckle", "family=bogus"],
+         "unknown family 'bogus'; expected one of "),
+        (["--family", "gamma", "--speckle", "L=0"],
+         "GammaPower.L must be a positive finite number, got 0.0"),
+        (["--family", "gamma", "--c-known", "2"],
+         "GammaPower has no field(s) ['c'] to hold fixed"),
+        (["--family", "wnak", "--orders", "2"],
+         "wnak estimation needs log-cumulants up to order 3, got 2"),
+    ], ids=["family", "speckle-family", "speckle-L", "c-known", "orders"])
+    def test_arguments_are_checked_before_the_file(self, capsys, argv,
+                                                   message):
+        # a missing file would report its own error if it were read first
+        code, out, err = run(capsys, "estimate", "--input",
+                             "/does/not/exist.csv", *argv)
+        assert code == 2
+        assert err.startswith("error: " + message)
+        assert "exist.csv" not in err
+        assert out == ""
+
 
 class TestSimulate:
     def test_small_sweep(self, capsys, tmp_path):

@@ -192,6 +192,20 @@ class TestCumulantAlgebra:
                                  "double range$"):
             cumulants_to_moments(values)
 
+    @pytest.mark.parametrize("values,order", [
+        ([1e200, 1.0], 2),
+        ([1e100, 1.0, 1.0, 1.0], 4),
+        ([[0.0, 1.0], [-1e200, 1.0]], 2),
+    ])
+    def test_central_shift_past_the_doubles_is_named_by_order(self, values,
+                                                              order):
+        # a bare OverflowError: (34, 'Numerical result out of range') once
+        with pytest.raises(OverflowError,
+                           match=f"^central_log_moments: order {order} takes "
+                                 f"entry 1 to the power {order}, which is "
+                                 "outside the double range$"):
+            central_log_moments(values)
+
     def test_round_trip_random(self):
         rng = np.random.RandomState(11)
         for order in range(1, MAX_ORDER + 1):

@@ -6,6 +6,7 @@ array is 8 MB; each budget is a whole number of such arrays plus a margin
 for the sampler blocks and the reader's work arrays.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,13 @@ from clutterstats.verify import monte_carlo_checks
 
 N = 10**6
 MB = 10**6
+
+# from CPython 3.11 an argument that only the call holds is freed when the
+# callee drops it
+frees_arguments = pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before CPython 3.11 the caller's stack keeps every argument "
+           "alive until the call returns")
 
 
 def peak_bytes(f, *args):
@@ -87,3 +95,52 @@ def test_csv_writer_holds_one_chunk_of_buffers(tmp_path):
                          [range(n), batch.values, batch.texture])
     assert (tmp_path / "k.csv").stat().st_size > 4 * MB
     assert peak <= 2.5 * MB
+
+
+@pytest.fixture(scope="module")
+def ggamma_csv(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("memory") / "ggamma.csv")
+    assert main(["sample", "--family", "ggamma", "--params", "L=4,M=2,mu=1",
+                 "--n", str(N), "--out", path]) == 0
+    return path
+
+
+@frees_arguments
+@pytest.mark.parametrize("n_max", [4, 6])
+def test_log_stats_free_a_temporary_input_before_the_buffer(n_max):
+    # the input and its logs, then the logs and the buffer: 16 MB with the
+    # input counted, where 24 MB held all three
+    values = sample(dist.GammaGamma(4.0, 2.0, 1.0), N, 1).values
+    _, peak = peak_bytes(lambda: empirical_log_stats(values.copy(), n_max))
+    assert 2 * 8 * MB <= peak <= 17 * MB
+
+
+@pytest.mark.parametrize("n_max", [4, 6])
+def test_log_stats_of_a_temporary_and_of_a_held_copy_agree(n_max):
+    values = sample(dist.KAmplitude(2.0, 1.0), 10**5, 1).values
+    held = empirical_log_stats(values, n_max)
+    temporary = empirical_log_stats(values.copy(), n_max)
+    for field in ("log_moments", "log_cumulants", "std_errors"):
+        assert [v.hex() for v in getattr(temporary, field)] == \
+            [v.hex() for v in getattr(held, field)], field
+    assert temporary.n_samples == held.n_samples == 10**5
+
+
+@frees_arguments
+def test_monte_carlo_checks_free_the_draws_once_logged():
+    # a compound draw while it is sampled, then the draws and their logs,
+    # then the logs and the buffer; 24 MB while the draws outlived the logs
+    outcomes, peak = peak_bytes(monte_carlo_checks)
+    assert len(outcomes) == 5
+    assert peak <= 18 * MB
+
+
+@frees_arguments
+def test_estimate_holds_two_arrays_of_the_column(ggamma_csv, capsys):
+    # the column and its logs, then the logs and the buffer, plus the
+    # reader's work arrays; 25 MB while the column outlived its logs
+    code, peak = peak_bytes(main, ["estimate", "--family", "ggamma",
+                                   "--input", ggamma_csv])
+    capsys.readouterr()
+    assert code == 0
+    assert peak <= 18 * MB
