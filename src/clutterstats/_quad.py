@@ -26,10 +26,11 @@ import math
 
 import numpy as np
 
-__all__ = ["ABS_TOL", "NonConvergenceError", "adaptive_quad", "gk15",
-           "log_latent_integral", "log_trapezoid"]
+__all__ = ["ABS_TOL", "HALF_LOG_TWO_PI", "NonConvergenceError",
+           "adaptive_quad", "gk15", "log_latent_integral", "log_trapezoid"]
 
 ABS_TOL = 1e-12   # adaptive_quad's default absolute tolerance
+HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule, QUADPACK dqk15
 # constants.  Nodes are on [-1, 1]; even-indexed nodes carry the Gauss rule.
@@ -192,7 +193,7 @@ def log_trapezoid(g, width, strip: float, *params) -> np.ndarray:
     width = np.minimum(np.asarray(width, dtype=float), 1.0)
     params = [np.asarray(p, dtype=float) for p in params]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = 0.5 * math.log(2.0 * math.pi) + np.log(width)
+        out = HALF_LOG_TWO_PI + np.log(width)
         rows = np.flatnonzero(width >= _GAUSSIAN)
         for start in range(0, rows.size, _CHUNK):
             part = rows[start:start + _CHUNK]

@@ -120,7 +120,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    families = args.families.split(",") if args.families else None
+    families = None if args.families is None else args.families.split(",")
     outcomes = verify.run_all(families=families, tolerance=args.tolerance,
                               seed=args.seed)
     failed = [o for o in outcomes if not o.passed]
@@ -163,13 +163,14 @@ def _cmd_estimate(args) -> int:
     # the arguments are checked before the file is read
     orders = check_order(args.orders, "--orders")
     speckle = None
-    if args.speckle:
+    if args.speckle is not None:
         params, speckle_family = _parse_params(args.speckle)
         speckle_family = speckle_family or "gamma"
         # unit-scale convention for the known speckle factor
         for name in estimation.scale_fields(speckle_family):
             params.setdefault(name, 1.0)
-        speckle = dist.make_spec(speckle_family, params)
+        speckle = dist.check_simple(dist.make_spec(speckle_family, params),
+                                    "speckle")
     estimation.check_fit(args.family, orders, args.c_known)
     # the column is only an argument, so it is freed once its logs exist
     stats = estimation.empirical_log_stats(_read_column(args.input),
@@ -296,9 +297,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:   # `| head -1`: devnull takes the final flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (estimation.ZeroSamplesError, estimation.NonFiniteSamplesError,
-            estimation.TooFewSamplesError, estimation.NoSolutionError,
-            estimation.OutOfRangeError) as exc:
+    except estimation.EstimationError as exc:
         print(f"estimation error: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
     except estimation.SolverNonConvergenceError as exc:

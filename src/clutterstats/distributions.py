@@ -43,7 +43,7 @@ __all__ = [
     "DistributionSpec", "StripError", "MomentDoesNotExistError",
     "pdf", "chf2_analytic", "log_chf2_analytic", "classical_moment",
     "log_cumulants_analytic", "term_log_cumulant", "components",
-    "strip", "FAMILY_TAGS", "family_tag", "make_spec",
+    "strip", "FAMILY_TAGS", "family_tag", "check_simple", "make_spec",
 ]
 
 
@@ -171,13 +171,16 @@ FAMILY_TAGS: dict[str, type] = {
 }
 
 
+# every spec class's tag, the internal component family's included
+_TAG_OF: dict[type, str] = {**{cls: tag for tag, cls in FAMILY_TAGS.items()},
+                            InverseGamma: "invgamma"}
+
+
 def family_tag(spec: DistributionSpec) -> str:
-    for tag, cls in FAMILY_TAGS.items():
-        if type(spec) is cls:
-            return tag
-    if type(spec) is InverseGamma:
-        return "invgamma"
-    raise TypeError(f"not a distribution spec: {spec!r}")
+    try:
+        return _TAG_OF[type(spec)]
+    except KeyError:
+        raise TypeError(f"not a distribution spec: {spec!r}") from None
 
 
 def _family_class(tag: str) -> type:
@@ -398,6 +401,14 @@ def components(
         case Fisher(L=L, M=M, mu=mu):
             return GammaPower(L, 1.0), InverseGamma(M, M * mu)
     return None
+
+
+def check_simple(spec: DistributionSpec, what: str) -> DistributionSpec:
+    """``spec`` itself, or ValueError naming ``what`` when it is compound."""
+    if components(spec) is not None:
+        raise ValueError(
+            f"{what} must be a simple family, got {family_tag(spec)}")
+    return spec
 
 
 # density evaluation ---------------------------------------------------------

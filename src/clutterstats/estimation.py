@@ -31,7 +31,7 @@ from .mellin import LogStats, cumulants_to_moments, moments_to_cumulants
 from .specfun import check_integer, check_order, polygamma
 
 __all__ = [
-    "EmpiricalLogStats", "FitResult",
+    "EmpiricalLogStats", "FitResult", "EstimationError",
     "ZeroSamplesError", "NonFiniteSamplesError", "TooFewSamplesError",
     "OutOfRangeError",
     "NoSolutionError", "SolverNonConvergenceError",
@@ -41,7 +41,12 @@ __all__ = [
 ]
 
 
-class ZeroSamplesError(ValueError):
+class EstimationError(ValueError):
+    """Base of the failures that make the data unfit for an estimate: the
+    CLI reports each as an estimation error (exit 3)."""
+
+
+class ZeroSamplesError(EstimationError):
     """Log statistics are undefined for nonpositive samples."""
 
     def __init__(self, count: int):
@@ -52,7 +57,7 @@ class ZeroSamplesError(ValueError):
         self.count = count
 
 
-class NonFiniteSamplesError(ValueError):
+class NonFiniteSamplesError(EstimationError):
     """Log statistics are undefined for infinite or NaN samples."""
 
     def __init__(self, count: int):
@@ -63,16 +68,16 @@ class NonFiniteSamplesError(ValueError):
         self.count = count
 
 
-class TooFewSamplesError(ValueError):
+class TooFewSamplesError(EstimationError):
     pass
 
 
-class OutOfRangeError(ValueError):
+class OutOfRangeError(EstimationError):
     """Target outside the range of the polygamma function, or a fitted
     field outside the doubles."""
 
 
-class NoSolutionError(ValueError):
+class NoSolutionError(EstimationError):
     """The moment conditions are infeasible for the requested family."""
 
 
@@ -446,14 +451,12 @@ def texture_log_cumulants(data_stats: LogStats,
     """Texture log-cumulants by additivity: k_n(texture) = k_n(data) -
     k_n(speckle), with the speckle cumulants taken analytically.
 
-    ``speckle`` must be a simple family; by convention it carries unit mean
-    scale so the texture keeps the physical scale of the data.  Standard
-    errors, when present on ``data_stats``, carry over unchanged (the
-    subtraction is deterministic).
+    ``speckle`` is a simple family (``dist.check_simple``); by convention
+    it carries unit mean scale so the texture keeps the physical scale of
+    the data.  Standard errors, when present on ``data_stats``, carry over
+    unchanged (the subtraction is deterministic).
     """
-    if dist.components(speckle) is not None:
-        raise ValueError(
-            f"speckle must be a simple family, got {dist.family_tag(speckle)}")
+    dist.check_simple(speckle, "speckle")
     n = data_stats.order
     speckle_k = dist.log_cumulants_analytic(speckle, n)
     cumulants = tuple(a - b for a, b in zip(data_stats.log_cumulants, speckle_k))

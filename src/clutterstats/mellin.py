@@ -12,7 +12,9 @@ parts (Kendall & Stuart, The Advanced Theory of Statistics, Vol. 1).
 Both directions take a stack of vectors as well as one vector, and work
 along the last axis in one pass.  Every power in them is Python's float
 power (libm ``pow``), so each row of a stack keeps the bits it has alone.
-Central moments come from the binomial shift.
+Central moments come from the binomial shift.  One helper, ``_power``,
+takes every power of the algebra and the shift, and names the order and
+the entry when a power leaves the doubles.
 
 Every improper integral is evaluated after the substitution x = e^t, which
 makes the integrand doubly-exponentially decaying for all catalog families
@@ -120,15 +122,27 @@ def _bell_terms(signed: bool) -> tuple:
 _MOMENT_TERMS, _CUMULANT_TERMS = _bell_terms(False), _bell_terms(True)
 
 
+def _power(column: np.ndarray, e: int, what: str, order: int,
+           entry: int) -> np.ndarray:
+    """column^e by Python's float power (libm ``pow``), taken on an object
+    array: numpy's own ``**`` rounds some cubes differently.  A power past
+    the doubles raises OverflowError naming ``what``, the ``order`` it
+    enters and the ``entry`` it raises."""
+    try:
+        return (column.astype(object) ** e).astype(float)
+    except OverflowError:
+        raise OverflowError(f"{what}: order {order} takes entry {entry} to "
+                            f"the power {e}, which is outside the double "
+                            "range") from None
+
+
 def _bell(values, what: str, table):
     """y_n = x_n + the sum of the order-n terms, coefficient times
     prod x_p^e, along the last axis of ``values``: a list for one vector,
     an array of the same shape for a stack of them.  Up to order 4 the
     terms come in the order, and their products are formed as, in the
     written-out formulas, so the seeded sweep CSV keeps every bit.  For
-    the same reason each power x_p^e is Python's float power (libm
-    ``pow``), taken on an object array: numpy's own ``**`` rounds some
-    cubes differently."""
+    the same reason each power x_p^e is taken by ``_power``."""
     x = _finite(values, what)
     rows = x.reshape(-1, x.shape[-1])
     table = table[:rows.shape[1]]
@@ -139,12 +153,7 @@ def _bell(values, what: str, table):
     # x_p^e enters first at order p * e, so the first to overflow names
     # the lowest order it breaks
     for p, e in sorted(pairs, key=lambda f: (math.prod(f), f)):
-        try:
-            powers[p, e] = (rows[:, p - 1].astype(object) ** e).astype(float)
-        except OverflowError:
-            raise OverflowError(f"{what}: order {p * e} takes entry {p} to "
-                                f"the power {e}, which is outside the double "
-                                "range") from None
+        powers[p, e] = _power(rows[:, p - 1], e, what, p * e, p)
     out = np.empty_like(rows)
     with np.errstate(over="ignore", invalid="ignore"):   # as Python floats
         for n, terms in enumerate(table):
@@ -193,15 +202,8 @@ def central_log_moments(log_moments):
     x = _finite(log_moments, "central_log_moments")
     rows = x.reshape(-1, x.shape[-1])
     m = np.hstack([np.ones((rows.shape[0], 1)), rows])
-    shift = (-rows[:, 0]).astype(object)
-    powers = []
-    for k in range(m.shape[1]):
-        try:
-            powers.append((shift ** k).astype(float))
-        except OverflowError:
-            raise OverflowError(f"central_log_moments: order {k} takes entry "
-                                f"1 to the power {k}, which is outside the "
-                                "double range") from None
+    powers = [_power(-rows[:, 0], k, "central_log_moments", k, 1)
+              for k in range(m.shape[1])]
     out = rows.copy()
     with np.errstate(over="ignore", invalid="ignore"):   # as Python floats
         for n in range(2, m.shape[1]):

@@ -236,12 +236,8 @@ def sample_compound(speckle: dist.DistributionSpec,
     its own.
     """
     n = check_integer(n, "sample count", 1)
-    for part, name in ((speckle, "speckle"), (texture, "texture")):
-        if dist.components(part) is not None:
-            raise ValueError(
-                f"{name} component must be a simple family, got "
-                f"{dist.family_tag(part)}"
-            )
+    dist.check_simple(speckle, "speckle component")
+    dist.check_simple(texture, "texture component")
     speckle_stream = SplitMix64(seed)
     texture_stream = SplitMix64(speckle_stream.seed ^ TEXTURE_SEED_XOR)
     u = _draw_simple(speckle, speckle_stream, n)

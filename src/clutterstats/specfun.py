@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from ._quad import adaptive_quad  # noqa: F401  bound for bench/tracing.py
-from ._quad import log_latent_integral
+from ._quad import HALF_LOG_TWO_PI, log_latent_integral
 
 __all__ = ["MAX_ORDER", "check_integer", "check_order", "ln_gamma",
            "log_gamma_ratio", "digamma", "polygamma", "log_bessel_k_batch"]
@@ -54,7 +54,6 @@ _LNG_COEF = tuple(b / ((2 * k) * (2 * k - 1)) for k, b in enumerate(_B2K, start=
 _DG_COEF = tuple(b / (2 * k) for k, b in enumerate(_B2K, start=1))
 
 _SHIFT_THRESHOLD = 10.0
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _require_positive_finite(name: str, x: float) -> float:
@@ -92,7 +91,7 @@ def ln_gamma(x: float) -> float:
     while y < _SHIFT_THRESHOLD:
         log_shift += math.log(y)
         y += 1.0
-    return ((y - 0.5) * math.log(y) - y + _HALF_LOG_TWO_PI
+    return ((y - 0.5) * math.log(y) - y + HALF_LOG_TWO_PI
             + _stirling_series(y) - log_shift)
 
 

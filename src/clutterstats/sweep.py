@@ -22,8 +22,6 @@ from .specfun import polygamma
 __all__ = ["SweepRow", "default_m_grid", "texture_sweep",
            "write_sweep_csv", "render_sweep_svg", "SWEEP_CSV_HEADER"]
 
-SWEEP_CSV_HEADER = ("M,order,logmoment_data,logcumulant_texture_est,"
-                    "logcumulant_texture_analytic,stderr")
 
 # The documented sweep, which ``simulate`` runs by default: speckle shape
 # L, texture mean mu, a log-spaced M grid (start, stop, count), draws per
@@ -49,6 +47,10 @@ class SweepRow:
             raise ValueError(f"order must be 2 or 4, got {self.order}")
         if self.stderr < 0.0:
             raise ValueError("stderr must be nonnegative")
+
+
+# the sweep CSV's columns are SweepRow's fields, in order
+SWEEP_CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def default_m_grid(start: float = DEFAULT_M_GRID[0],

@@ -9,12 +9,17 @@ and the pinned special-function constants.  The command line ``verify``
 subcommand and the acceptance tests both run through here.  Each gate is
 one constant beside ``GRID_S``; ``verify --tolerance`` alone overrides one
 (transform agreement) for a run.
+
+The three quadrature checks read one set of transform tables, which
+``run_all`` builds per run with ``transform_tables``: each check takes the
+tables as its input and its specs from them, grouped by family tag in
+table order, and builds none of its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -106,7 +111,6 @@ MC_SPECS: list[tuple[str, dist.DistributionSpec]] = [
 
 
 def _spec_label(spec: dist.DistributionSpec) -> str:
-    from dataclasses import astuple
     inner = ",".join(f"{v:g}" for v in astuple(spec))
     return f"{dist.family_tag(spec)}({inner})"
 
@@ -158,27 +162,33 @@ def _quadrature_outcome(name: str, family: str, tolerance: float, rows,
                         bound, points)
 
 
-def normalization_checks(families=None, tables=None) -> list[CheckOutcome]:
-    """integral of pdf == 1 within the gate for every catalog spec.
+def _by_family(specs) -> dict[str, list[dist.DistributionSpec]]:
+    """``specs`` grouped by family tag, each group and its members in the
+    order the specs come."""
+    groups: dict[str, list[dist.DistributionSpec]] = {}
+    for spec in specs:
+        groups.setdefault(dist.family_tag(spec), []).append(spec)
+    return groups
 
-    ``tables`` (from :func:`transform_tables`) are built when not given."""
-    tables = tables or transform_tables(families)
+
+def normalization_checks(tables) -> list[CheckOutcome]:
+    """integral of pdf == 1 within the gate for every spec of ``tables``
+    (from :func:`transform_tables`), one outcome per family."""
     return [_quadrature_outcome(
         "normalization", family, NORMALIZATION_GATE,
         [(abs(tables[spec].at(1.0)[0] - 1.0), _spec_label(spec), spec, [1.0])
-         for spec in PARAM_GRID[family]], tables)
-        for family in _selected(families)]
+         for spec in specs], tables)
+        for family, specs in _by_family(tables).items()]
 
 
-def transform_agreement_checks(families=None,
-                               tolerance: float = AGREEMENT_GATE,
-                               tables=None) -> list[CheckOutcome]:
-    """Analytic transform vs quadrature within tolerance on the s grid."""
-    tables = tables or transform_tables(families)
+def transform_agreement_checks(
+        tables, tolerance: float = AGREEMENT_GATE) -> list[CheckOutcome]:
+    """Analytic transform vs quadrature within tolerance on the s grid,
+    for every spec of ``tables``, one outcome per family."""
     out = []
-    for family in _selected(families):
+    for family, specs in _by_family(tables).items():
         rows = []
-        for spec in PARAM_GRID[family]:
+        for spec in specs:
             lo, hi = dist.strip(spec)
             for s in GRID_S:
                 if lo < s < hi:
@@ -204,17 +214,16 @@ def _convolution_error(spec, table) -> float:
     return worst
 
 
-def convolution_checks(families=None, tables=None) -> list[CheckOutcome]:
-    """Compound transform equals the product of its factor transforms."""
-    compound = [f for f in _selected(families)
-                if dist.components(PARAM_GRID[f][0]) is not None]
-    tables = tables or transform_tables(compound)
+def convolution_checks(tables) -> list[CheckOutcome]:
+    """Compound transform equals the product of its factor transforms, for
+    every compound spec of ``tables``, one outcome per family."""
+    compound = (spec for spec in tables if dist.components(spec) is not None)
     return [_quadrature_outcome(
         "convolution-product", family, CONVOLUTION_GATE,
         [(_convolution_error(spec, tables[spec]), _spec_label(spec), spec,
           CONVOLUTION_S)
-         for spec in PARAM_GRID[family]], tables)
-        for family in compound]
+         for spec in specs], tables)
+        for family, specs in _by_family(compound).items()]
 
 
 def cumulant_algebra_checks() -> list[CheckOutcome]:
@@ -296,10 +305,9 @@ def run_all(families=None, tolerance: float = AGREEMENT_GATE,
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     tables = transform_tables(families)   # built anew on every call
     out = []
-    out += normalization_checks(families, tables=tables)
-    out += transform_agreement_checks(families, tolerance=tolerance,
-                                      tables=tables)
-    out += convolution_checks(families, tables=tables)
+    out += normalization_checks(tables)
+    out += transform_agreement_checks(tables, tolerance=tolerance)
+    out += convolution_checks(tables)
     if families is None:
         out += cumulant_algebra_checks()
     out += monte_carlo_checks(families, seed=seed)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import clutterstats
-from clutterstats import cli, sweep, verify
+from clutterstats import cli, estimation, sweep, verify
 from clutterstats.cli import main
 from clutterstats.specfun import polygamma
 from clutterstats.sweep import SWEEP_CSV_HEADER
@@ -317,6 +317,46 @@ class TestEstimate:
         assert "exist.csv" not in err
         assert out == ""
 
+    def test_compound_speckle_is_rejected_before_the_file(self, capsys):
+        code, out, err = run(capsys, "estimate", "--family", "gamma",
+                             "--input", "/does/not/exist.csv",
+                             "--speckle", "family=k,alpha=2,b=1")
+        assert code == 2
+        assert err == "error: speckle must be a simple family, got k\n"
+        assert out == ""
+
+    def test_empty_speckle_is_a_usage_error(self, capsys, tmp_path):
+        # an empty value must not fit with no speckle subtracted
+        data = tmp_path / "g.csv"
+        run(capsys, "sample", "--family", "gamma", "--params", "L=4,mu=1",
+            "--n", "100", "--out", str(data))
+        code, out, err = run(capsys, "estimate", "--family", "gamma",
+                             "--input", str(data), "--speckle", "")
+        assert code == 2
+        assert err == "error: missing parameter(s) ['L'] for gamma\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("error", [
+        estimation.ZeroSamplesError(2), estimation.NonFiniteSamplesError(3),
+        estimation.TooFewSamplesError("too few"),
+        estimation.NoSolutionError("no solution"),
+        estimation.OutOfRangeError("out of range"),
+    ], ids=lambda error: type(error).__name__)
+    def test_estimation_errors_exit_3(self, capsys, tmp_path, monkeypatch,
+                                      error):
+        data = tmp_path / "g.csv"
+        run(capsys, "sample", "--family", "gamma", "--params", "L=4,mu=1",
+            "--n", "100", "--out", str(data))
+
+        def failing_fit(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(estimation, "fit_molc", failing_fit)
+        code, out, err = run(capsys, "estimate", "--family", "gamma",
+                             "--input", str(data))
+        assert code == 3
+        assert err == f"estimation error: {error}\n"
+        assert out == ""
+
 
 class TestSimulate:
     def test_small_sweep(self, capsys, tmp_path):
@@ -442,6 +482,15 @@ class TestVerifyCommand:
                 verify.monte_carlo_checks(families)
         # wnak is a known family with no Monte-Carlo spec
         assert verify.monte_carlo_checks(["wnak"]) == []
+
+    def test_empty_family_list_is_a_usage_error(self, capsys, monkeypatch):
+        # an empty value must not run the whole suite
+        def no_check(*args, **kwargs):
+            raise AssertionError("a check ran")
+        monkeypatch.setattr(verify, "normalization_checks", no_check)
+        code, out, err = run(capsys, "verify", "--families", "")
+        assert code == 2
+        assert out == "" and "unknown families ['']" in err
 
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "--families", "gamma",

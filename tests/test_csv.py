@@ -191,6 +191,11 @@ class TestSampleFiles:
         assert out.read_bytes() == reference_sample(
             sample(dist.KAmplitude(2.0, 1.0), n, 9))
 
+    def test_sweep_csv_header(self):
+        assert SWEEP_CSV_HEADER == (
+            "M,order,logmoment_data,logcumulant_texture_est,"
+            "logcumulant_texture_analytic,stderr")
+
     def test_sweep_csv_matches_the_loop(self, tmp_path):
         rows = [SweepRow(0.25, 2, -1.5, 3.25e-7, 1e300, 0.0),
                 SweepRow(17.5, 4, 2.0, -0.0, -123456.789, 5e-324)]

@@ -93,6 +93,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unknown parameter"):
             dist.make_spec("gamma", {"L": 1.0, "mu": 1.0, "q": 2.0})
 
+    def test_family_tag_of_every_spec_class(self):
+        specs = {"gamma": GammaPower(1.0, 1.0), "nakagami": Nakagami(1.0, 1.0),
+                 "maxwell": Maxwell(1.0), "weibull": Weibull(1.0, 1.0),
+                 "rayleigh": Rayleigh(1.0), "ggamma": GammaGamma(1.0, 1.0, 1.0),
+                 "k": KAmplitude(1.0, 1.0),
+                 "wnak": WeibullNakagami(1.0, 1.0, 1.0),
+                 "fisher": Fisher(1.0, 3.0, 1.0),
+                 "invgamma": InverseGamma(1.0, 1.0)}
+        assert {tag: dist.family_tag(spec)
+                for tag, spec in specs.items()} == {t: t for t in specs}
+        for not_a_spec in (None, 1.0, (1.0, 1.0), GammaPower):
+            with pytest.raises(TypeError, match="not a distribution spec"):
+                dist.family_tag(not_a_spec)
+
     def test_canonical_scale_outside_double_range(self):
         # mu / L underflows to 0 and sqrt(2) sigma overflows
         for spec in (GammaPower(1e300, 1e-300), Maxwell(1.7e308),

@@ -461,6 +461,12 @@ class TestTextureLogCumulants:
         with pytest.raises(ValueError, match="simple family"):
             texture_log_cumulants(data, dist.GammaGamma(4.0, 2.0, 1.0))
 
+    def test_compound_speckle_message(self):
+        data = LogStats.from_cumulants([0.0, 1.0])
+        with pytest.raises(ValueError) as info:
+            texture_log_cumulants(data, dist.Fisher(3.0, 4.0, 1.0))
+        assert str(info.value) == "speckle must be a simple family, got fisher"
+
 
 class TestStatisticalRoundTrips:
     @pytest.mark.parametrize("tag,spec,n_max,limit", [

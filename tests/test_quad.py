@@ -119,7 +119,7 @@ class TestOnePassPerSpec:
 class TestBoundInTheGate:
     def test_outcomes_carry_bound_and_count(self):
         tables = verify.transform_tables(["k"])
-        (outcome,) = verify.transform_agreement_checks(["k"], tables=tables)
+        (outcome,) = verify.transform_agreement_checks(tables)
         assert outcome.passed
         assert outcome.evaluations == sum(t.evaluations
                                           for t in tables.values())
@@ -133,8 +133,7 @@ class TestBoundInTheGate:
         spec = verify.PARAM_GRID["gamma"][0]
         tables[spec] = replace(tables[spec], error_bounds=tuple(
             1e-5 * abs(v) for v in tables[spec].values))
-        (outcome,) = verify.transform_agreement_checks(["gamma"],
-                                                       tables=tables)
+        (outcome,) = verify.transform_agreement_checks(tables)
         assert outcome.max_error <= outcome.threshold
         assert outcome.error_bound > outcome.threshold
         assert not outcome.passed
@@ -145,5 +144,5 @@ class TestBoundInTheGate:
         spec = verify.PARAM_GRID["gamma"][0]
         tables[spec] = replace(tables[spec],
                                values=(math.nan,) * len(tables[spec].s))
-        (outcome,) = verify.normalization_checks(["gamma"], tables=tables)
+        (outcome,) = verify.normalization_checks(tables)
         assert not outcome.passed

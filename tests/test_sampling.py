@@ -196,6 +196,17 @@ class TestProductModel:
             sample_compound(dist.GammaGamma(4.0, 2.0, 1.0),
                             dist.GammaPower(2.0, 1.0), 10, 1)
 
+    @pytest.mark.parametrize("speckle,texture,message", [
+        (dist.GammaGamma(4.0, 2.0, 1.0), dist.GammaPower(2.0, 1.0),
+         "speckle component must be a simple family, got ggamma"),
+        (dist.GammaPower(2.0, 1.0), dist.KAmplitude(2.0, 1.0),
+         "texture component must be a simple family, got k"),
+    ], ids=["speckle", "texture"])
+    def test_compound_component_message(self, speckle, texture, message):
+        with pytest.raises(ValueError) as info:
+            sample_compound(speckle, texture, 10, 1)
+        assert str(info.value) == message
+
     def test_degenerate_texture_reduces_to_speckle(self):
         # texture concentrated at 1 leaves the speckle log-variance
         speckle = dist.GammaPower(4.0, 1.0)
