@@ -9,6 +9,8 @@ for a whole column with numpy:
 * scale: ``E = floor(log10|x|)`` and ``y = |x| * 10^(16-E)`` as a
   double-double (Dekker's TwoProduct; ``10^k = hi + lo`` is built exactly
   from ``fractions.Fraction``), so ``floor(y)`` has the 17 leading digits;
+  ``_times_power`` is the one copy of that product, which the reader's
+  ``_scale`` calls too;
 * round: the 17-digit integer ``D`` is ``floor(y)`` plus the rounding of
   the fraction; for ``0 <= 16-E <= 22`` the power and the product are exact
   and a tie rounds half to even, as CPython's formatter does;
@@ -116,10 +118,26 @@ _LAYOUTS = 23 * 17           # (x, kept digits) pairs of one sign
 _ROW = 32
 
 
-def _split(v):
-    big = _SPLIT * v
-    big = big - (big - v)
-    return big, v - big
+def _split(v: np.ndarray):
+    """v = big + small exactly (Dekker's splitter), and a free array."""
+    big = v * _SPLIT
+    work = big - v
+    big -= work
+    return big, v - big, work
+
+
+def _times_power(v: np.ndarray, index: np.ndarray):
+    """v * 10^k for the table's k at ``index`` as (p, t, h, l, work): p + t
+    = v * h exactly (Dekker's TwoProduct), 10^k = h + l, and a free array;
+    each caller adds its own low term to t."""
+    h, h_big, h_small, l = (table[index] for table in _powers())
+    p = v * h
+    big, small, work = _split(v)
+    t = big * h_big
+    t -= p
+    for u, w in ((big, h_small), (small, h_big), (small, h_small)):
+        t += np.multiply(u, w, out=work)
+    return p, t, h, l, work
 
 
 @functools.cache
@@ -133,7 +151,7 @@ def _powers() -> tuple[np.ndarray, ...]:
         hi.append(float(exact))
         lo.append(float(exact - Fraction(hi[-1])))
     hi = np.array(hi)
-    return (hi, *_split(hi), np.array(lo))
+    return (hi, *_split(hi)[:2], np.array(lo))
 
 
 def _suffix(x: int) -> str:
@@ -207,19 +225,8 @@ def _g17(x: np.ndarray, out: np.ndarray) -> None:
     e = np.log10(a)
     # in [_E_MIN, _E_MAX], as a is 1 or in [_LO, _HI]
     e = np.floor(e, out=e).astype(np.intp)
-    k = 16 - _K_MIN - e
-    h, h_big, h_small, l = (table[k] for table in _powers())
-    # y = a * 10^k = p + t, with p + err = a * h exactly (TwoProduct)
-    p = a * h
-    a_big = a * _SPLIT
-    tmp = a_big - a
-    a_big -= tmp
-    a_small = a - a_big
-    t = a_big * h_big
-    t -= p
-    for u, v in ((a_big, h_small), (a_small, h_big), (a_small, h_small),
-                 (a, l)):
-        t += np.multiply(u, v, out=tmp)
+    p, t, _, l, tmp = _times_power(a, 16 - _K_MIN - e)
+    t += np.multiply(a, l, out=tmp)
     whole = np.floor(t, out=tmp)
     frac = np.subtract(t, whole, out=t)
     base = p.astype(np.int64)
@@ -355,7 +362,12 @@ def read_column(path) -> np.ndarray:
             count += part.size
     if column is None:
         raise ValueError("empty input")
-    return values[:count]
+    # the room past the last row goes back in place (a realloc, no copy):
+    # the first block's short index fields over-estimate the rows, 11 %
+    # on a 10^6-row sample file.  No view of values exists (grown is the
+    # array itself), so nothing can see the buffer move.
+    values.resize(count, refcheck=False)
+    return values
 
 
 def _blocks(fh):
@@ -583,15 +595,11 @@ def _scale(w: np.ndarray, q: np.ndarray):
     within _MARGIN of the exact one, so the rounding is certain when p +
     (t - m) and p + (t + m) round alike, m = _MARGIN |p|."""
     index = np.minimum(np.maximum(q, _K_MIN), _K_MAX) - _K_MIN
-    h, h_big, h_small, l = (table[index] for table in _powers())
     # w = wh + wl exactly
     wh = w.astype(np.float64)
     wl = (w - wh.astype(np.uint64)).view(np.int64).astype(np.float64)
-    p = wh * h
-    w_big, w_small = _split(wh)
-    err = ((w_big * h_big - p) + w_big * h_small + w_small * h_big) \
-        + w_small * h_small
-    t = err + (wh * l + wl * h)
+    p, t, h, l, _ = _times_power(wh, index)
+    t += wh * l + wl * h
     m = p * _MARGIN
     r = p + (t - m)
     certain = (r == p + (t + m)) & (index == q - _K_MIN)

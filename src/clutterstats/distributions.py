@@ -230,11 +230,8 @@ def _mellin_form(spec: DistributionSpec) -> _MellinForm:
         case InverseGamma(shape=a, scale=scale):
             form = _MellinForm(scale, ((a, -1.0),))
         case _:
-            parts = components(spec)
-            if parts is None:
-                raise TypeError(f"not a distribution spec: {spec!r}")
             # X = U * Z multiplies the transforms (Mellin convolution theorem)
-            speckle, texture = map(_mellin_form, parts)
+            speckle, texture = map(_mellin_form, components(spec))
             form = _MellinForm(speckle.scale * texture.scale,
                                speckle.terms + texture.terms)
     if not 0.0 < form.scale < math.inf:
@@ -247,10 +244,11 @@ def strip(spec: DistributionSpec) -> tuple[float, float]:
     """Open interval of s where the analytic transform exists."""
     lo, hi = -math.inf, math.inf
     for a, c in _mellin_form(spec).terms:
+        pole = 1.0 - a / c             # of Gamma(a + c (s - 1))
         if c > 0:
-            lo = max(lo, 1.0 - a / c)
+            lo = max(lo, pole)
         else:
-            hi = min(hi, 1.0 + a / -c)
+            hi = min(hi, pole)
     return lo, hi
 
 
@@ -389,7 +387,9 @@ def components(
 
     Returns (speckle, texture) such that independent draws U ~ speckle
     (unit mean-scale) and Z ~ texture multiply to X ~ spec; None for the
-    simple families.
+    simple families.  Anything else raises ``family_tag``'s TypeError, the
+    one error for a non-spec, so every entry point that asks whether a
+    spec is compound rejects a non-spec alike.
     """
     match spec:
         case GammaGamma(L=L, M=M, mu=mu):
@@ -400,11 +400,13 @@ def components(
             return Weibull(1.0, c), Nakagami(alpha, math.sqrt(alpha / b))
         case Fisher(L=L, M=M, mu=mu):
             return GammaPower(L, 1.0), InverseGamma(M, M * mu)
+    family_tag(spec)                   # a non-spec raises here
     return None
 
 
 def check_simple(spec: DistributionSpec, what: str) -> DistributionSpec:
-    """``spec`` itself, or ValueError naming ``what`` when it is compound."""
+    """``spec`` itself, or ValueError naming ``what`` when it is compound
+    (TypeError when it is not a spec)."""
     if components(spec) is not None:
         raise ValueError(
             f"{what} must be a simple family, got {family_tag(spec)}")

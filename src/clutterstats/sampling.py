@@ -64,13 +64,13 @@ _BLOCK = 16384   # values (or gamma trials) per block: about 128 KiB a temporary
 
 
 def _fill(n: int, draw) -> np.ndarray:
-    """n values in order from ``draw(start, k)``, called with
-    k = min(_BLOCK, n - start) until n are in; each call returns at most
-    k values, those for positions start, start + 1, ..."""
+    """n values in order from ``draw(k)``, called with k = min(_BLOCK, the
+    values still wanted) until n are in; each call returns at most k values,
+    the next ones of the stream it reads, so no draw needs its position."""
     out = np.empty(n)
     start = 0
     while start < n:
-        got = draw(start, min(_BLOCK, n - start))
+        got = draw(min(_BLOCK, n - start))
         out[start:start + got.size] = got
         start += got.size
     return out
@@ -111,11 +111,11 @@ class SplitMix64:
     def uniform_open(self, n: int) -> np.ndarray:
         """n uniforms strictly inside (0, 1)."""
         return _fill(check_integer(n, "count", 0),
-                     lambda _, k: self._to_uniform(self.raw(k)))
+                     lambda k: self._to_uniform(self.raw(k)))
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals; consumes 2n raw words."""
-        def draw(_, k):
+        def draw(k):
             u = self._to_uniform(self.raw(2 * k))
             return np.sqrt(-2.0 * np.log(u[0::2])) * np.cos(_TWO_PI * u[1::2])
         return _fill(check_integer(n, "count", 0), draw)
@@ -137,7 +137,7 @@ class SplitMix64:
         d = shape - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
 
-        def trials(_, k):
+        def trials(k):
             # one row per word of a trial, so each variate is contiguous
             u1, u2, u = self._to_uniform(self.raw(3 * k).reshape(k, 3).T
                                          .copy())
@@ -197,13 +197,13 @@ def _draw_simple(spec: dist.DistributionSpec, stream: SplitMix64,
             g *= mu
             return g
         case dist.Maxwell(sigma=sigma):
-            def draw(_, k):
+            def draw(k):
                 z = stream.normals(3 * k)
                 return sigma * np.sqrt(z[0::3] ** 2 + z[1::3] ** 2
                                        + z[2::3] ** 2)
             return _fill(n, draw)
         case dist.Weibull(z=z, b=b):
-            return _fill(n, lambda _, k: z * (-np.log(
+            return _fill(n, lambda k: z * (-np.log(
                 stream.uniform_open(k))) ** (1.0 / b))
         case dist.Rayleigh(z=z):
             return _draw_simple(dist.Weibull(z, 2.0), stream, n)

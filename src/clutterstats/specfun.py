@@ -14,7 +14,8 @@ downstream:
   given value; ``check_order`` adds the ``MAX_ORDER`` cap.
 * ``digamma`` / ``polygamma`` -- Bernoulli asymptotic series, shifted
   upward until the argument is >= 10 (>= 2m + 2 for polygamma of order
-  m >= 5).  ``polygamma(m, x)`` meets mpmath to about 1e-15 through
+  m >= 5); ``_series`` is the one sum of the ln_gamma and digamma
+  series.  ``polygamma(m, x)`` meets mpmath to about 1e-15 through
   order 130 (6e-15 at order 1000), so k_n is at full precision through
   n = 6 = ``MAX_ORDER``, the cap ``check_order`` puts on every moment and
   cumulant order.  Orders whose factorials leave the double range are
@@ -95,16 +96,19 @@ def ln_gamma(x: float) -> float:
             + _stirling_series(y) - log_shift)
 
 
-def _stirling_series(y: float) -> float:
-    """sum_k B_2k / (2k (2k-1) y^(2k-1)): ln Gamma(y) less its leading
-    terms (y - 1/2) log y - y + log(2 pi) / 2, for y >= 10."""
-    z = 1.0 / (y * y)
+def _series(coefs, t: float, z: float) -> float:
+    """sum_k coefs[k] t z^k, the one loop of the Bernoulli series."""
     series = 0.0
-    t = 1.0 / y
-    for c in _LNG_COEF:
+    for c in coefs:
         series += c * t
         t *= z
     return series
+
+
+def _stirling_series(y: float) -> float:
+    """sum_k B_2k / (2k (2k-1) y^(2k-1)): ln Gamma(y) less its leading
+    terms (y - 1/2) log y - y + log(2 pi) / 2, for y >= 10."""
+    return _series(_LNG_COEF, 1.0 / y, 1.0 / (y * y))
 
 
 def log_gamma_ratio(a: float, d: float) -> tuple[float, float]:
@@ -128,12 +132,7 @@ def digamma(x: float) -> float:
         acc -= 1.0 / y
         y += 1.0
     z = 1.0 / (y * y)
-    series = 0.0
-    t = z
-    for c in _DG_COEF:
-        series -= c * t
-        t *= z
-    return acc + math.log(y) - 0.5 / y + series
+    return acc + math.log(y) - 0.5 / y - _series(_DG_COEF, z, z)
 
 
 def polygamma(order: int, x: float) -> float:

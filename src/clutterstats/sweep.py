@@ -78,6 +78,9 @@ def texture_sweep(L: float = DEFAULT_L, mu: float = DEFAULT_MU, m_grid=None,
                          f"(simulate --samples), got {n}")
     # rows are ordered by M; derived seeds attach to the sorted positions
     grid = default_m_grid() if m_grid is None else sorted(float(m) for m in m_grid)
+    if not grid:
+        raise ValueError("m_grid is empty: the sweep needs at least one "
+                         "texture shape M")
     speckle = dist.GammaPower(L, 1.0)
     rows = []
     for i, m_shape in enumerate(grid):

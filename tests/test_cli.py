@@ -94,6 +94,17 @@ class TestTable:
         assert code == 2
         assert "positive" in err
 
+    @pytest.mark.parametrize("params,message", [
+        ("L", "expected key=value, got 'L'"),
+        ("L=x,mu=1", "parameter 'L' needs a numeric value, got 'x'"),
+        ("family=k,L=1,mu=1", "family= belongs in --family, not --params"),
+    ], ids=["no-equals", "not-a-number", "family-key"])
+    def test_malformed_params_exit_2(self, capsys, params, message):
+        code, out, err = run(capsys, "table", "--family", "gamma",
+                             "--params", params)
+        assert code == 2
+        assert err == f"error: {message}\n" and out == ""
+
     def test_unknown_family_exit_2(self, capsys):
         code, _, err = run(capsys, "table", "--family", "lognormal",
                            "--params", "m=1")
@@ -156,6 +167,14 @@ class TestSample:
                          "--params", "L=4,mu=1", "--n", "10",
                          "--out", "/nonexistent-dir/x.csv")
         assert code == 2
+
+    def test_missing_directory_names_the_path(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "sample", "--family", "gamma",
+                             "--params", "L=4,mu=1", "--n", "10",
+                             "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
 
 
 class TestEstimate:
@@ -357,6 +376,23 @@ class TestEstimate:
         assert err == f"estimation error: {error}\n"
         assert out == ""
 
+    def test_solver_non_convergence_exit_3(self, capsys, tmp_path,
+                                           monkeypatch):
+        data = tmp_path / "g.csv"
+        run(capsys, "sample", "--family", "gamma", "--params", "L=4,mu=1",
+            "--n", "100", "--out", str(data))
+
+        def failing_fit(*args, **kwargs):
+            raise estimation.SolverNonConvergenceError("no root", (2.0, 1.0),
+                                                       0.125)
+        monkeypatch.setattr(estimation, "fit_molc", failing_fit)
+        code, out, err = run(capsys, "estimate", "--family", "gamma",
+                             "--input", str(data))
+        assert code == 3
+        assert err == ("estimation error: no root; last iterate (2.0, 1.0), "
+                       "residual 1.250e-01\n")
+        assert out == ""
+
 
 class TestSimulate:
     def test_small_sweep(self, capsys, tmp_path):
@@ -434,6 +470,40 @@ class TestSimulate:
         with pytest.raises(ValueError, match="< inf"):
             sweep.default_m_grid(1.0, math.inf, 3)
 
+    @pytest.mark.parametrize("m_grid,message", [
+        ("1:4:3:lin", "grid suffix must be 'log', got 'lin'"),
+        ("1:4", "--M-grid must be start:stop:count[:log]"),
+        ("a:4:3", "bad --M-grid 'a:4:3'"),
+    ], ids=["suffix", "too-few-parts", "not-a-number"])
+    def test_malformed_grid_exit_2(self, capsys, tmp_path, m_grid, message):
+        code, out, err = run(capsys, "simulate", "--M-grid", m_grid,
+                             "--out", str(tmp_path / "s.csv"))
+        assert code == 2
+        assert err == f"error: {message}\n" and out == ""
+
+    @pytest.mark.parametrize("flag", ["--out", "--plot"])
+    def test_missing_directory_names_the_path(self, capsys, tmp_path, flag):
+        paths = {"--out": tmp_path / "s.csv", "--plot": tmp_path / "s.svg"}
+        paths[flag] = tmp_path / "missing" / "x"
+        code, _, err = run(capsys, "simulate", "--M-grid", "1:4:2",
+                           "--samples", "10000", "--out", str(paths["--out"]),
+                           "--plot", str(paths["--plot"]))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {paths[flag]}: ")
+
+    def test_an_empty_grid_raises(self):
+        # it returned no rows, which render_sweep_svg could not plot
+        with pytest.raises(ValueError, match="^m_grid is empty"):
+            sweep.texture_sweep(m_grid=[], n=10**4)
+
+    @pytest.mark.parametrize("order,stderr,message", [
+        (3, 0.1, "order must be 2 or 4, got 3"),
+        (2, -1.0, "stderr must be nonnegative"),
+    ], ids=["order", "stderr"])
+    def test_sweep_row_checks_its_fields(self, order, stderr, message):
+        with pytest.raises(ValueError, match=message):
+            sweep.SweepRow(1.0, order, 0.0, 0.0, 0.0, stderr)
+
 
 class TestVerifyCommand:
     def test_family_filter_passes(self, capsys):
@@ -491,6 +561,14 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--families", "")
         assert code == 2
         assert out == "" and "unknown families ['']" in err
+
+    @pytest.mark.parametrize("entry", [
+        verify.run_all, verify.transform_tables, verify.monte_carlo_checks],
+        ids=lambda entry: entry.__name__)
+    def test_an_empty_selection_raises(self, entry):
+        # an empty list of outcomes would read as a pass
+        with pytest.raises(ValueError, match="^no families selected"):
+            entry([])
 
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "--families", "gamma",

@@ -451,6 +451,14 @@ class TestReaderBlocks:
                                              "line 12 with 1 columns$"):
             _csv.read_column(path)
 
+    def test_a_block_with_no_comma_under_a_two_column_header(self, tmp_path):
+        # the kernel hands a block without a comma to the scalar path
+        path = tmp_path / "no_comma.csv"
+        path.write_text("index,x\n" + "1.5\n" * 40)
+        with pytest.raises(ValueError, match="^invalid column index 1 at "
+                                             "line 2 with 1 columns$"):
+            _csv.read_column(path)
+
     def test_short_first_row_of_a_block(self, tmp_path):
         # the kernel sees no field ending within a block's first _WIDTH
         # bytes: the bytes after it would fill its window

@@ -17,6 +17,7 @@ from clutterstats.distributions import (Fisher, GammaGamma, GammaPower,
                                         MomentDoesNotExistError, Nakagami,
                                         Rayleigh, StripError, Weibull,
                                         WeibullNakagami)
+from clutterstats.sampling import sample
 from clutterstats.specfun import MAX_ORDER, digamma, polygamma
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" /
@@ -106,6 +107,16 @@ class TestSpecValidation:
         for not_a_spec in (None, 1.0, (1.0, 1.0), GammaPower):
             with pytest.raises(TypeError, match="not a distribution spec"):
                 dist.family_tag(not_a_spec)
+
+    @pytest.mark.parametrize("call", [
+        lambda: sample("x", 10, 1), lambda: dist.pdf("x", 1.0),
+        lambda: dist.check_simple("x", "speckle"),
+        lambda: dist.components("x")],
+        ids=["sample", "pdf", "check_simple", "components"])
+    def test_every_entry_point_names_a_non_spec_alike(self, call):
+        with pytest.raises(TypeError,
+                           match=r"^not a distribution spec: 'x'$"):
+            call()
 
     def test_canonical_scale_outside_double_range(self):
         # mu / L underflows to 0 and sqrt(2) sigma overflows
@@ -332,6 +343,26 @@ class TestChf2:
 
     def test_gamma_mean(self):
         assert dist.chf2_analytic(GammaPower(4.0, 3.0), 2.0) == 3.0
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_non_finite_s_is_refused(self, s):
+        with pytest.raises(ValueError,
+                           match="transform variable must be finite"):
+            dist.chf2_analytic(GammaPower(4.0, 3.0), s)
+
+    def test_log_gamma_ratio_past_exp_range_against_mpmath(self):
+        # ln Gamma(1010.5) - ln Gamma(10) is past 708, where exp of the
+        # Stirling rest would overflow: Phi is kept as mantissa and exponent
+        import mpmath
+        spec = GammaPower(10.0, 1.0)
+        with mpmath.workdps(40):
+            want = (mpmath.loggamma(mpmath.mpf(1010.5)) - mpmath.loggamma(10)
+                    + 1000.5 * mpmath.log(mpmath.mpf(0.1)))
+        got = dist.log_chf2_analytic(spec, 1001.5)
+        assert abs(got / want - 1) <= 1e-13
+        with pytest.raises(OverflowError, match="^chf2_analytic: Phi"
+                           r"\(s=1001.5\) of gamma exceeds the double range"):
+            dist.chf2_analytic(spec, 1001.5)
 
     def test_weibull_example(self):
         assert dist.chf2_analytic(Weibull(1.0, 2.0), 3.0) == 1.0

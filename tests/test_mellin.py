@@ -52,6 +52,20 @@ class TestMellinNumeric:
         for s in (1.0, 2.5):
             assert mellin_numeric(f, s) == mellin_numeric(f, s)
 
+    def test_a_table_needs_an_s(self):
+        with pytest.raises(ValueError, match="at least one s"):
+            mellin.mellin_table(exp1_density, [])
+
+    def test_a_table_holds_only_its_s(self):
+        table = mellin.mellin_table(exp1_density, [1.0, 2.0])
+        assert table.at(2.0)[0] == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(KeyError, match=r"s = 3.0 is not in the table"):
+            table.at(3.0)
+
+    def test_an_all_zero_density(self):
+        table = mellin.mellin_table(np.zeros_like, [1.0])
+        assert table.values == table.error_bounds == (0.0,)
+
     def test_agreement_below_s_equal_one(self):
         # the strip extends below s = 1 for every catalog family
         for spec in (dist.GammaPower(4.0, 1.0), dist.Weibull(1.0, 2.0),

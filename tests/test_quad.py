@@ -28,6 +28,10 @@ class TestVectorEngine:
         with pytest.raises(ValueError):
             adaptive_quad(bump, -1.0, 2.0, initial_edges=[0.1, 0.45, 0.9])
 
+    def test_an_empty_interval_is_refused(self):
+        with pytest.raises(ValueError, match=r"invalid interval \[1.0, 1.0\]"):
+            adaptive_quad(lambda x: np.vstack([x]), 1.0, 1.0)
+
     def test_gk15_scalar_panel_keeps_floats(self):
         value, err = gk15(np.exp, 0.0, 1.0)
         assert isinstance(value, float) and isinstance(err, float)

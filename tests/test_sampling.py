@@ -10,8 +10,8 @@ from clutterstats import distributions as dist
 from clutterstats._quad import gk15
 from clutterstats.estimation import empirical_log_stats
 from clutterstats import sampling
-from clutterstats.sampling import (SplitMix64, TEXTURE_SEED_XOR, sample,
-                                   sample_compound)
+from clutterstats.sampling import (SampleBatch, SplitMix64, TEXTURE_SEED_XOR,
+                                   sample, sample_compound)
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" /
                      "specfun_golden.json").read_text())
@@ -169,6 +169,11 @@ class TestSampleDeterminism:
         batch = sample(dist.GammaPower(1.0, 1.0), 10, 1)
         with pytest.raises(ValueError):
             batch.values[0] = 0.0
+
+    def test_a_shorter_texture_is_refused(self):
+        with pytest.raises(ValueError,
+                           match="texture must match values in length"):
+            SampleBatch(np.ones(3), np.ones(2))
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
