@@ -33,10 +33,6 @@ EXIT_ESTIMATION = 3
 EXIT_BROKEN_PIPE = 128 + 13   # SIGPIPE, as a shell reports it
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _parse_params(text: str) -> tuple[dict[str, float], str | None]:
     """'L=4,mu=1' -> ({'L': 4.0, 'mu': 1.0}, None); a family=... key is
     split off for the --speckle grammar."""
@@ -47,7 +43,7 @@ def _parse_params(text: str) -> tuple[dict[str, float], str | None]:
         if not item:
             continue
         if "=" not in item:
-            raise UsageError(f"expected key=value, got {item!r}")
+            raise ValueError(f"expected key=value, got {item!r}")
         key, value = item.split("=", 1)
         key = key.strip()
         if key == "family":
@@ -56,7 +52,7 @@ def _parse_params(text: str) -> tuple[dict[str, float], str | None]:
         try:
             params[key] = float(value)
         except ValueError:
-            raise UsageError(f"parameter {key!r} needs a numeric value, "
+            raise ValueError(f"parameter {key!r} needs a numeric value, "
                              f"got {value!r}") from None
     return params, family
 
@@ -64,7 +60,7 @@ def _parse_params(text: str) -> tuple[dict[str, float], str | None]:
 def _build_spec(family: str, params_text: str) -> dist.DistributionSpec:
     params, extra_family = _parse_params(params_text)
     if extra_family is not None:
-        raise UsageError("family= belongs in --family, not --params")
+        raise ValueError("family= belongs in --family, not --params")
     return dist.make_spec(family, params)
 
 
@@ -73,18 +69,18 @@ def _parse_m_grid(text: str) -> list[float]:
     log_spaced = False
     if len(parts) == 4:
         if parts[3] != "log":
-            raise UsageError(f"grid suffix must be 'log', got {parts[3]!r}")
+            raise ValueError(f"grid suffix must be 'log', got {parts[3]!r}")
         log_spaced = True
         parts = parts[:3]
     if len(parts) != 3:
-        raise UsageError("--M-grid must be start:stop:count[:log]")
+        raise ValueError("--M-grid must be start:stop:count[:log]")
     try:
         start, stop = float(parts[0]), float(parts[1])
         count = int(parts[2])
     except ValueError:
-        raise UsageError(f"bad --M-grid {text!r}") from None
+        raise ValueError(f"bad --M-grid {text!r}") from None
     if not (0.0 < start < stop < math.inf) or count < 2:
-        raise UsageError("--M-grid needs 0 < start < stop < inf, count >= 2")
+        raise ValueError("--M-grid needs 0 < start < stop < inf, count >= 2")
     if log_spaced:
         return default_m_grid(start, stop, count)
     step = (stop - start) / (count - 1)
@@ -95,6 +91,14 @@ def _spec_text(spec: dist.DistributionSpec) -> str:
     inner = ", ".join(f"{f.name}={v:.12g}"
                       for f, v in zip(fields(spec), astuple(spec)))
     return f"{dist.family_tag(spec)}({inner})"
+
+
+def _write(path: str, write) -> None:
+    """Run ``write()``; its OSError is the usage error for every output."""
+    try:
+        write()
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from None
 
 
 # subcommands ----------------------------------------------------------------
@@ -139,15 +143,12 @@ def _cmd_verify(args) -> int:
 def _cmd_sample(args) -> int:
     spec = _build_spec(args.family, args.params)
     if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     batch = sample(spec, args.n, args.seed)
     header, columns = "index,x", [range(args.n), batch.values]
     if batch.texture is not None:
         header, columns = "index,x,z", columns + [batch.texture]
-    try:
-        _csv.write_csv(args.out, header, columns)
-    except OSError as exc:
-        raise UsageError(f"cannot write {args.out}: {exc}") from None
+    _write(args.out, lambda: _csv.write_csv(args.out, header, columns))
     print(f"wrote {args.n} draws of {_spec_text(spec)} to {args.out}")
     return EXIT_OK
 
@@ -156,7 +157,7 @@ def _read_column(path: str):
     try:
         return _csv.read_column(path)
     except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_estimate(args) -> int:
@@ -210,16 +211,10 @@ def _cmd_simulate(args) -> int:
     grid = _parse_m_grid(args.m_grid)
     rows = texture_sweep(L=args.L, mu=args.mu, m_grid=grid, n=args.samples,
                          seed=args.seed)
-    try:
-        write_sweep_csv(rows, args.out)
-    except OSError as exc:
-        raise UsageError(f"cannot write {args.out}: {exc}") from None
+    _write(args.out, lambda: write_sweep_csv(rows, args.out))
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     if args.plot:
-        try:
-            render_sweep_svg(rows, args.plot)
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.plot}: {exc}") from None
+        _write(args.plot, lambda: render_sweep_svg(rows, args.plot))
         print(f"wrote plot to {args.plot}")
     return EXIT_OK
 

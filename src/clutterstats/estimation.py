@@ -46,26 +46,24 @@ class EstimationError(ValueError):
     CLI reports each as an estimation error (exit 3)."""
 
 
-class ZeroSamplesError(EstimationError):
+class _RejectedSamplesError(EstimationError):
+    """``count`` samples rejected for log statistics; ``_message`` says why."""
+
+    def __init__(self, count: int):
+        super().__init__(self._message.format(count))
+        self.count = count
+
+
+class ZeroSamplesError(_RejectedSamplesError):
     """Log statistics are undefined for nonpositive samples."""
-
-    def __init__(self, count: int):
-        super().__init__(
-            f"ZeroSamples: {count} sample(s) <= 0; log statistics are "
-            "undefined (samples are rejected, not clamped)"
-        )
-        self.count = count
+    _message = ("ZeroSamples: {} sample(s) <= 0; log statistics are "
+                "undefined (samples are rejected, not clamped)")
 
 
-class NonFiniteSamplesError(EstimationError):
+class NonFiniteSamplesError(_RejectedSamplesError):
     """Log statistics are undefined for infinite or NaN samples."""
-
-    def __init__(self, count: int):
-        super().__init__(
-            f"NonFiniteSamples: {count} sample(s) are inf or nan; log "
-            "statistics are undefined (samples are rejected, not dropped)"
-        )
-        self.count = count
+    _message = ("NonFiniteSamples: {} sample(s) are inf or nan; log "
+                "statistics are undefined (samples are rejected, not dropped)")
 
 
 class TooFewSamplesError(EstimationError):
@@ -316,11 +314,12 @@ def _scan_roots(e: list[float], shapes: list[int], excess: float, k,
         nonlocal evaluations
         evaluations += 1
         p = list(e)
-        # a k_2 or k_3 term past the doubles rounds to inf (c^2 and c^3
-        # of a finite c can overflow), and its gap brackets no root
+        # past the doubles, lim / tau is no point of the curve, and a k_2
+        # or k_3 term (c^2, c^3 of a finite c) rounds to inf: no root
         with np.errstate(over="ignore"):
             p[j1] = lim * tau ** power
-            rest = excess - _term_k(p, j1, 2)
+            rest = excess - _term_k(p, j1, 2) if p[j1] < math.inf \
+                else math.nan
         if not rest > 0.0:             # rounding at the end of the curve
             return p, math.nan
         p[j2] = _solve_entry(p, j2, rest)[0]
@@ -438,7 +437,7 @@ def fit_molc(family: str, stats: LogStats,
     specs = [_spec_of(layout, e, k[0]) for e in roots]
     try:
         fitted = dist.log_cumulants_analytic(specs[0], d + 1)
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:   # k_n or the form's scale
         raise OutOfRangeError(f"{family} fit: {exc}") from None
     residual = max((abs(a - b) for a, b in zip(fitted[1:], k[1:])),
                    default=0.0)

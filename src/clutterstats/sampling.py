@@ -184,6 +184,8 @@ class SampleBatch:
 
 def _draw_simple(spec: dist.DistributionSpec, stream: SplitMix64,
                  n: int) -> np.ndarray:
+    """Callers pass only simple specs (``sample`` asks ``components`` and
+    ``sample_compound`` runs ``check_simple``); the match covers all six."""
     # each fresh draw is scaled in place, so a batch holds one array of n
     match spec:
         case dist.GammaPower(L=L, mu=mu):
@@ -210,7 +212,6 @@ def _draw_simple(spec: dist.DistributionSpec, stream: SplitMix64,
         case dist.InverseGamma(shape=a, scale=scale):
             g = stream.gammas(a, n)
             return np.divide(scale, g, out=g)
-    raise TypeError(f"not a simple family: {spec!r}")
 
 
 def sample(spec: dist.DistributionSpec, n: int, seed: int) -> SampleBatch:

@@ -376,6 +376,26 @@ class TestEstimate:
         assert err == f"estimation error: {error}\n"
         assert out == ""
 
+    def test_orders_3_names_the_rule_without_k4(self, capsys, tmp_path,
+                                                 monkeypatch):
+        data = tmp_path / "g.csv"
+        run(capsys, "sample", "--family", "gamma", "--params", "L=4,mu=1",
+            "--n", "100", "--out", str(data))
+
+        def ambiguous_fit(*args, **kwargs):
+            return estimation.FitResult(cli.dist.GammaPower(4.0, 1.0), 1,
+                                        0.0, True,
+                                        (cli.dist.GammaPower(2.0, 1.0),))
+        monkeypatch.setattr(estimation, "fit_molc", ambiguous_fit)
+        code, out, err = run(capsys, "estimate", "--family", "gamma",
+                             "--orders", "3", "--input", str(data))
+        assert code == 0
+        assert out.startswith("estimate: gamma(L=4, mu=1)\n")
+        assert err == ("warning: the fit is not identifiable; the same "
+                       "log-cumulants fit gamma(L=2, mu=1); without k_4 the "
+                       "estimate is the one with the smallest speckle shape; "
+                       "--orders 4 lets k_4 pick\n")
+
     def test_solver_non_convergence_exit_3(self, capsys, tmp_path,
                                            monkeypatch):
         data = tmp_path / "g.csv"
@@ -418,6 +438,17 @@ class TestSimulate:
         plot = tmp_path / "one.svg"
         sweep.render_sweep_svg(sweep.texture_sweep(m_grid=m_grid, n=10**4),
                                plot)
+        attrs = re.findall(r' (?:c?[xy]|[xy][12]|points)="([^"]*)"',
+                           plot.read_text())
+        coords = [float(v) for s in attrs for v in re.split("[ ,]", s)]
+        assert coords and all(map(math.isfinite, coords))
+
+    def test_plot_of_equal_values(self, tmp_path):
+        # every plotted value the same: no span on the y axis to divide by
+        plot = tmp_path / "flat.svg"
+        rows = [sweep.SweepRow(m, order, 0.5, 0.5, 0.5, 0.0)
+                for m in (1.0, 4.0) for order in (2, 4)]
+        sweep.render_sweep_svg(rows, plot)
         attrs = re.findall(r' (?:c?[xy]|[xy][12]|points)="([^"]*)"',
                            plot.read_text())
         coords = [float(v) for s in attrs for v in re.split("[ ,]", s)]

@@ -374,6 +374,23 @@ class TestIdentifiability:
                            match=r"wnak fit: .* k_2 of WeibullNakagami"):
             fit_molc("wnak", stats, c_known=1.069477061335341e-154)
 
+    def test_fitted_form_scale_past_the_doubles_is_out_of_range(self):
+        # every field is finite, but the canonical scale 1 / (L M) of the
+        # fitted law (L about 1e200, M about 1e209) rounds to 0
+        stats = LogStats.from_cumulants([0.0, 1e-200, 0.0])
+        with pytest.raises(OutOfRangeError,
+                           match=r"ggamma fit: .* canonical scale 0"):
+            fit_molc("ggamma", stats)
+
+    @pytest.mark.parametrize("tag", ["ggamma", "fisher"])
+    def test_scan_entry_past_the_doubles_is_out_of_range(self, tag):
+        # a shape lim / tau of the k_2 curve rounds to inf (once polygamma's
+        # plain ValueError), and the curve's finite points need a second
+        # shape past the doubles
+        stats = LogStats.from_cumulants([0.0, 1e-300, 0.0])
+        with pytest.raises(OutOfRangeError, match="outside the double range"):
+            fit_molc(tag, stats)
+
     def test_held_field_must_exist(self):
         stats = LogStats.from_cumulants([0.0, 1.0])
         with pytest.raises(ValueError, match="no field"):
