@@ -125,8 +125,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     families = None if args.families is None else args.families.split(",")
-    outcomes = verify.run_all(families=families, tolerance=args.tolerance,
-                              seed=args.seed)
+    outcomes = verify.run_all(families=families, seed=args.seed)
     failed = [o for o in outcomes if not o.passed]
     if args.json:
         # JSON has no inf or nan: a non-finite number prints as null
@@ -237,8 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("verify", help="run the oracle verification suite")
-    p.add_argument("--tolerance", type=float, default=verify.AGREEMENT_GATE,
-                   help="transform-agreement gate (default %(default)g)")
     p.add_argument("--families", default=None,
                    help="comma list restricting the family checks")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_MC_SEED,

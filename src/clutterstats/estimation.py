@@ -303,14 +303,20 @@ def _scan_roots(e: list[float], shapes: list[int], excess: float, k,
     sign change of the k_3 gap over a grid of tau.  Where |gap| dips
     between grid points without a sign change, golden section finds the
     dip's extremum: a sign change there brackets a close pair of roots,
-    and |gap| <= tol there is a tangent root (ggamma at L = M).
+    and |gap| <= tol there is a tangent root (ggamma at L = M).  A finite
+    gap within 8 ulp of the sum of |k_3| and its terms' magnitudes is
+    rounding noise and has no sign (at k_2 below about 1e-160 the terms
+    are subnormal): it brackets nothing, and each run of such grid
+    points is one root, at the run's middle point.  A dip must be deeper
+    than that noise on both sides.
     """
     j1, j2 = shapes
     power = 1 if j1 % 2 == 0 else -1
     lim = _solve_entry(e, j1, excess)[0]
     evaluations = 0
 
-    def point(tau: float) -> tuple[list[float], float]:
+    def point(tau: float) -> tuple[list[float], float, float]:
+        """The entries at tau, their k_3 gap and its noise bound."""
         nonlocal evaluations
         evaluations += 1
         p = list(e)
@@ -321,10 +327,13 @@ def _scan_roots(e: list[float], shapes: list[int], excess: float, k,
             rest = excess - _term_k(p, j1, 2) if p[j1] < math.inf \
                 else math.nan
         if not rest > 0.0:             # rounding at the end of the curve
-            return p, math.nan
+            return p, math.nan, 0.0
         p[j2] = _solve_entry(p, j2, rest)[0]
         with np.errstate(over="ignore"):
-            return p, _k(p, 3) - k[2]
+            terms = [dist.term_log_cumulant(a, c, 3)
+                     for a, c in zip(p[1::2], p[2::2])]
+            noise = 8.0 * math.ulp(sum(map(abs, terms)) + abs(k[2]))
+            return p, sum(terms) - k[2], noise
 
     def extremum(lo: float, hi: float, sign: float) -> float:
         while hi - lo > 1e-12 * hi:    # golden section on sign * gap
@@ -335,13 +344,20 @@ def _scan_roots(e: list[float], shapes: list[int], excess: float, k,
                 hi = x2
         return 0.5 * (lo + hi)
 
-    gaps = np.array([point(tau)[1] for tau in _SCAN])
-    signs, size = np.sign(gaps), np.abs(gaps)
+    gaps, noise = np.array([point(tau)[1:] for tau in _SCAN]).T
+    size = np.abs(gaps)
+    unsigned = np.isfinite(gaps) & (size <= noise)
+    signs = np.where(unsigned, 0.0, np.sign(gaps))
     brackets = [(_SCAN[i], _SCAN[i + 1], gaps[i], gaps[i + 1])
-                for i in np.flatnonzero(signs[:-1] * signs[1:] <= 0.0)]
-    taus = []
-    for i in 1 + np.flatnonzero((size[1:-1] < size[:-2])
-                                & (size[1:-1] < size[2:])
+                for i in np.flatnonzero(signs[:-1] * signs[1:] < 0.0)]
+    edges = np.flatnonzero(np.diff(unsigned.astype(np.int8), prepend=0,
+                                   append=0))
+    taus = [_SCAN[(lo + hi - 1) // 2] for lo, hi in zip(edges[::2],
+                                                         edges[1::2])]
+    with np.errstate(over="ignore"):   # a dip must clear the noise
+        floor = size[1:-1] + noise[1:-1]
+    for i in 1 + np.flatnonzero((floor < size[:-2]) & (floor < size[2:])
+                                & (signs[1:-1] != 0.0)
                                 & (signs[:-2] == signs[1:-1])
                                 & (signs[1:-1] == signs[2:])):
         lo, hi = _SCAN[i - 1], _SCAN[i + 1]

@@ -59,7 +59,8 @@ class LogStats:
     """Log-moments and the matching log-cumulants, orders 1..len <= MAX_ORDER.
 
     One list is always derived from the other through the moment/cumulant
-    algebra, so the pair stays consistent by construction.
+    algebra, so the pair stays consistent by construction.  A non-finite
+    entry raises ValueError, naming its order.
     """
     log_moments: tuple[float, ...]
     log_cumulants: tuple[float, ...]
@@ -67,7 +68,8 @@ class LogStats:
     def __post_init__(self):
         if len(self.log_moments) != len(self.log_cumulants):
             raise ValueError("log_moments and log_cumulants must have equal length")
-        check_order(len(self.log_moments), "LogStats")
+        _finite(self.log_moments, "LogStats")
+        _finite(self.log_cumulants, "LogStats")
 
     @property
     def order(self) -> int:
@@ -219,8 +221,8 @@ def central_log_moments(log_moments):
 def _log_domain_integrand(density, s, powers):
     """h(t) with rows h_j(t) = t^n_j e^(s_j t) f(e^t), evaluated safely
     across magnitudes; ``density`` runs once per node for every row.
-    ``h.rows`` is the number of rows and ``h.points`` counts the nodes
-    seen so far."""
+    ``h.rows`` is the number of rows, ``h.s`` their s values and
+    ``h.points`` counts the nodes seen so far."""
     s = np.asarray(s, dtype=float)[:, None]
     powers = np.asarray(powers)[:, None]
 
@@ -232,7 +234,7 @@ def _log_domain_integrand(density, s, powers):
                        where=f_vals > 0.0)
         return np.exp(s * t + log_f) * t ** powers
 
-    h.rows, h.points = s.shape[0], 0
+    h.rows, h.s, h.points = s.shape[0], s[:, 0].tolist(), 0
     return h
 
 
@@ -243,11 +245,22 @@ def _prepare_window(h):
     The window widens while any row exceeds the absolute tolerance at an
     end; the support is where any row is above 1e-22 of its own peak, and
     the zoom follows the peak of the rows each scaled by its own peak.
-    Returns None when the integrand is identically zero on the window.
+    Returns None when the integrand is identically zero on the window, and
+    raises OverflowError, naming the s, when a row leaves the doubles.
     """
+    def magnitudes(t):
+        with np.errstate(over="ignore"):
+            mags = np.abs(h(t))
+        rows = np.flatnonzero(np.isinf(mags).any(axis=1))
+        if rows.size:
+            raise OverflowError(f"the Mellin integrand at s = "
+                                f"{h.s[rows[0]]!r} is outside the double "
+                                "range on the window scan")
+        return mags
+
     t_lo, t_hi = -_WINDOW, _WINDOW
     while True:   # at most four widenings a side
-        lo_end, hi_end = np.abs(h(np.array([t_lo, t_hi]))).max(0) > ABS_TOL
+        lo_end, hi_end = magnitudes(np.array([t_lo, t_hi])).max(0) > ABS_TOL
         wider = (max(t_lo - _WINDOW, -_MAX_WINDOW) if lo_end else t_lo,
                  min(t_hi + _WINDOW, _MAX_WINDOW) if hi_end else t_hi)
         if wider == (t_lo, t_hi):
@@ -258,7 +271,7 @@ def _prepare_window(h):
     # identically zero (arbitrarily narrow spikes under a wide window)
     for points in (257, 2049, 16385):
         grid = np.linspace(t_lo, t_hi, points)
-        mags = np.abs(h(grid))
+        mags = magnitudes(grid)
         peaks = mags.max(axis=1, keepdims=True)
         if peaks.max() > 0.0:
             break
@@ -267,7 +280,7 @@ def _prepare_window(h):
     peaks[peaks == 0.0] = np.inf
 
     def scaled(t):   # each row over its own peak, the largest per node
-        return (np.abs(h(t)) / peaks).max(axis=0)
+        return (magnitudes(t) / peaks).max(axis=0)
 
     rel = (mags / peaks).max(axis=0)
     support = np.flatnonzero(rel > 1e-22)
@@ -326,13 +339,17 @@ def mellin_table(density, s_values) -> TransformTable:
     adaptive quadrature of the vector of integrands e^(s t) f(e^t).
 
     ``density`` must map a numpy array of positive abscissas to density
-    values; it is evaluated once per node for all s.  Raises
-    NonConvergenceError (carrying the best estimates) when the
-    subdivision budget is exhausted.
+    values; it is evaluated once per node for all s.  Raises ValueError
+    for a non-finite s, OverflowError for an s whose integrand leaves the
+    doubles, and NonConvergenceError (carrying the best estimates) when
+    the subdivision budget is exhausted.
     """
     s = tuple(float(v) for v in s_values)
     if not s:
         raise ValueError("mellin_table needs at least one s")
+    for v in s:
+        if not math.isfinite(v):
+            raise ValueError(f"mellin_table: s = {v!r} is not finite")
     h = _log_domain_integrand(density, s, [0] * len(s))
     values, bounds = _integrate(h)
     return TransformTable(s, tuple(values.tolist()), tuple(bounds.tolist()),

@@ -546,14 +546,17 @@ class TestVerifyCommand:
         for other in ("fisher", "weibull", "maxwell", "wnak"):
             assert other not in out
 
-    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
-    def test_nonsense_tolerance_exits_2(self, capsys, monkeypatch, tolerance):
-        def no_transform(*args, **kwargs):
+    @pytest.mark.parametrize("tolerance", ["1", "nan", "-1", "inf"])
+    def test_no_run_sets_a_gate(self, capsys, monkeypatch, tolerance):
+        # --tolerance 1 once set the agreement gate and passed every transform
+        def no_check(*args, **kwargs):
             raise AssertionError("a check ran")
-        monkeypatch.setattr(verify, "normalization_checks", no_transform)
-        code, out, err = run(capsys, "verify", "--tolerance", tolerance)
-        assert code == 2
-        assert out == "" and "tolerance must be finite and >= 0" in err
+        monkeypatch.setattr(verify, "transform_tables", no_check)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--tolerance", tolerance])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --tolerance" in captured.err
 
     def test_json_carries_bound_and_count(self, capsys):
         code, out, _ = run(capsys, "verify", "--families", "gamma,k",
@@ -570,9 +573,9 @@ class TestVerifyCommand:
         assert all(o["error_bound"] is None for o in outcomes
                    if o["name"] == "monte-carlo-cumulants")
 
-    def test_json_failure_exits_1(self, capsys):
-        code, out, _ = run(capsys, "verify", "--families", "gamma",
-                           "--tolerance", "1e-15", "--json")
+    def test_json_failure_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "AGREEMENT_GATE", 1e-15)
+        code, out, _ = run(capsys, "verify", "--families", "gamma", "--json")
         assert code == 1
         assert not all(o["passed"] for o in json.loads(out))
 
@@ -601,8 +604,8 @@ class TestVerifyCommand:
         with pytest.raises(ValueError, match="^no families selected"):
             entry([])
 
-    def test_impossible_tolerance_fails(self, capsys):
-        code, out, _ = run(capsys, "verify", "--families", "gamma",
-                           "--tolerance", "1e-15")
+    def test_impossible_tolerance_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "AGREEMENT_GATE", 1e-15)
+        code, out, _ = run(capsys, "verify", "--families", "gamma")
         assert code == 1
         assert "[FAIL]" in out

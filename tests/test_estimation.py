@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 from dataclasses import astuple
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clutterstats import distributions as dist
-from clutterstats.estimation import (EmpiricalLogStats,
+from clutterstats.estimation import (EmpiricalLogStats, EstimationError,
                                      NonFiniteSamplesError, NoSolutionError,
                                      OutOfRangeError,
                                      SolverNonConvergenceError,
@@ -390,6 +391,24 @@ class TestIdentifiability:
         stats = LogStats.from_cumulants([0.0, 1e-300, 0.0])
         with pytest.raises(OutOfRangeError, match="outside the double range"):
             fit_molc(tag, stats)
+
+    @pytest.mark.parametrize("tag, k2", [("fisher", 1e-170),
+                                         ("wnak", 1e-250),
+                                         ("ggamma", 1e-160)])
+    def test_no_roots_in_rounding_noise(self, tag, k2):
+        # the k_3 terms are subnormal on the whole k_2 curve, and every
+        # sign change of their rounding noise once counted as a root
+        # (fisher: 599 alternatives after several seconds), as did every
+        # dip of it (ggamma: 5 alternatives)
+        stats = LogStats.from_cumulants([0.0, k2, 0.0])
+        start = time.perf_counter()
+        try:
+            fit = fit_molc(tag, stats)
+        except EstimationError:
+            pass
+        else:
+            assert fit.alternatives == ()
+        assert time.perf_counter() - start < 1.0
 
     def test_held_field_must_exist(self):
         stats = LogStats.from_cumulants([0.0, 1.0])

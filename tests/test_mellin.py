@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,21 @@ class TestMellinNumeric:
         assert table.at(2.0)[0] == pytest.approx(1.0, abs=1e-9)
         with pytest.raises(KeyError, match=r"s = 3.0 is not in the table"):
             table.at(3.0)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_s_is_rejected(self, s):
+        # nan once read as an all-zero integrand: values (0.0,), bound 0
+        with pytest.raises(ValueError, match=rf"s = {s!r} is not finite"):
+            mellin.mellin_table(exp1_density, [1.0, s])
+
+    def test_an_s_past_the_doubles_raises_without_a_warning(self):
+        # Gamma(5000) is about 1e16322; the scan once warned of overflow in
+        # exp, then failed with an IndexError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError,
+                               match=r"s = 5000.0 is outside the double"):
+                mellin.mellin_table(exp1_density, [1.0, 5000.0])
 
     def test_an_all_zero_density(self):
         table = mellin.mellin_table(np.zeros_like, [1.0])
@@ -348,6 +364,17 @@ class TestLogStats:
             LogStats.from_cumulants([math.inf, 1.0])
         with pytest.raises(ValueError, match="order-2 entry is nan"):
             LogStats.from_moments([1.0, math.nan])
+
+    @pytest.mark.parametrize("moments, cumulants", [
+        ((math.nan,) * 3, (math.nan,) * 3),
+        ((0.0, 1.0), (0.0, math.inf)),
+    ], ids=["nan", "inf-cumulant"])
+    def test_direct_construction_rejects_non_finite(self, moments,
+                                                    cumulants):
+        # a nan LogStats once reached fit_molc, which blamed k_2's sign
+        with pytest.raises(ValueError, match=r"^LogStats: the order-\d "
+                                             r"entry is (nan|inf)"):
+            LogStats(moments, cumulants)
 
 
 def convolution_error(spec) -> float:
