@@ -374,7 +374,9 @@ def log_cumulants_analytic(spec: DistributionSpec, n_max: int) -> list[float]:
 
 def term_log_cumulant(a: float, c: float, n: int) -> float:
     """The part of k_n from one gamma term (a, c) of a canonical form:
-    c psi(a) for n = 1, c^n psi^(n-1)(a) for n >= 2."""
+    c psi(a) for n = 1, c^n psi^(n-1)(a) for n >= 2.  At n >= 2 either
+    of a and c may be an array (the MoLC scan passes a whole k_2 curve),
+    and so is the result."""
     if n == 1:
         return c * specfun.digamma(a)
     return c ** n * specfun.polygamma(n - 1, a)

@@ -12,8 +12,12 @@ whose terms come from ``distributions.term_log_cumulant``; k_1 fixes the
 scale, and one linear solve in logs gives the fields.
 One bracketed root finder, with no derivative, inverts polygamma (in
 log x, inside a bracket in closed form) and refines the two-shape roots.
-The one solver setting is fixed, not an option: relative tolerance 1e-10
-for the polygamma inversions and for the residual of a converged fit.
+It runs any number of brackets in lockstep, and so does the two-shape
+scan: the 601 points of the k_2 curve, their polygamma inversions and
+k_3 terms are one array pass, and each refinement step is one more pass
+over the brackets still open.  The one solver setting is fixed, not an
+option: relative tolerance 1e-10 for the polygamma inversions and for
+the residual of a converged fit.
 """
 
 from __future__ import annotations
@@ -166,59 +170,91 @@ def empirical_log_stats(values, n_max: int = 4) -> EmpiricalLogStats:
 _LOG_DOUBLES = (math.log(math.ulp(0.0)), LOG_DBL_MAX)
 
 
-def _root(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float,
-          width: float) -> tuple[float, int]:
-    """A root of f in [lo, hi], where f(lo) = f_lo and f(hi) = f_hi differ
-    in sign, and the evaluations it took: regula falsi that halves the
-    value at an end kept twice in a row (Illinois; Dowell & Jarratt, BIT
-    11, 1971) and bisects where the secant leaves the bracket.  It stops at
-    |f| <= tol, an end where f is 0, or ends ``width`` * max|end| apart."""
-    a, f_a, b, f_b = (hi, f_hi, lo, f_lo) if abs(f_lo) < abs(f_hi) \
-        else (lo, f_lo, hi, f_hi)
-    for steps in range(101):
-        if abs(f_b) <= tol or abs(b - a) <= width * max(abs(a), abs(b)):
-            return b, steps
-        c = b - f_b * (b - a) / (f_b - f_a)
-        c = c if (c - a) * (c - b) < 0.0 else 0.5 * (a + b)
-        f_c = f(c)
-        a, f_a = (b, f_b) if f_c * f_b < 0.0 else (a, 0.5 * f_a)
+def _root(f, lo, hi, f_lo, f_hi, tol: float, width: float):
+    """A root of f in each bracket [lo, hi], where f(lo) = f_lo and
+    f(hi) = f_hi differ in sign, and the evaluations it took: regula falsi
+    that halves the value at an end kept twice in a row (Illinois; Dowell &
+    Jarratt, BIT 11, 1971) and bisects where the secant leaves the bracket.
+    A bracket stops at |f| <= tol, an end where f is 0, or ends ``width`` *
+    max|end| apart.  Float ends give a float root and an int count, with f
+    called on floats.  Array ends run every bracket in lockstep: f is
+    called as ``f(x, lanes)`` on the open brackets' points and indices,
+    and the roots and counts come back as arrays."""
+    scalar = np.ndim(lo) == 0
+    lo, hi, f_lo, f_hi = (np.array(v, dtype=float, ndmin=1)
+                          for v in (lo, hi, f_lo, f_hi))
+    swap = np.abs(f_lo) < np.abs(f_hi)
+    a, f_a = np.where(swap, hi, lo), np.where(swap, f_hi, f_lo)
+    b, f_b = np.where(swap, lo, hi), np.where(swap, f_lo, f_hi)
+    # a, b, ... hold the open brackets only; a closed one leaves its root
+    # and its count of evaluations behind
+    roots, steps = b.copy(), np.zeros(b.shape, dtype=int)
+    lanes = np.arange(b.size)
+    for step in range(101):
+        with np.errstate(all="ignore"):   # inf and nan, as floats give
+            span = b - a
+            done = (np.abs(f_b) <= tol) | (np.abs(span) <= width * np.maximum(
+                np.abs(a), np.abs(b)))
+            if done.any():
+                roots[lanes[done]], steps[lanes[done]] = b[done], step
+                lanes, a, f_a, b, f_b, span = (
+                    v[~done] for v in (lanes, a, f_a, b, f_b, span))
+            if not lanes.size:
+                break
+            c = b - f_b * span / (f_b - f_a)
+            c = np.where((c - a) * (c - b) < 0.0, c, 0.5 * (a + b))
+        f_c = np.array([f(float(c[0]))]) if scalar else f(c, lanes)
+        # strictly opposite signs (f_c * f_b can underflow, or be 0 * inf)
+        flip = np.sign(f_c) * np.sign(f_b) < 0.0
+        a, f_a = np.where(flip, b, a), np.where(flip, f_b, 0.5 * f_a)
         b, f_b = c, f_c
-    raise SolverNonConvergenceError("no root in 100 steps", b, abs(f_b))
+    else:
+        raise SolverNonConvergenceError("no root in 100 steps", float(b[0]),
+                                        float(abs(f_b[0])))
+    return (float(roots[0]), int(steps[0])) if scalar else (roots, steps)
 
 
-def _invert_polygamma(order: int, target: float) -> tuple[float, int]:
-    m, target = check_integer(order, "order", 1), float(target)
+def _invert_polygamma(order: int, target) -> tuple[np.ndarray, np.ndarray]:
+    """x > 0 with psi^(order)(x) = target for each of an array of targets,
+    and the root finder's evaluations for each: one lockstep ``_root``."""
+    m = check_integer(order, "order", 1)
+    target = np.array(target, dtype=float, ndmin=1)
     sign = 1.0 if m % 2 == 1 else -1.0
     y = sign * target
-    if not 0.0 < y < math.inf:
+    bad = np.flatnonzero(~((0.0 < y) & (y < math.inf)))
+    if bad.size:                       # the first lane that fails
         raise OutOfRangeError(f"polygamma order {m} is finite, of sign "
-                              f"{sign:+.0f}; target {target!r} is not")
+                              f"{sign:+.0f}; target "
+                              f"{float(target[bad[0]])!r} is not")
 
     # |psi^(m)(x)| = m! sum_k (x + k)^-(m+1) is between max(A, B) and A + B
     # for A = (m-1)!/x^m its integral and B = m!/x^(m+1) its first term, so
     # the root is in [r, 2r], r the larger root of A = y and B = y.  In
     # u = log x (m! overflows past 170), widened 2x for rounding, clamped:
-    log_y = math.log(y)
-    log_r = max((math.lgamma(m) - log_y) / m,
-                (math.lgamma(m + 1) - log_y) / (m + 1))
-    lo, hi = (min(max(u, _LOG_DOUBLES[0]), _LOG_DOUBLES[1])
+    log_y = np.log(y)
+    log_r = np.maximum((math.lgamma(m) - log_y) / m,
+                       (math.lgamma(m + 1) - log_y) / (m + 1))
+    lo, hi = (np.clip(u, *_LOG_DOUBLES)
               for u in (log_r - math.log(2.0), log_r + math.log(4.0)))
 
-    def gap(u: float) -> float:        # nearly linear, slope about -m
-        v = sign * polygamma(m, math.exp(u))
-        return math.log(v) - log_y if v > 0.0 else -math.inf
+    def gap(u, lanes):                 # nearly linear, slope about -m
+        with np.errstate(divide="ignore"):   # log 0 = -inf: too far out
+            return np.log(sign * polygamma(m, np.exp(u))) - log_y[lanes]
 
-    f_lo, f_hi = gap(lo), gap(hi)
-    if not f_lo >= 0.0 >= f_hi:
-        raise OutOfRangeError(f"polygamma order {m} takes {target!r} only "
-                              "at an x outside the double range")
+    lanes = np.arange(y.size)          # both ends of every bracket at once
+    f_lo, f_hi = np.split(gap(np.concatenate([lo, hi]), np.tile(lanes, 2)), 2)
+    bad = np.flatnonzero(~((f_lo >= 0.0) & (0.0 >= f_hi)))
+    if bad.size:
+        raise OutOfRangeError(f"polygamma order {m} takes "
+                              f"{float(target[bad[0]])!r} only at an x "
+                              "outside the double range")
     u, steps = _root(gap, lo, hi, f_lo, f_hi, _REL_TOL * 0.01, 1e-15)
-    return math.exp(u), steps
+    return np.exp(u), steps
 
 
 def invert_polygamma(order: int, target: float) -> float:
     """x > 0 with psi^(order)(x) = target, to 1e-10 relative residual."""
-    return _invert_polygamma(order, target)[0]
+    return float(_invert_polygamma(order, float(target))[0][0])
 
 
 def _entries(form) -> list[float]:
@@ -273,13 +309,20 @@ def _k(e: list[float], n: int) -> float:
                for a, c in zip(e[1::2], e[2::2]))
 
 
-def _solve_entry(e: list[float], j: int, target: float) -> tuple[float, int]:
-    """Entry j whose term gives target > 0 of k_2, and the root finder's
-    evaluations: a polygamma inversion for an a, closed form for a c."""
-    i = j - (j - 1) % 2
+def _solve_entry(e: list, j: int, target) -> tuple[np.ndarray, np.ndarray]:
+    """Entry j whose term gives each of an array of targets > 0 of k_2, and
+    the root finder's evaluations for each: a polygamma inversion for an
+    a, closed form for a c."""
+    i, target = j - (j - 1) % 2, np.array(target, dtype=float, ndmin=1)
     if j == i:
         return _invert_polygamma(1, target / e[i + 1] ** 2)
-    return math.copysign(math.sqrt(target / polygamma(1, e[i])), e[j]), 0
+    return (np.copysign(np.sqrt(target / polygamma(1, e[i])), e[j]),
+            np.zeros(target.shape, dtype=int))
+
+
+def _lanes(e: list, lanes) -> list:
+    """The entries of e at some lanes: an array entry indexed, a float kept."""
+    return [v[lanes] if isinstance(v, np.ndarray) else v for v in e]
 
 
 def _same_law(p: list[float], q: list[float]) -> bool:
@@ -309,73 +352,88 @@ def _scan_roots(e: list[float], shapes: list[int], excess: float, k,
     are subnormal): it brackets nothing, and each run of such grid
     points is one root, at the run's middle point.  A dip must be deeper
     than that noise on both sides.
+
+    ``point`` takes an array of tau and inverts polygamma for all of their
+    second entries in lockstep.  The grid is one call; the dips' golden
+    sections and the brackets' ``_root`` make one call per step for all
+    dips or brackets still open, and the roots' entries one more.
     """
     j1, j2 = shapes
     power = 1 if j1 % 2 == 0 else -1
-    lim = _solve_entry(e, j1, excess)[0]
+    lim = float(_solve_entry(e, j1, excess)[0][0])
     evaluations = 0
 
-    def point(tau: float) -> tuple[list[float], float, float]:
-        """The entries at tau, their k_3 gap and its noise bound."""
+    def point(tau: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+        """The entries at each tau, their k_3 gaps and the gaps' noise
+        bounds."""
         nonlocal evaluations
-        evaluations += 1
+        evaluations += tau.size
         p = list(e)
+        gap, noise = np.full(tau.shape, math.nan), np.zeros(tau.shape)
         # past the doubles, lim / tau is no point of the curve, and a k_2
         # or k_3 term (c^2, c^3 of a finite c) rounds to inf: no root
         with np.errstate(over="ignore"):
             p[j1] = lim * tau ** power
-            rest = excess - _term_k(p, j1, 2) if p[j1] < math.inf \
-                else math.nan
-        if not rest > 0.0:             # rounding at the end of the curve
-            return p, math.nan, 0.0
-        p[j2] = _solve_entry(p, j2, rest)[0]
+            on = np.flatnonzero(p[j1] < math.inf)
+            q = _lanes(p, on)
+            rest = excess - _term_k(q, j1, 2)
+        keep = rest > 0.0              # rounding at the end of the curve
+        on, q, rest = on[keep], _lanes(q, keep), rest[keep]
+        q[j2] = _solve_entry(q, j2, rest)[0]
+        p[j2] = np.full(tau.shape, e[j2])
+        p[j2][on] = q[j2]
         with np.errstate(over="ignore"):
             terms = [dist.term_log_cumulant(a, c, 3)
-                     for a, c in zip(p[1::2], p[2::2])]
-            noise = 8.0 * math.ulp(sum(map(abs, terms)) + abs(k[2]))
-            return p, sum(terms) - k[2], noise
+                     for a, c in zip(q[1::2], q[2::2])]
+            noise[on] = 8.0 * np.spacing(sum(map(abs, terms)) + abs(k[2]))
+            gap[on] = sum(terms) - k[2]
+        return p, gap, noise
 
-    def extremum(lo: float, hi: float, sign: float) -> float:
-        while hi - lo > 1e-12 * hi:    # golden section on sign * gap
-            x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-            if sign * point(x1)[1] < sign * point(x2)[1]:
-                lo = x1
-            else:
-                hi = x2
+    def extremum(lo: np.ndarray, hi: np.ndarray,
+                 sign: np.ndarray) -> np.ndarray:
+        """Golden section on sign * gap in each (lo, hi), in lockstep."""
+        lo, hi = lo.copy(), hi.copy()
+        while (live := np.flatnonzero(hi - lo > 1e-12 * hi)).size:
+            a, b = lo[live], hi[live]
+            x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+            g = sign[live] * np.split(point(np.concatenate([x1, x2]))[1], 2)
+            lo[live], hi[live] = np.where(g[0] < g[1], x1, a), np.where(
+                g[0] < g[1], b, x2)
         return 0.5 * (lo + hi)
 
-    gaps, noise = np.array([point(tau)[1:] for tau in _SCAN]).T
+    gaps, noise = point(_SCAN)[1:]
     size = np.abs(gaps)
     unsigned = np.isfinite(gaps) & (size <= noise)
     signs = np.where(unsigned, 0.0, np.sign(gaps))
-    brackets = [(_SCAN[i], _SCAN[i + 1], gaps[i], gaps[i + 1])
-                for i in np.flatnonzero(signs[:-1] * signs[1:] < 0.0)]
+    cross = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
+    brackets = [(_SCAN[cross], _SCAN[cross + 1], gaps[cross], gaps[cross + 1])]
     edges = np.flatnonzero(np.diff(unsigned.astype(np.int8), prepend=0,
                                    append=0))
-    taus = [_SCAN[(lo + hi - 1) // 2] for lo, hi in zip(edges[::2],
-                                                         edges[1::2])]
+    taus = [_SCAN[(edges[::2] + edges[1::2] - 1) // 2]]
     with np.errstate(over="ignore"):   # a dip must clear the noise
         floor = size[1:-1] + noise[1:-1]
-    for i in 1 + np.flatnonzero((floor < size[:-2]) & (floor < size[2:])
-                                & (signs[1:-1] != 0.0)
-                                & (signs[:-2] == signs[1:-1])
-                                & (signs[1:-1] == signs[2:])):
-        lo, hi = _SCAN[i - 1], _SCAN[i + 1]
-        tau = extremum(lo, hi, -signs[i])
+    dips = 1 + np.flatnonzero((floor < size[:-2]) & (floor < size[2:])
+                              & (signs[1:-1] != 0.0)
+                              & (signs[:-2] == signs[1:-1])
+                              & (signs[1:-1] == signs[2:]))
+    if dips.size:
+        lo, hi, sign = _SCAN[dips - 1], _SCAN[dips + 1], signs[dips]
+        tau = extremum(lo, hi, -sign)
         gap = point(tau)[1]
-        if gap * signs[i] < 0.0:
-            brackets += [(lo, tau, gaps[i - 1], gap),
-                         (tau, hi, gap, gaps[i + 1])]
-        elif abs(gap) <= tol:
-            taus.append(tau)
-    taus += [_root(lambda tau: point(tau)[1], *map(float, bracket), 0.0,
-                   1e-15)[0] for bracket in brackets]
+        pair = gap * sign < 0.0        # each side of tau brackets a root
+        brackets += [(lo[pair], tau[pair], gaps[dips - 1][pair], gap[pair]),
+                     (tau[pair], hi[pair], gap[pair], gaps[dips + 1][pair])]
+        taus.append(tau[~pair & (np.abs(gap) <= tol)])
+    taus.append(_root(lambda tau, _: point(tau)[1],
+                      *map(np.concatenate, zip(*brackets)), 0.0, 1e-15)[0])
 
     # the first free term's largest share first: the smallest speckle
     # shape, and L <= M for mirrored ggamma roots
+    taus = np.sort(np.concatenate(taus))[::-1]
     distinct: list[list[float]] = []
-    for tau in sorted(taus, reverse=True):
-        p = point(tau)[0]
+    entries = point(taus)[0]
+    for lane in range(taus.size):
+        p = [float(v) for v in _lanes(entries, lane)]
         if not any(_same_law(p, q) for q in distinct):
             distinct.append(p)
     if len(k) > 3:
@@ -445,7 +503,8 @@ def fit_molc(family: str, stats: LogStats,
         if not excess > 0.0:
             raise NoSolutionError("second log-cumulant must be positive")
         if d == 1:
-            e[shapes[0]], iterations = _solve_entry(e, shapes[0], excess)
+            value, steps = _solve_entry(e, shapes[0], excess)
+            e[shapes[0]], iterations = float(value[0]), int(steps[0])
         else:
             roots, iterations = _scan_roots(e, shapes, excess, k, tol)
         if not roots:

@@ -14,12 +14,19 @@ downstream:
   given value; ``check_order`` adds the ``MAX_ORDER`` cap.
 * ``digamma`` / ``polygamma`` -- Bernoulli asymptotic series, shifted
   upward until the argument is >= 10 (>= 2m + 2 for polygamma of order
-  m >= 5); ``_series`` is the one sum of the ln_gamma and digamma
-  series.  ``polygamma(m, x)`` meets mpmath to about 1e-15 through
-  order 130 (6e-15 at order 1000), so k_n is at full precision through
-  n = 6 = ``MAX_ORDER``, the cap ``check_order`` puts on every moment and
-  cumulant order.  Orders whose factorials leave the double range are
-  computed too.
+  m >= 5); ``_series`` is the one sum of the ln_gamma, digamma and
+  polygamma series.  ``polygamma(m, x)`` meets mpmath to about 1e-15
+  through order 130 (6e-15 at order 1000), so k_n is at full precision
+  through n = 6 = ``MAX_ORDER``, the cap ``check_order`` puts on every
+  moment and cumulant order.  Orders whose factorials leave the double
+  range are computed too.  ``polygamma`` also takes an array of x: the
+  one shift loop and series run over every element at once, and only
+  the elements whose plain-float terms leave the doubles take the scaled
+  form, one by one.  Such an element is within a few ulp of the float
+  call (numpy's vectorized ``**`` rounds apart from the C library's
+  ``pow``); an array of fewer than ``_LANES_MIN`` elements, where
+  numpy's per-call cost would dominate, takes the float path per
+  element.  A float call keeps its bits.
 * ``log_bessel_k_batch`` -- log K_nu for a whole abscissa array.  K is
   the latent integral of two unit gammas at q = 1
   (``_quad.log_latent_integral``, the kernel of the compound densities),
@@ -31,6 +38,7 @@ All functions are pure and reentrant.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -55,6 +63,8 @@ _LNG_COEF = tuple(b / ((2 * k) * (2 * k - 1)) for k, b in enumerate(_B2K, start=
 _DG_COEF = tuple(b / (2 * k) for k, b in enumerate(_B2K, start=1))
 
 _SHIFT_THRESHOLD = 10.0
+# arrays of fewer elements take polygamma's float path element by element
+_LANES_MIN = 32
 
 
 def _require_positive_finite(name: str, x: float) -> float:
@@ -96,12 +106,13 @@ def ln_gamma(x: float) -> float:
             + _stirling_series(y) - log_shift)
 
 
-def _series(coefs, t: float, z: float) -> float:
-    """sum_k coefs[k] t z^k, the one loop of the Bernoulli series."""
-    series = 0.0
+def _series(coefs, t, z, start=0.0):
+    """start + sum_k coefs[k] t z^k, the one loop of the Bernoulli series,
+    over floats or arrays."""
+    series = start
     for c in coefs:
-        series += c * t
-        t *= z
+        series = series + c * t
+        t = t * z
     return series
 
 
@@ -135,35 +146,79 @@ def digamma(x: float) -> float:
     return acc + math.log(y) - 0.5 / y - _series(_DG_COEF, z, z)
 
 
-def polygamma(order: int, x: float) -> float:
+@functools.cache
+def _plain_constants(m: int) -> tuple[float, float, tuple[float, ...]] | None:
+    """m!, (m-1)! and the series coefficients B_2k (2k + m - 1)! / (2k)!,
+    k = 1..10, as floats for polygamma of order m; None where a factorial
+    is past the doubles.  Either that or a coefficient of inf (m = 159)
+    leaves no finite plain-float value: the order is always scaled."""
+    try:
+        return (float(math.factorial(m)), float(math.factorial(m - 1)),
+                tuple(b * math.prod(range(2 * k + 1, 2 * k + m))
+                      for k, b in enumerate(_B2K, start=1)))
+    except OverflowError:
+        return None
+
+
+def _polygamma_plain(m: int, x, threshold: float, consts):
+    """|psi^(m)(x)| in plain floats over a float or an array x, and the
+    last series factor t = 1/y^(m+2).  m!/y^(m+1) is summed over y = x,
+    x + 1, ... below ``threshold``, then the asymptotic series is taken
+    at the first y past it.  A float raises ArithmeticError where a term
+    leaves the double range; under np.errstate an array lane is then
+    non-finite, or has t = 0 (a power of its y past the doubles)."""
+    fact_m, fact_m1, coefs = consts
+    acc, y, live = 0.0, x, x < threshold
+    while live is True or live is not False and live.any():  # bool or mask
+        acc = acc + live * (fact_m / y ** (m + 1))   # a lane past adds 0
+        y = y + live
+        live = y < threshold
+    t = 1.0 / y ** (m + 2)
+    body = fact_m1 / y**m + fact_m / (2.0 * y ** (m + 1))
+    return acc + _series(coefs, t, 1.0 / (y * y), body), t
+
+
+def polygamma(order: int, x):
     """psi^(order)(x), the order-th derivative of digamma, for order >= 1.
 
     The sign alternates: psi^(m) has sign (-1)^(m+1) everywhere on x > 0.
-    A value past the double range is +-inf.
+    A value past the double range is +-inf.  ``x`` is a float (a float
+    back) or an array (an array of its shape back).
     """
     m = check_integer(order, "polygamma order", 1)
-    x = _require_positive_finite("polygamma", x)
     # the series needs y >> m: its terms grow like (2k + m)! / (2 pi y)^(2k)
     threshold = max(_SHIFT_THRESHOLD, 2.0 * m + 2.0)
     sign = 1.0 if m % 2 == 1 else -1.0
+    if not isinstance(x, np.ndarray) or not x.ndim:
+        return sign * _polygamma_float(m, x, threshold)
+    if x.size < _LANES_MIN:            # numpy's per-call cost would dominate
+        return sign * np.array([_polygamma_float(m, v, threshold)
+                                for v in x.ravel().tolist()]).reshape(x.shape)
+    x = x.astype(float)
+    if not np.all((0.0 < x) & (x < math.inf)):
+        raise ValueError("polygamma requires positive finite arguments")
+    value, consts = np.full(x.shape, math.nan), _plain_constants(m)
+    if consts is not None:             # every lane in plain floats at once
+        with np.errstate(all="ignore"):
+            value, t = _polygamma_plain(m, x, threshold, consts)
+        value[t == 0.0] = math.nan
+    scaled = ~np.isfinite(value)       # lanes past the doubles, one by one
+    value[scaled] = [_polygamma_scaled(m, v, threshold)
+                     for v in x[scaled].tolist()]
+    return sign * value
+
+
+def _polygamma_float(m: int, x: float, threshold: float) -> float:
+    """|psi^(m)(x)| for one x."""
+    x, consts = _require_positive_finite("polygamma", x), _plain_constants(m)
     try:                               # in plain floats while they hold
-        fact_m = float(math.factorial(m))
-        acc, y = 0.0, x
-        while y < threshold:
-            acc += fact_m / y ** (m + 1)
-            y += 1.0
-        body = (float(math.factorial(m - 1)) / y**m
-                + fact_m / (2.0 * y ** (m + 1)))
-        t, z = 1.0 / y ** (m + 2), 1.0 / (y * y)   # t = 1/y^(2k + m), k = 1
-        for k, b in enumerate(_B2K, start=1):
-            # (2k + m - 1)! / (2k)! as an exact integer
-            body += b * math.prod(range(2 * k + 1, 2 * k + m)) * t
-            t *= z
-        if math.isfinite(acc + body):
-            return sign * (acc + body)
+        if consts is not None:
+            value = _polygamma_plain(m, x, threshold, consts)[0]
+            if math.isfinite(value):
+                return value
     except ArithmeticError:            # a term left the double range
         pass
-    return sign * _polygamma_scaled(m, x, threshold)
+    return _polygamma_scaled(m, x, threshold)
 
 
 def _polygamma_scaled(m: int, x: float, threshold: float) -> float:

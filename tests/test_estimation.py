@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clutterstats import distributions as dist
+from clutterstats import estimation, specfun
 from clutterstats.estimation import (EmpiricalLogStats, EstimationError,
                                      NonFiniteSamplesError, NoSolutionError,
                                      OutOfRangeError,
@@ -262,6 +263,29 @@ class TestNoiselessRoundTrips:
         stats = LogStats.from_cumulants([0.1, math.pi**2 / 24.0])
         fit = fit_molc("weibull", stats)
         assert fit.spec.b == pytest.approx(2.0, rel=1e-12)
+
+
+class TestScanCost:
+    @pytest.mark.parametrize("order", [3, 4])
+    @pytest.mark.parametrize("tag, spec", [
+        ("wnak", dist.WeibullNakagami(1.5, 2.0, 1.0)),
+        ("fisher", dist.Fisher(3.0, 4.0, 1.0)),
+    ])
+    def test_two_shape_fit_makes_few_polygamma_calls(self, monkeypatch, tag,
+                                                     spec, order):
+        # the k_2 curve's 601 points go through polygamma as arrays; one
+        # call per point made thousands of calls a fit
+        stats = LogStats.from_cumulants(
+            dist.log_cumulants_analytic(spec, order))
+        calls = []
+        for module in (estimation, specfun):
+            def counted(m, x, original=module.polygamma):
+                calls.append(m)
+                return original(m, x)
+            monkeypatch.setattr(module, "polygamma", counted)
+        fit = fit_molc(tag, stats)
+        assert fit.converged and fit.iterations > 601
+        assert len(calls) <= 100
 
 
 def log_uniform(lo, hi):

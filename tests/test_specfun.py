@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clutterstats.specfun import (digamma, ln_gamma, log_bessel_k_batch,
-                                  polygamma)
+from clutterstats.specfun import (_LANES_MIN, digamma, ln_gamma,
+                                  log_bessel_k_batch, polygamma)
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" /
                      "specfun_golden.json").read_text())
@@ -171,6 +172,56 @@ class TestPolygamma:
             polygamma(1, 0.0)
         with pytest.raises(ValueError):
             polygamma(1.5, 1.0)
+
+    # the float path's values, as float.hex, where the plain floats hold,
+    # past the shift threshold, scaled, past the factorials and past the
+    # doubles: the sweep CSV and the verify goldens print them
+    FLOAT_BITS = [
+        (1, 1e-3, "0x1.e848348fa1c6dp+19"), (1, 0.37, "0x1.0b890068aec11p+3"),
+        (1, 9.999, "0x1.aece7bc0e27eap-4"), (1, 10.0, "0x1.aec2e54649b86p-4"),
+        (1, 1e5, "0x1.4f8bc681cdfb6p-17"),
+        (1, 1e300, "0x1.56e1fc2f8f359p-997"),
+        (2, 0.05, "-0x1.f410dd81f3f86p+13"), (2, 3.7, "-0x1.86bd3b32e5397p-4"),
+        (2, 1e100, "-0x1.87e92154ef7acp-665"),
+        (3, 1.5, "0x1.68ba30a420962p+0"), (3, 42.0, "0x1.d554d34691559p-16"),
+        (5, 0.7, "0x1.005503c118edep+10"), (6, 13.0, "-0x1.04f75fd87b403p-15"),
+        (100, 1100.0, "-0x1.cfd3f65868e68p-493"),
+        (171, 30.0, "0x1.bff8a1475fd50p+182"),
+        (400, 300.0, "-0x1.bd0ca888c7094p-414"), (2, 1e-110, "-inf"),
+    ]
+
+    @pytest.mark.parametrize("m, x, bits", FLOAT_BITS)
+    def test_float_call_keeps_its_bits(self, m, x, bits):
+        for arg in (x, np.float64(x), np.array(x)):
+            value = polygamma(m, arg)
+            assert type(value) is float
+            assert value.hex() == bits
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(m=st.sampled_from([1, 2, 3, 4, 5, 6, 171, 400]),
+           log10_x=st.lists(st.floats(-300.0, 300.0), min_size=1,
+                            max_size=2 * _LANES_MIN))
+    def test_array_call_matches_the_float_calls(self, m, log10_x):
+        # short arrays take the float path element by element, longer ones
+        # run every lane at once in numpy, whose ** may round apart
+        x = 10.0 ** np.array(log10_x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = polygamma(m, x)
+            grid = polygamma(m, x.reshape(-1, 1))
+        want = np.array([polygamma(m, v) for v in x.tolist()])
+        assert np.array_equal(grid.ravel(), got) and grid.shape == (x.size, 1)
+        inf = np.isinf(want)
+        assert np.array_equal(got[inf], want[inf])
+        assert np.all(np.abs(got[~inf] - want[~inf])
+                      <= 8.0 * np.spacing(np.abs(want[~inf])))
+
+    def test_array_domain(self):
+        with pytest.raises(ValueError):
+            polygamma(1, np.full(_LANES_MIN, 0.0))
+        with pytest.raises(ValueError):
+            polygamma(1, np.full(_LANES_MIN, np.inf))
 
 
 def bessel_k_integral_oracle(nu: float, x: float) -> float:
