@@ -4,8 +4,9 @@ Subcommands: ``table`` (analytic moments and log-cumulants), ``verify``
 (oracle suite), ``sample`` (seeded CSV generation), ``estimate`` (MoLC fit
 from a CSV), ``simulate`` (texture sweep with CSV and optional SVG).
 
-Exit codes: 0 pass, 1 verification failure, 2 usage or I/O error,
-3 estimation failure, 141 stdout closed by its reader (128 + SIGPIPE).
+Exit codes: 0 pass, 1 verification failure, 2 usage or I/O error (out
+of memory too), 3 estimation failure, 141 stdout closed by its reader
+(128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ EXIT_BROKEN_PIPE = 128 + 13   # SIGPIPE, as a shell reports it
 
 def _parse_params(text: str) -> tuple[dict[str, float], str | None]:
     """'L=4,mu=1' -> ({'L': 4.0, 'mu': 1.0}, None); a family=... key is
-    split off for the --speckle grammar."""
+    split off for the --speckle grammar.  A key given twice is an error."""
     params: dict[str, float] = {}
     family = None
     for item in text.split(","):
@@ -46,6 +47,8 @@ def _parse_params(text: str) -> tuple[dict[str, float], str | None]:
             raise ValueError(f"expected key=value, got {item!r}")
         key, value = item.split("=", 1)
         key = key.strip()
+        if key in params or key == "family" and family is not None:
+            raise ValueError(f"parameter {key!r} is given more than once")
         if key == "family":
             family = value.strip()
             continue
@@ -296,7 +299,7 @@ def main(argv=None) -> int:
         print(f"estimation error: {exc}; last iterate {exc.last_iterate}, "
               f"residual {exc.residual:.3e}", file=sys.stderr)
         return EXIT_ESTIMATION
-    except (ValueError, OSError, OverflowError) as exc:
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

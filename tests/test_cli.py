@@ -105,6 +105,19 @@ class TestTable:
         assert code == 2
         assert err == f"error: {message}\n" and out == ""
 
+    @pytest.mark.parametrize("argv,key", [
+        (["table", "--family", "gamma", "--params", "L=4,mu=1,mu=2"], "mu"),
+        (["estimate", "--family", "gamma", "--input", "/does/not/exist.csv",
+          "--speckle", "L=2, L=3"], "L"),
+        (["estimate", "--family", "gamma", "--input", "/does/not/exist.csv",
+          "--speckle", "family=gamma,L=2,family=weibull"], "family"),
+    ], ids=["params", "speckle", "speckle-family"])
+    def test_a_key_given_twice_exit_2(self, capsys, argv, key):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err == f"error: parameter {key!r} is given more than once\n"
+        assert out == ""
+
     def test_unknown_family_exit_2(self, capsys):
         code, _, err = run(capsys, "table", "--family", "lognormal",
                            "--params", "m=1")
@@ -167,6 +180,16 @@ class TestSample:
                          "--params", "L=4,mu=1", "--n", "10",
                          "--out", "/nonexistent-dir/x.csv")
         assert code == 2
+
+    def test_out_of_memory_exit_2(self, capsys, monkeypatch, tmp_path):
+        def sample(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+        monkeypatch.setattr(cli, "sample", sample)
+        code, out, err = run(capsys, "sample", "--family", "gamma",
+                             "--params", "L=4,mu=1", "--n", "1000000000000",
+                             "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and out == ""
+        assert err == "error: Unable to allocate 7.28 TiB for an array\n"
 
     def test_missing_directory_names_the_path(self, capsys, tmp_path):
         path = tmp_path / "missing" / "x.csv"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -222,6 +223,16 @@ class TestPolygamma:
             polygamma(1, np.full(_LANES_MIN, 0.0))
         with pytest.raises(ValueError):
             polygamma(1, np.full(_LANES_MIN, np.inf))
+
+    @pytest.mark.parametrize("shape", [(2,), (31,), (32,), (41,), (6, 7)],
+                             ids=["2", "31", "32", "41", "6x7"])
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf, -2.0])
+    def test_one_domain_message_at_every_length(self, shape, bad):
+        x = np.ones(shape)
+        x.flat[x.size // 2] = bad
+        message = f"polygamma requires a positive finite argument, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            polygamma(1, x)
 
 
 def bessel_k_integral_oracle(nu: float, x: float) -> float:
