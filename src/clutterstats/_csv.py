@@ -6,7 +6,7 @@ Python's ``'%.17g' % v`` costs about 0.8 us per float, which made CSV text
 most of the cost of writing a sampled batch.  ``_g17`` forms the same bytes
 for a whole column with numpy:
 
-* scale: ``E = floor(log10|x|)`` and ``y = |x| * 10^(16-E)`` as a
+* scale: ``E = floor(log10 x)`` and ``y = x * 10^(16-E)`` as a
   double-double (Dekker's TwoProduct; ``10^k = hi + lo`` is built exactly
   from ``fractions.Fraction``), so ``floor(y)`` has the 17 leading digits;
   ``_times_power`` is the one copy of that product, which the reader's
@@ -16,20 +16,20 @@ for a whole column with numpy:
   and a tie rounds half to even, as CPython's formatter does;
 * lay out: uint64 division cuts ``D`` into one digit and four groups of
   four, and a table of the ASCII of 0000..9999 fills a 32-byte row per
-  value with its digits, '-', '.' and the exponent suffix.  The sign,
-  ``E`` and the trailing zeros of ``D`` (counted past the last group only
-  in the rows where it is 0000) pick one of 782 byte patterns (fixed
-  notation for ``-4 <= E < 17``, scientific otherwise).  The pattern's row
+  value with its digits, '.' and the exponent suffix.  ``E`` and the
+  trailing zeros of ``D`` (counted past the last group only in the rows
+  where it is 0000) pick one of 391 byte patterns (fixed notation for
+  ``-4 <= E < 17``, scientific otherwise).  The pattern's row
   positions, plus each row's offset added in place, index one gather
   into the column's own contiguous buffer, which ``format_rows`` copies
   into the chunk's rows once; the NUL padding of the patterns is deleted
   from each chunk's bytes.
 
 An element the kernel cannot certify is formatted by ``'%.17g' %`` itself:
-0, -0, inf and nan, ``|x|`` outside ``[1e-240, 1e240]``, an ``E`` that
-``log10`` got off by one, a ``D`` that rounds up to ``10^17``, and an
-inexact product whose fraction lies within 1e-6 of one half.  So every value
-prints as Python prints it.
+every ``x`` outside ``[1e-240, 1e240]`` (so every value that is not
+positive, inf and nan), an ``E`` that ``log10`` got off by one, a ``D``
+that rounds up to ``10^17``, and an inexact product whose fraction lies
+within 1e-6 of one half.  So every value prints as Python prints it.
 
 An integer column takes the same digit groups; a group is looked up in a
 second table, whose words have their leading zeros as NUL, until a group
@@ -53,11 +53,12 @@ line's field and places its '.' and 'e'; ``_read_fields`` then
   one.
 
 A row the kernel does not certify goes to the scalar path,
-``_parse_line``, as does every row of a block holding any other byte: a
-sign other than a leading '-', blanks, inf and nan, more than 24 bytes
-before the 'e', more than 19 significant or 8 exponent digits, a power of
-ten outside the table (so every subnormal), a product too near a
-rounding boundary, a field ending in a block's first 24 bytes, and every
+``_parse_line``, as does every row of a block holding any other byte or
+longer than twice ``BLOCK_BYTES`` (a line longer than a block): a sign
+before the mantissa, blanks, inf and nan, more than 24 bytes before the
+'e', more than 19 significant or 8 exponent digits, a power of ten
+outside the table (so every subnormal), a product too near a rounding
+boundary, a field ending in a block's first 24 bytes, and every
 malformed field.  The scalar path strips Unicode whitespace, checks the
 syntax (ASCII decimal or exponent notation, inf, infinity or nan, each
 with an optional sign; Python's own ``float`` also takes ``1_000`` and
@@ -111,10 +112,9 @@ _ONES = np.uint64(2**64 - 1)
 _MARGIN = 2.0**-100
 
 # A pattern picks each output byte from a 32-byte row per element: '000'
-# and the 17 digits of D (bytes 0-19), '-', '.', NUL, NUL (20-23) and the
+# and the 17 digits of D (bytes 0-19), '.', NUL, NUL, NUL (20-23) and the
 # exponent suffix, NUL-padded (24-31).
-_DIGIT0, _MINUS, _DOT, _PAD, _SUFFIX = 3, 20, 21, 22, 24
-_LAYOUTS = 23 * 17           # (x, kept digits) pairs of one sign
+_DIGIT0, _DOT, _PAD, _SUFFIX = 3, 20, 21, 24
 _ROW = 32
 
 
@@ -158,11 +158,11 @@ def _suffix(x: int) -> str:
     return f"e{x:+03d}"
 
 
-def _layout(negative: bool, x: int, kept: int) -> list[int]:
-    """Row positions of the bytes of '%.17g' for the sign, decimal
-    exponent x and `kept` significant digits (trailing zeros stripped);
-    x = -5 or 17 stands for every exponent written in scientific notation,
-    whose suffix the row holds NUL-padded."""
+def _layout(x: int, kept: int) -> list[int]:
+    """Row positions of the bytes of '%.17g' for a positive value of
+    decimal exponent x and `kept` significant digits (trailing zeros
+    stripped); x = -5 or 17 stands for every exponent written in
+    scientific notation, whose suffix the row holds NUL-padded."""
     digits = [_DIGIT0 + k for k in range(kept)]
     if 0 <= x < 17:
         # zeros left of the point are written, not stripped
@@ -175,22 +175,18 @@ def _layout(negative: bool, x: int, kept: int) -> list[int]:
     else:
         text = digits[:1] + ([_DOT] + digits[1:] if kept > 1 else [])
         text += range(_SUFFIX, _SUFFIX + len(_suffix(_E_MIN)))
-    return [_MINUS if negative else _PAD] + text \
-        + [_PAD] * (_WIDTH - 1 - len(text))
+    return text + [_PAD] * (_WIDTH - len(text))
 
 
 @functools.cache
 def _tables() -> tuple[np.ndarray, ...]:
-    """The layouts of every (sign, x, kept digits) with x in [-5, 17],
-    indexed negative * _LAYOUTS + (x + 5) * 17 + kept - 1, as intp row
-    positions; each E's suffix as a uint64; the ASCII of 0000..9999 as
-    uint32 words, after the same words with their leading zeros as NUL
-    (all four for 0); the trailing zero count of each of 0..9999 (4 for
-    0)."""
-    layouts = np.array([_layout(negative, x, kept)
-                        for negative in (False, True)
-                        for x in range(-5, 18) for kept in range(1, 18)],
-                       dtype=np.intp)
+    """The layouts of every (x, kept digits) with x in [-5, 17], indexed
+    (x + 5) * 17 + kept - 1, as intp row positions; each E's suffix as a
+    uint64; the ASCII of 0000..9999 as uint32 words, after the same words
+    with their leading zeros as NUL (all four for 0); the trailing zero
+    count of each of 0..9999 (4 for 0)."""
+    layouts = np.array([_layout(x, kept) for x in range(-5, 18)
+                        for kept in range(1, 18)], dtype=np.intp)
     suffixes = np.frombuffer(b"".join(
         _suffix(x).encode().ljust(8, b"\0")
         for x in range(_E_MIN, _E_MAX + 1)), dtype="<u8")
@@ -218,10 +214,9 @@ def _g17(x: np.ndarray, out: np.ndarray) -> None:
     """Write ``'%.17g' % v`` of each float into the rows of ``out``, a
     contiguous (n, 24) uint8 block, NUL-padded."""
     n = x.size
-    a = np.abs(x)
-    ok = a >= _LO
-    ok &= a <= _HI
-    np.copyto(a, 1.0, where=~ok)
+    ok = x >= _LO
+    ok &= x <= _HI
+    a = np.where(ok, x, 1.0)
     e = np.log10(a)
     # in [_E_MIN, _E_MAX], as a is 1 or in [_LO, _HI]
     e = np.floor(e, out=e).astype(np.intp)
@@ -242,7 +237,7 @@ def _g17(x: np.ndarray, out: np.ndarray) -> None:
     row = np.empty((n, _ROW // 4), dtype="<u4")
     for c, g in enumerate(groups):
         row[:, c] = quads[10**4:][g]
-    row[:, 5] = 0x2E2D                                     # '-.'
+    row[:, 5] = 0x2E                                       # '.'
     row[:, 6:].view("<u8")[:, 0] = suffixes[e - _E_MIN]
     trailing = zeros[groups[4]]
     rows = np.flatnonzero(groups[4] == 0)
@@ -258,7 +253,6 @@ def _g17(x: np.ndarray, out: np.ndarray) -> None:
     code *= 17
     code += 5 * 17 + 16
     code -= trailing
-    np.add(code, _LAYOUTS, out=code, where=np.signbit(x))
     index = np.take(layouts, code, axis=0)
     index += np.arange(0, n * _ROW, _ROW)[:, None]
     np.take(row.view(np.uint8).ravel(), index, out=out, mode="clip")
@@ -346,10 +340,7 @@ def read_column(path) -> np.ndarray:
                 column, text, line = _header(text, line)
                 if column is None:
                     continue
-            # a block past twice the size holds a line longer than a block,
-            # whose marks would take several times its bytes
-            parse = _parse_lines if len(text) > 2 * BLOCK_BYTES else _parse
-            part, lines = parse(text, column, line)
+            part, lines = _parse(text, column, line)
             line += lines
             if count + part.size > values.size:
                 # room for the rest of the file at this block's rows per
@@ -408,10 +399,13 @@ def _parse(text: bytes, column: int, line: int) -> tuple[np.ndarray, int]:
     """The values of ``column`` in ``text``, whole lines of which the first
     is file line ``line``, and the number of lines.  Rows of printable
     ASCII ending in LF or CRLF go through the kernel; a row it does not
-    certify, and every row of a block holding any other byte, through
-    ``_parse_line``."""
+    certify, and every row of a block holding any other byte or longer
+    than twice ``BLOCK_BYTES``, through ``_parse_line``."""
     a = np.frombuffer(text, dtype=np.uint8)
-    if a.size < _WIDTH or a[-1] != 10 or a.max() > 126:
+    # a block past twice the size holds a line longer than a block, whose
+    # marks would take several times its bytes
+    if not _WIDTH <= a.size <= 2 * BLOCK_BYTES or a[-1] != 10 \
+            or a.max() > 126:
         return _parse_lines(text, column, line)
     # every line end, comma, '.' and 'e' or 'E', in order
     flags = (a | 2) == 46
@@ -530,13 +524,11 @@ def _read_fields(a, marks, kind, left, right, lo, hi):
     """Parse the fields ``a[lo:hi]``, which lie between the marks ``left``
     and ``right``: the values, and which are certified.
 
-    A field is certified when it is ``[-] digits [. digits] [e [sign]
+    A field is certified when it is ``digits [. digits] [e [sign]
     digits]`` with at most _WIDTH bytes before the 'e' (and _WIDTH bytes
     of the block before that), at most 19 significant digits and at most
     8 exponent digits, its power of ten is in the table, and ``_scale``
     certifies its rounding."""
-    negative = a[lo] == 45
-    lo = lo + negative
     # the '.' and 'e' marks inside the field: none, '.', 'e' or '.', 'e'
     inner = right - left - 1
     top = marks.size - 1
@@ -586,7 +578,7 @@ def _read_fields(a, marks, kind, left, right, lo, hi):
     q = exponent - np.where(has_dot, _WIDTH - 1 - dot, 0)
     r, certain = _scale(w, q)
     ok &= certain
-    return np.where(negative, -r, r), ok
+    return r, ok
 
 
 def _scale(w: np.ndarray, q: np.ndarray):

@@ -83,9 +83,13 @@ class NoSolutionError(EstimationError):
     """The moment conditions are infeasible for the requested family."""
 
 
-class SolverNonConvergenceError(RuntimeError):
+class SolverNonConvergenceError(EstimationError):
+    """The root finder ran out of steps; the message names its last
+    iterate and residual, which it also keeps as attributes."""
+
     def __init__(self, message: str, last_iterate, residual: float):
-        super().__init__(message)
+        super().__init__(f"{message}; last iterate {last_iterate}, "
+                         f"residual {residual:.3e}")
         self.last_iterate = last_iterate
         self.residual = residual
 

@@ -214,17 +214,31 @@ def _draw_simple(spec: dist.DistributionSpec, stream: SplitMix64,
             return np.divide(scale, g, out=g)
 
 
+def _finite(values: np.ndarray) -> np.ndarray:
+    """``values``, or OverflowError counting those outside the doubles."""
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise OverflowError(f"{bad} of {values.size} draws are outside the "
+                            "double range (inf or nan)")
+    return values
+
+
 def sample(spec: dist.DistributionSpec, n: int, seed: int) -> SampleBatch:
     """n independent draws; deterministic for fixed (spec, n, seed).
 
     Compound families draw hidden texture z and speckle u on split streams
-    and return x = u * z with the texture retained in the batch.
+    and return x = u * z with the texture retained in the batch.  A law
+    whose canonical form leaves the doubles raises the form's ValueError,
+    and a batch with a non-finite draw raises OverflowError.
     """
     n = check_integer(n, "sample count", 1)
     comps = dist.components(spec)
-    if comps is None:
-        return SampleBatch(_draw_simple(spec, SplitMix64(seed), n))
-    return sample_compound(*comps, n, seed)
+    dist._mellin_form(spec)
+    if comps is not None:
+        return sample_compound(*comps, n, seed)
+    with np.errstate(all="ignore"):
+        values = _draw_simple(spec, SplitMix64(seed), n)
+    return SampleBatch(_finite(values))
 
 
 def sample_compound(speckle: dist.DistributionSpec,
@@ -234,14 +248,16 @@ def sample_compound(speckle: dist.DistributionSpec,
 
     The speckle stream is seeded with ``seed`` and the texture stream with
     ``seed XOR TEXTURE_SEED_XOR``, so each factor batch is reproducible on
-    its own.
+    its own.  Each component's canonical form is asked first, and a
+    non-finite x (so also a non-finite z) is refused, as in ``sample``.
     """
     n = check_integer(n, "sample count", 1)
-    dist.check_simple(speckle, "speckle component")
-    dist.check_simple(texture, "texture component")
+    dist._mellin_form(dist.check_simple(speckle, "speckle component"))
+    dist._mellin_form(dist.check_simple(texture, "texture component"))
     speckle_stream = SplitMix64(seed)
     texture_stream = SplitMix64(speckle_stream.seed ^ TEXTURE_SEED_XOR)
-    u = _draw_simple(speckle, speckle_stream, n)
-    z = _draw_simple(texture, texture_stream, n)
-    u *= z   # x = u * z, formed in the speckle draw's own array
-    return SampleBatch(u, z)
+    with np.errstate(all="ignore"):
+        u = _draw_simple(speckle, speckle_stream, n)
+        z = _draw_simple(texture, texture_stream, n)
+        u *= z   # x = u * z, formed in the speckle draw's own array
+    return SampleBatch(_finite(u), z)

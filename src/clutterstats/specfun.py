@@ -15,7 +15,9 @@ downstream:
 * ``digamma`` / ``polygamma`` -- Bernoulli asymptotic series, shifted
   upward until the argument is >= 10 (>= 2m + 2 for polygamma of order
   m >= 5); ``_series`` is the one sum of the ln_gamma, digamma and
-  polygamma series.  ``polygamma(m, x)`` meets mpmath to about 1e-15
+  polygamma series, and ``_shift`` the one upward recurrence of
+  ln_gamma, digamma and the scaled polygamma (the plain polygamma keeps
+  its own loop, which also runs over arrays).  ``polygamma(m, x)`` meets mpmath to about 1e-15
   through order 130 (6e-15 at order 1000), so k_n is at full precision
   through n = 6 = ``MAX_ORDER``, the cap ``check_order`` puts on every
   moment and cumulant order.  Orders whose factorials leave the double
@@ -98,14 +100,21 @@ def check_order(n, what: str) -> int:
 
 def ln_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0."""
-    x = _require_positive_finite("ln_gamma", x)
-    log_shift = 0.0
-    y = x
-    while y < _SHIFT_THRESHOLD:
-        log_shift += math.log(y)
-        y += 1.0
+    log_shift, y = _shift(_require_positive_finite("ln_gamma", x),
+                          _SHIFT_THRESHOLD, math.log)
     return ((y - 0.5) * math.log(y) - y + HALF_LOG_TWO_PI
             + _stirling_series(y) - log_shift)
+
+
+def _shift(x: float, threshold: float, term) -> tuple[float, float]:
+    """The upward recurrence of ln_gamma, digamma and the scaled
+    polygamma: the sum of term(y) over y = x, x + 1, ... below
+    ``threshold``, and the first y past it."""
+    acc, y = 0.0, x
+    while y < threshold:
+        acc += term(y)
+        y += 1.0
+    return acc, y
 
 
 def _series(coefs, t, z, start=0.0):
@@ -138,14 +147,10 @@ def log_gamma_ratio(a: float, d: float) -> tuple[float, float]:
 
 def digamma(x: float) -> float:
     """psi(x) = d/dx ln_gamma(x) for x > 0."""
-    x = _require_positive_finite("digamma", x)
-    acc = 0.0
-    y = x
-    while y < _SHIFT_THRESHOLD:
-        acc -= 1.0 / y
-        y += 1.0
+    shifts, y = _shift(_require_positive_finite("digamma", x),
+                       _SHIFT_THRESHOLD, lambda y: 1.0 / y)
     z = 1.0 / (y * y)
-    return acc + math.log(y) - 0.5 / y - _series(_DG_COEF, z, z)
+    return math.log(y) - shifts - 0.5 / y - _series(_DG_COEF, z, z)
 
 
 @functools.cache
@@ -234,10 +239,7 @@ def _polygamma_scaled(m: int, x: float, threshold: float) -> float:
     for n in range(m, 0, -512):        # mx^512 >= 2^-512 stays normal
         mant, k = math.frexp(mant / mx ** min(n, 512))
         e += k
-    shifts, y = 0.0, x
-    while y < threshold:
-        shifts += (x / y) ** (m + 1)
-        y += 1.0
+    shifts, y = _shift(x, threshold, lambda y: (x / y) ** (m + 1))
     z, series = 1.0 / (y * y), 1.0 + m / (2.0 * y)
     for k, b in enumerate(_B2K, start=1):
         series += b * math.comb(2 * k + m - 1, 2 * k) * z**k

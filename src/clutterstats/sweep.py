@@ -45,8 +45,9 @@ class SweepRow:
     def __post_init__(self):
         if self.order not in (2, 4):
             raise ValueError(f"order must be 2 or 4, got {self.order}")
-        if self.stderr < 0.0:
-            raise ValueError("stderr must be nonnegative")
+        if not self.stderr >= 0.0:   # nan too
+            raise ValueError(f"stderr must be nonnegative, got "
+                             f"{self.stderr!r}")
 
 
 # the sweep CSV's columns are SweepRow's fields, in order
@@ -81,6 +82,10 @@ def texture_sweep(L: float = DEFAULT_L, mu: float = DEFAULT_MU, m_grid=None,
     if not grid:
         raise ValueError("m_grid is empty: the sweep needs at least one "
                          "texture shape M")
+    for m_shape in grid:
+        if not 0.0 < m_shape < math.inf:
+            raise ValueError(f"m_grid holds {m_shape!r}: every texture "
+                             "shape M must be a positive finite number")
     speckle = dist.GammaPower(L, 1.0)
     rows = []
     for i, m_shape in enumerate(grid):

@@ -118,6 +118,14 @@ class TestTable:
         assert err == f"error: parameter {key!r} is given more than once\n"
         assert out == ""
 
+    def test_a_form_past_the_doubles_prints_nothing(self, capsys):
+        # the family and header lines came before the error
+        code, out, err = run(capsys, "table", "--family", "gamma",
+                             "--params", "L=1e-320,mu=1")
+        assert (code, out) == (2, "")
+        assert err == ("error: gamma: canonical scale inf of GammaPower("
+                       "L=1e-320, mu=1.0) is outside the double range\n")
+
     def test_unknown_family_exit_2(self, capsys):
         code, _, err = run(capsys, "table", "--family", "lognormal",
                            "--params", "m=1")
@@ -190,6 +198,27 @@ class TestSample:
                              "--out", str(tmp_path / "x.csv"))
         assert code == 2 and out == ""
         assert err == "error: Unable to allocate 7.28 TiB for an array\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family, params, message", [
+        ("gamma", "L=1e-320,mu=1", "gamma: canonical scale inf of "
+         "GammaPower(L=1e-320, mu=1.0) is outside the double range"),
+        ("gamma", "L=1e-10,mu=1e300", "gamma: canonical scale inf of "
+         "GammaPower(L=1e-10, mu=1e+300) is outside the double range"),
+        ("maxwell", "sigma=1e308",
+         "2 of 5 draws are outside the double range (inf or nan)"),
+        ("fisher", "L=1,M=1e-320,mu=1",
+         "5 of 5 draws are outside the double range (inf or nan)"),
+    ], ids=["gamma-L", "gamma-mu", "maxwell", "fisher"])
+    def test_a_law_it_cannot_draw_exit_2(self, capsys, tmp_path, family,
+                                         params, message):
+        # each wrote nan or inf rows and exited 0
+        path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "sample", "--family", family,
+                             "--params", params, "--n", "5",
+                             "--out", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not path.exists()
 
     def test_missing_directory_names_the_path(self, capsys, tmp_path):
         path = tmp_path / "missing" / "x.csv"
@@ -557,6 +586,20 @@ class TestSimulate:
     def test_sweep_row_checks_its_fields(self, order, stderr, message):
         with pytest.raises(ValueError, match=message):
             sweep.SweepRow(1.0, order, 0.0, 0.0, 0.0, stderr)
+
+
+    @pytest.mark.parametrize("m", [math.nan, -1.0, math.inf, 0.0])
+    def test_a_bad_grid_value_is_named(self, m):
+        # the texture's own check named its field L instead
+        with pytest.raises(ValueError, match=rf"^m_grid holds {m!r}: every "
+                           "texture shape M must be a positive finite"):
+            sweep.texture_sweep(m_grid=[1.0, m], n=10**4)
+
+    def test_sweep_row_refuses_a_nan_stderr(self):
+        # nan < 0.0 is False, so the row took it
+        with pytest.raises(ValueError,
+                           match="^stderr must be nonnegative, got nan$"):
+            sweep.SweepRow(1.0, 2, 0.0, 0.0, 0.0, math.nan)
 
 
 class TestVerifyCommand:

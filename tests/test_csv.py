@@ -407,7 +407,12 @@ class TestExactReader:
         calls = self.scalar_rows(monkeypatch)
         assert same_bits(_csv.read_column(path)[8:],
                          [float(f) for f in forms])
-        assert all(line < 10 for _, _, line in calls)
+        # a signed field takes the scalar path, which reads it exactly
+        scalar = [args for args in calls if args[2] >= 10]
+        assert [forms[line - 10] for _, _, line in scalar] \
+            == ["-0", "-2.5E-0003", "-1e+00000257"]
+        assert all(same_bits([_csv._parse_line(*args)],
+                             [float(forms[args[2] - 10])]) for args in scalar)
 
 
 class TestReaderBlocks:

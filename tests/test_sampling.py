@@ -183,6 +183,39 @@ class TestSampleDeterminism:
                             dist.GammaPower(2.0, 1.0), 0, 1)
 
 
+class TestLawsPastTheDoubles:
+    """A law the sampler cannot draw is refused, and nothing warns."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec", [dist.GammaPower(1e-320, 1.0),
+                                      dist.GammaPower(1e-10, 1e300)])
+    def test_a_form_past_the_doubles_is_refused(self, spec):
+        # these wrote nan draws
+        with pytest.raises(ValueError, match=r"^gamma: canonical scale inf "
+                           r".* is outside the double range$"):
+            sample(spec, 5, 1)
+        with pytest.raises(ValueError, match="canonical scale inf"):
+            sample_compound(spec, dist.GammaPower(1.0, 1.0), 5, 1)
+        with pytest.raises(ValueError, match="canonical scale inf"):
+            sample_compound(dist.GammaPower(1.0, 1.0), spec, 5, 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec, bad", [
+        (dist.Maxwell(1e308), 2), (dist.Fisher(1.0, 1e-320, 1.0), 5)])
+    def test_a_non_finite_draw_is_refused(self, spec, bad):
+        # these wrote inf draws
+        with pytest.raises(OverflowError, match=rf"^{bad} of 5 draws are "
+                           r"outside the double range \(inf or nan\)$"):
+            sample(spec, 5, 1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_non_finite_product_is_refused(self):
+        # each factor is finite, their product is not
+        with pytest.raises(OverflowError, match="^5 of 5 draws"):
+            sample_compound(dist.GammaPower(1.0, 1e300),
+                            dist.GammaPower(1.0, 1e300), 5, 1)
+
+
 class TestProductModel:
     def test_reconstruction_exact(self):
         for spec in (dist.GammaGamma(4.0, 2.0, 1.0),

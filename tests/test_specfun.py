@@ -92,6 +92,24 @@ class TestDigamma:
             digamma(-0.5)
 
 
+# ln_gamma and digamma as float.hex on both sides of the shift threshold
+# (10): below it the upward recurrence runs, at and past it the series alone
+SHIFT_BITS = [
+    (1e-3, "0x1.ba0f3807161a8p+2", "-0x1.f449ac574fcf8p+9"),
+    (0.37, "0x1.c0ff2c6c099c0p-1", "-0x1.65cc6fc71e6a6p+1"),
+    (9.999, "0x1.99961ff24365dp+3", "0x1.2035fb8982c09p+1"),
+    (10.0, "0x1.99a8921a7f7d0p+3", "0x1.20396dc85cc96p+1"),
+    (42.0, "0x1.c8230869ca104p+6", "0x1.dce4509d95f8ap+1"),
+    (1e5, "0x1.00a97b57f4c2ep+20", "0x1.7069d82dcebc1p+3"),
+]
+
+
+@pytest.mark.parametrize("x, ln_gamma_bits, digamma_bits", SHIFT_BITS)
+def test_the_shift_keeps_its_bits(x, ln_gamma_bits, digamma_bits):
+    assert ln_gamma(x).hex() == ln_gamma_bits
+    assert digamma(x).hex() == digamma_bits
+
+
 class TestPolygamma:
     def test_trigamma_at_one_series(self):
         assert polygamma(1, 1.0) == pytest.approx(trigamma_series_oracle(),
