@@ -37,8 +37,12 @@ before it is nonzero, so the number comes out right-aligned after NULs.
 
 ``read_column`` reads the file in blocks of ``BLOCK_BYTES`` whole lines.
 For each block of printable ASCII with LF or CRLF endings, ``_parse``
-finds every line end, comma, '.' and 'e' in one scan, which bounds each
-line's field and places its '.' and 'e'; ``_read_fields`` then
+finds every line end, comma, '.' and 'e' in one scan.  One rule bounds
+every line's field, whatever the column: it lies between separators
+(commas and line ends) ``column`` and ``column + 1``, counted from the
+line end before the line; the first line's is a mark at -1, whose byte
+is the block's final LF.  The '.' and 'e' marks between them place the
+point and the exponent; ``_read_fields`` then
 
 * gathers the _WIDTH bytes that end at the 'e' (or the field's end) and
   turns them into the mantissa's digits, right-aligned with '0' before
@@ -55,15 +59,16 @@ line's field and places its '.' and 'e'; ``_read_fields`` then
 A row the kernel does not certify goes to the scalar path,
 ``_parse_line``, as does every row of a block holding any other byte or
 longer than twice ``BLOCK_BYTES`` (a line longer than a block): a sign
-before the mantissa, blanks, inf and nan, more than 24 bytes before the
-'e', more than 19 significant or 8 exponent digits, a power of ten
-outside the table (so every subnormal), a product too near a rounding
-boundary, a field ending in a block's first 24 bytes, and every
-malformed field.  The scalar path strips Unicode whitespace, checks the
-syntax (ASCII decimal or exponent notation, inf, infinity or nan, each
-with an optional sign; Python's own ``float`` also takes ``1_000`` and
-non-ASCII digits), reads the value with ``float`` and raises
-``ValueError`` naming the file line and column.
+before the mantissa, blanks, a row with too few fields, inf and nan,
+more than 24 bytes before the 'e', more than 19 significant or 8
+exponent digits, a power of ten outside the table (so every subnormal),
+a product too near a rounding boundary, a field ending in a block's
+first 24 bytes, and every malformed field.  The scalar path strips
+Unicode whitespace, checks the syntax (ASCII decimal or exponent
+notation, inf, infinity or nan, each with an optional sign; Python's own
+``float`` also takes ``1_000`` and non-ASCII digits), reads the value
+with ``float`` and raises ``ValueError`` naming the file line and
+column.
 
 The power and pattern tables are built on first use, not at import.
 """
@@ -398,59 +403,45 @@ def _header(text: bytes, line: int):
 def _parse(text: bytes, column: int, line: int) -> tuple[np.ndarray, int]:
     """The values of ``column`` in ``text``, whole lines of which the first
     is file line ``line``, and the number of lines.  Rows of printable
-    ASCII ending in LF or CRLF go through the kernel; a row it does not
-    certify, and every row of a block holding any other byte or longer
-    than twice ``BLOCK_BYTES``, through ``_parse_line``."""
+    ASCII ending in LF or CRLF go through the kernel, their fields bounded
+    by one separator rule; a row with too few fields or that the kernel
+    does not certify, and every row of a block holding any other byte or
+    longer than twice ``BLOCK_BYTES``, through ``_parse_line``."""
     a = np.frombuffer(text, dtype=np.uint8)
     # a block past twice the size holds a line longer than a block, whose
     # marks would take several times its bytes
     if not _WIDTH <= a.size <= 2 * BLOCK_BYTES or a[-1] != 10 \
             or a.max() > 126:
         return _parse_lines(text, column, line)
-    # every line end, comma, '.' and 'e' or 'E', in order
+    # every line end, comma, '.' and 'e' or 'E', in order, after a mark at
+    # -1 whose byte a[-1] is the final LF: the line end before line 0
     flags = (a | 2) == 46
     flags |= (a | 32) == 101
     flags |= a == 10
-    marks = np.flatnonzero(flags)
+    marks = np.concatenate(([-1], np.flatnonzero(flags)))
     kind = a[marks]
-    newline = np.flatnonzero(kind == 10)
-    n = newline.size
-    ends = marks[newline]
+    seps = np.flatnonzero((kind == 44) | (kind == 10))
+    last = np.flatnonzero(kind[seps] == 10)     # the line ends among them
+    n = last.size - 1
+    at = last[:-1] + column
+    short = at >= last[1:]
+    # a short row's marks stay on its own line
+    at = np.minimum(at, last[1:] - 1)
+    left, right = seps[at], seps[at + 1]
+    hi = marks[right]
     controls = np.count_nonzero(a < 32)
     if controls > n:
         cr = np.flatnonzero(a == 13)
         if n + cr.size != controls or np.any(a[cr + 1] != 10):
             return _parse_lines(text, column, line)
-        ends = ends - (a[ends - 1] == 13)
-    starts = np.zeros(n, dtype=np.intp)
-    starts[1:] = marks[newline[:-1]] + 1
-    # the marks that bound each line's field: the comma before it (or the
-    # line start) and the comma after it (or the line end)
-    commas = np.flatnonzero(kind == 44)
-    if column and not commas.size:
-        return _parse_lines(text, column, line)
-    upto = np.searchsorted(commas, newline)          # commas before the end
-    before = np.zeros(n, dtype=np.intp)              # and before the start
-    before[1:] = upto[:-1]
-    right = newline
-    if commas.size:
-        right = np.where(upto - before > column, commas[
-            np.minimum(before + column, commas.size - 1)], newline)
-    if column:
-        left = commas[np.minimum(before + column - 1, commas.size - 1)]
-        lo = marks[left] + 1
-    else:
-        left = np.empty(n, dtype=np.intp)
-        left[0] = -1
-        left[1:] = newline[:-1]
-        lo = starts
-    hi = np.where(right == newline, ends, marks[right])
-    values, ok = _read_fields(a, marks, kind, left, right, lo, hi)
-    # a row with too few commas took its left mark from another line
-    ok &= upto - before >= column
+        hi -= a[hi - 1] == 13           # a field ends before a CRLF's CR
+    values, ok = _read_fields(a, marks, kind, left, right, hi)
+    ok &= ~short
+    ends = marks[seps[last]]
     keep = np.ones(n, dtype=bool)
     for i in np.flatnonzero(~ok):
-        value = _parse_line(text[starts[i]:ends[i]], column, line + i)
+        row = text[ends[i] + 1:ends[i + 1]].removesuffix(b"\r")
+        value = _parse_line(row, column, line + i)
         keep[i] = value is not None
         values[i] = value if keep[i] else 0.0
     return values[keep], n
@@ -520,9 +511,9 @@ def _low_bytes(count: np.ndarray, words: int = 3) -> np.ndarray:
     return np.invert(mask, out=mask)
 
 
-def _read_fields(a, marks, kind, left, right, lo, hi):
-    """Parse the fields ``a[lo:hi]``, which lie between the marks ``left``
-    and ``right``: the values, and which are certified.
+def _read_fields(a, marks, kind, left, right, hi):
+    """Parse the fields ``a[marks[left] + 1:hi]``, which lie between the
+    marks ``left`` and ``right``: the values, and which are certified.
 
     A field is certified when it is ``digits [. digits] [e [sign]
     digits]`` with at most _WIDTH bytes before the 'e' (and _WIDTH bytes
@@ -530,6 +521,7 @@ def _read_fields(a, marks, kind, left, right, lo, hi):
     8 exponent digits, its power of ten is in the table, and ``_scale``
     certifies its rounding."""
     # the '.' and 'e' marks inside the field: none, '.', 'e' or '.', 'e'
+    lo = marks[left] + 1
     inner = right - left - 1
     top = marks.size - 1
     first = kind[np.minimum(left + 1, top)]

@@ -30,7 +30,11 @@ tolerance.  ``mellin_table`` gives Phi at several s with each error bound
 and the count of density points; ``mellin_numeric`` is its one-s case and
 ``log_moments_numeric`` runs orders 1..n as rows at s = 1.  No setting is
 an option: the engine's default tolerances apply, on a window t in
-[-40, 40] that widens by 40 a side, up to [-200, 200].
+[-40, 40] that widens by 40 a side, up to [-200, 200].  Where a row is
+still above the absolute tolerance at +-200, the integral past that end
+is dropped; the row's error bound counts it as |h(end)| / rate, rate its
+log-slope over the last unit of t (inf where it does not decay), and the
+value is left as it is.
 """
 
 from __future__ import annotations
@@ -245,8 +249,10 @@ def _prepare_window(h):
     The window widens while any row exceeds the absolute tolerance at an
     end; the support is where any row is above 1e-22 of its own peak, and
     the zoom follows the peak of the rows each scaled by its own peak.
-    Returns None when the integrand is identically zero on the window, and
-    raises OverflowError, naming the s, when a row leaves the doubles.
+    Returns (lo, hi, edges, tail), ``tail`` each row's bound on what lies
+    past a window end at ``_MAX_WINDOW`` (0 when no end is there); None
+    when the integrand is identically zero on the window.  Raises
+    OverflowError, naming the s, when a row leaves the doubles.
     """
     def magnitudes(t):
         with np.errstate(over="ignore"):
@@ -266,6 +272,17 @@ def _prepare_window(h):
         if wider == (t_lo, t_hi):
             break
         t_lo, t_hi = wider
+
+    # each row's bound on the integral past an end still above the
+    # tolerance: |h(end)| / rate, or inf where the row does not decay
+    tail = np.zeros(h.rows)
+    for end, inward, above in ((t_lo, 1.0, lo_end), (t_hi, -1.0, hi_end)):
+        if above:
+            outer, inner = magnitudes(np.array([end, end + inward])).T
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rate = np.log(inner) - np.log(outer)
+                tail += np.where(outer > 0.0,
+                                 outer / np.maximum(rate, 0.0), 0.0)
 
     # cascade scan: escalate resolution only when the integrand looks
     # identically zero (arbitrarily narrow spikes under a wide window)
@@ -301,17 +318,19 @@ def _prepare_window(h):
             e = t_peak + sign * factor * span
             if lo < e < hi:
                 edges.add(e)
-    return lo, hi, sorted(edges)
+    return lo, hi, sorted(edges), tail
 
 
 def _integrate(h):
     """Every row of ``h`` over one window and one GK15 subdivision:
-    (values, error bounds), arrays with one entry per row."""
+    (values, error bounds), arrays with one entry per row; a bound counts
+    the tail dropped past the window."""
     window = _prepare_window(h)
     if window is None:
         return np.zeros(h.rows), np.zeros(h.rows)
-    lo, hi, edges = window
-    return adaptive_quad(h, lo, hi, initial_edges=edges)
+    lo, hi, edges, tail = window
+    values, bounds = adaptive_quad(h, lo, hi, initial_edges=edges)
+    return values, bounds + tail
 
 
 @dataclass(frozen=True)

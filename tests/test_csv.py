@@ -457,7 +457,8 @@ class TestReaderBlocks:
             _csv.read_column(path)
 
     def test_a_block_with_no_comma_under_a_two_column_header(self, tmp_path):
-        # the kernel hands a block without a comma to the scalar path
+        # under a two-column header every row of a block without a comma
+        # is short, and the scalar path names the first
         path = tmp_path / "no_comma.csv"
         path.write_text("index,x\n" + "1.5\n" * 40)
         with pytest.raises(ValueError, match="^invalid column index 1 at "
@@ -496,6 +497,77 @@ class TestReaderBlocks:
         path.write_text("\n \r\n\t\n", newline="")
         with pytest.raises(ValueError, match="^empty input$"):
             _csv.read_column(path)
+
+
+# positive doubles the kernel reads, with 12 or more bytes before any 'e':
+# of the rows of a block, only the first can end within its first _WIDTH
+# bytes.  repr stays below 2^53: past it a shortest form can be a tie of
+# two doubles, which the kernel leaves to the scalar path
+KERNEL_TEXT = (st.floats(1e-240, 1e240).map("%.17g".__mod__)
+               | st.floats(1e-240, 2.0**53).map(repr)).filter(
+    lambda text: len(text.split("e")[0]) >= 12)
+# the other fields: numbers of every kind, short enough that a row stays
+# under 64 bytes
+OTHER_TEXT = ["-1", "nan", "1e5", "-.5", "70", "-inf"]
+
+
+@st.composite
+def column_files(draw):
+    """(lines, column): a CSV file of 1 to 5 columns, 'x' at any of them
+    or no header, whose rows may carry extra fields, or be blank or short;
+    and the column ``read_column`` takes."""
+    width = draw(st.integers(1, 5))
+    x_at = draw(st.sampled_from([None, *range(width)]))
+    column = x_at or 0
+    lines = [] if x_at is None else [
+        ",".join("x" if j == x_at else f"c{j}" for j in range(width))]
+    for i in range(draw(st.integers(10, 40))):
+        # a file without a header starts with a row
+        kind = draw(st.integers(0, 11)) if lines else 11
+        if kind < 2:
+            lines.append(["", "  "][kind])
+            continue
+        fields = [OTHER_TEXT[(i + j) % 6] for j in range(width + 2)]
+        fields[column] = draw(KERNEL_TEXT)
+        # short (no x field), or 0, 1 or 2 fields past the header's
+        cut = draw(st.integers(1, column)) if kind == 2 and column \
+            else width + kind % 3
+        lines.append(",".join(fields[:cut]))
+    return lines, column
+
+
+class TestEveryColumn:
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(file=column_files(), ending=st.sampled_from(["\n", "\r\n"]),
+           block=st.sampled_from([64, 257, 4096]))
+    def test_read_column_matches_split_bit_for_bit(self, file, ending, block,
+                                                   tmp_path_factory):
+        lines, column = file
+        path = tmp_path_factory.mktemp("c") / "c.csv"
+        path.write_bytes((ending.join(lines) + ending).encode())
+        want, blank, short, error = [], 0, 0, None
+        for number, text in enumerate(lines, start=1):
+            fields = text.split(",")
+            if number == 1 and "x" in fields:
+                continue                           # the header
+            if not text.strip():
+                blank += 1
+            elif column >= len(fields):
+                short += 1
+                error = error or (f"invalid column index {column} at line "
+                                  f"{number} with {len(fields)} columns")
+            else:
+                want.append(float(fields[column]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_csv, "BLOCK_BYTES", block)
+            calls = TestExactReader.scalar_rows(patch)
+            if error is None:
+                assert same_bits(_csv.read_column(path), want)
+            else:
+                with pytest.raises(ValueError, match=f"^{error}$"):
+                    _csv.read_column(path)
+        blocks = -(-path.stat().st_size // block)
+        assert len(calls) <= blank + short + blocks
 
 
 def test_weak_k4_vote_is_reported(tmp_path, capsys):

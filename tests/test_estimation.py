@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clutterstats import distributions as dist
-from clutterstats import estimation, specfun
+from clutterstats import estimation, specfun, verify
 from clutterstats.estimation import (EmpiricalLogStats, EstimationError,
                                      NonFiniteSamplesError, NoSolutionError,
                                      OutOfRangeError,
@@ -19,7 +19,7 @@ from clutterstats.estimation import (EmpiricalLogStats, EstimationError,
                                      empirical_log_stats, fit_molc,
                                      invert_polygamma, scale_fields,
                                      texture_log_cumulants)
-from clutterstats.mellin import LogStats, moments_to_cumulants
+from clutterstats.mellin import LogStats, mellin_table, moments_to_cumulants
 from clutterstats.sampling import sample
 from clutterstats.specfun import MAX_ORDER, digamma, polygamma
 
@@ -364,6 +364,31 @@ class TestNoiselessRoundTripProperty:
         got = canonical_params(tag, fit.spec)
         want = canonical_params(tag, spec)
         assert np.max(np.abs(got - want) / want) <= 1e-6, fit
+
+
+class TestOracleTailBound:
+    """The quadrature oracle over the same box: past +-200 in t the
+    integral is dropped, and the table's bound counts what it drops."""
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(spec=SPECS)
+    # a shape of 0.05 decays like e^(0.05 t) on the left, past t = -200;
+    # the Fisher integrand at s = 1.5 like e^(-0.01 t) on the right
+    @example(spec=dist.GammaPower(0.05, 1.0))
+    @example(spec=dist.Fisher(2.0, 0.51, 1.0))
+    @example(spec=dist.Weibull(1.0, 0.05))
+    @example(spec=dist.GammaGamma(0.05, 3.0, 1.0))
+    def test_a_bound_within_the_gate_holds(self, spec):
+        lo, hi = dist.strip(spec)
+        grid = [s for s in verify.GRID_S if lo < s < hi]
+        table = mellin_table(lambda x: dist.pdf(spec, x), grid)
+        for s in grid:
+            value, bound = table.at(s)
+            analytic = dist.chf2_analytic(spec, s)
+            err = abs(value - analytic) / analytic
+            relative = bound / abs(value) if value else math.inf
+            assert relative > verify.AGREEMENT_GATE \
+                or err <= verify.AGREEMENT_GATE, (s, err, relative)
 
 
 class TestIdentifiability:
