@@ -35,14 +35,15 @@ An integer column takes the same digit groups; a group is looked up in a
 second table, whose words have their leading zeros as NUL, until a group
 before it is nonzero, so the number comes out right-aligned after NULs.
 
-``read_column`` reads the file in blocks of ``BLOCK_BYTES`` whole lines.
-For each block of printable ASCII with LF or CRLF endings, ``_parse``
-finds every line end, comma, '.' and 'e' in one scan.  One rule bounds
-every line's field, whatever the column: it lies between separators
-(commas and line ends) ``column`` and ``column + 1``, counted from the
-line end before the line; the first line's is a mark at -1, whose byte
-is the block's final LF.  The '.' and 'e' marks between them place the
-point and the exponent; ``_read_fields`` then
+``read_column`` reads the file in blocks of ``BLOCK_BYTES`` whole lines,
+each ending in LF, CRLF or CR; a block holding a CR is read with every
+line end made LF.  For each block of ASCII up to '~', ``_parse`` finds
+every line end, comma, '.' and 'e' in one scan.  One rule bounds every
+line's field, whatever the column: it lies between separators (commas
+and line ends) ``column`` and ``column + 1``, counted from the line end
+before the line; the first line's is a mark at -1, whose byte is the
+block's final LF.  The '.' and 'e' marks between them place the point
+and the exponent; ``_read_fields`` then
 
 * gathers the _WIDTH bytes that end at the 'e' (or the field's end) and
   turns them into the mantissa's digits, right-aligned with '0' before
@@ -57,18 +58,19 @@ point and the exponent; ``_read_fields`` then
   one.
 
 A row the kernel does not certify goes to the scalar path,
-``_parse_line``, as does every row of a block holding any other byte or
-longer than twice ``BLOCK_BYTES`` (a line longer than a block): a sign
-before the mantissa, blanks, a row with too few fields, inf and nan,
-more than 24 bytes before the 'e', more than 19 significant or 8
-exponent digits, a power of ten outside the table (so every subnormal),
-a product too near a rounding boundary, a field ending in a block's
-first 24 bytes, and every malformed field.  The scalar path strips
+``_parse_line``: a sign before the mantissa, blanks or control bytes in
+the field (a tab elsewhere in the row does not matter), a row with too
+few fields, inf and nan, more than 24 bytes before the 'e', more than 19
+significant or 8 exponent digits, a power of ten outside the table (so
+every subnormal), a product too near a rounding boundary, a field ending
+in a block's first 24 bytes, and every malformed field.  So does every
+row of a block that is short (under 24 bytes), longer than twice
+``BLOCK_BYTES`` (a line longer than a block) or past '~', whose rows must
+decode as UTF-8 whatever column the byte is in.  The scalar path strips
 Unicode whitespace, checks the syntax (ASCII decimal or exponent
 notation, inf, infinity or nan, each with an optional sign; Python's own
 ``float`` also takes ``1_000`` and non-ASCII digits), reads the value
-with ``float`` and raises ``ValueError`` naming the file line and
-column.
+with ``float`` and raises ``ValueError`` naming the file line and column.
 
 The power and pattern tables are built on first use, not at import.
 """
@@ -402,57 +404,46 @@ def _header(text: bytes, line: int):
 
 def _parse(text: bytes, column: int, line: int) -> tuple[np.ndarray, int]:
     """The values of ``column`` in ``text``, whole lines of which the first
-    is file line ``line``, and the number of lines.  Rows of printable
-    ASCII ending in LF or CRLF go through the kernel, their fields bounded
-    by one separator rule; a row with too few fields or that the kernel
-    does not certify, and every row of a block holding any other byte or
-    longer than twice ``BLOCK_BYTES``, through ``_parse_line``."""
+    is file line ``line``, and the number of lines; CRLF and CR are read
+    as LF.  Rows go through the kernel, their fields bounded by one
+    separator rule; a row with too few fields or that the kernel does not
+    certify, and every row of a block that is short, longer than twice
+    ``BLOCK_BYTES`` or past '~', through ``_parse_line``."""
+    if b"\r" in text:      # read every line end as LF
+        return _parse(text.replace(b"\r\n", b"\n").replace(b"\r", b"\n"),
+                      column, line)
     a = np.frombuffer(text, dtype=np.uint8)
-    # a block past twice the size holds a line longer than a block, whose
-    # marks would take several times its bytes
-    if not _WIDTH <= a.size <= 2 * BLOCK_BYTES or a[-1] != 10 \
-            or a.max() > 126:
-        return _parse_lines(text, column, line)
-    # every line end, comma, '.' and 'e' or 'E', in order, after a mark at
-    # -1 whose byte a[-1] is the final LF: the line end before line 0
-    flags = (a | 2) == 46
-    flags |= (a | 32) == 101
-    flags |= a == 10
-    marks = np.concatenate(([-1], np.flatnonzero(flags)))
-    kind = a[marks]
-    seps = np.flatnonzero((kind == 44) | (kind == 10))
-    last = np.flatnonzero(kind[seps] == 10)     # the line ends among them
-    n = last.size - 1
-    at = last[:-1] + column
-    short = at >= last[1:]
-    # a short row's marks stay on its own line
-    at = np.minimum(at, last[1:] - 1)
-    left, right = seps[at], seps[at + 1]
-    hi = marks[right]
-    controls = np.count_nonzero(a < 32)
-    if controls > n:
-        cr = np.flatnonzero(a == 13)
-        if n + cr.size != controls or np.any(a[cr + 1] != 10):
-            return _parse_lines(text, column, line)
-        hi -= a[hi - 1] == 13           # a field ends before a CRLF's CR
-    values, ok = _read_fields(a, marks, kind, left, right, hi)
-    ok &= ~short
-    ends = marks[seps[last]]
-    keep = np.ones(n, dtype=bool)
-    for i in np.flatnonzero(~ok):
-        row = text[ends[i] + 1:ends[i + 1]].removesuffix(b"\r")
-        value = _parse_line(row, column, line + i)
+    # the block ends in LF.  One past twice the size holds a line longer
+    # than a block, whose marks would take several times its bytes
+    if _WIDTH <= a.size <= 2 * BLOCK_BYTES and a.max() <= 126:
+        # every line end, comma, '.' and 'e' or 'E', in order, after a mark
+        # at -1 whose byte a[-1] is the final LF: the line end before line 0
+        flags = (a | 2) == 46
+        flags |= (a | 32) == 101
+        flags |= a == 10
+        marks = np.concatenate(([-1], np.flatnonzero(flags)))
+        kind = a[marks]
+        seps = np.flatnonzero((kind == 44) | (kind == 10))
+        last = np.flatnonzero(kind[seps] == 10)     # the line ends among them
+        at = last[:-1] + column
+        short = at >= last[1:]
+        # a short row's marks stay on its own line
+        at = np.minimum(at, last[1:] - 1)
+        left, right = seps[at], seps[at + 1]
+        values, ok = _read_fields(a, marks, kind, left, right)
+        ok &= ~short
+        ends = marks[seps[last]]
+    else:
+        ends = np.concatenate(([-1], np.flatnonzero(a == 10)))
+        values, ok = np.empty(ends.size - 1), np.zeros(ends.size - 1, bool)
+    keep = np.ones(values.size, dtype=bool)
+    rows = np.flatnonzero(~ok)
+    for i, start, end in zip(rows.tolist(), ends[rows].tolist(),
+                             ends[rows + 1].tolist()):
+        value = _parse_line(text[start + 1:end], column, line + i)
         keep[i] = value is not None
         values[i] = value if keep[i] else 0.0
-    return values[keep], n
-
-
-def _parse_lines(text: bytes, column: int, line: int) -> tuple[np.ndarray, int]:
-    """``_parse`` one line at a time."""
-    rows = [match[1] for match in _LINE.finditer(text)]
-    values = [_parse_line(row, column, line + i) for i, row in enumerate(rows)]
-    return np.array([v for v in values if v is not None], dtype=float), \
-        len(rows)
+    return values[keep], values.size
 
 
 def _parse_line(row: bytes, column: int, line: int) -> float | None:
@@ -511,9 +502,10 @@ def _low_bytes(count: np.ndarray, words: int = 3) -> np.ndarray:
     return np.invert(mask, out=mask)
 
 
-def _read_fields(a, marks, kind, left, right, hi):
-    """Parse the fields ``a[marks[left] + 1:hi]``, which lie between the
-    marks ``left`` and ``right``: the values, and which are certified.
+def _read_fields(a, marks, kind, left, right):
+    """Parse the fields ``a[marks[left] + 1:marks[right]]``, which lie
+    between the marks ``left`` and ``right``: the values, and which are
+    certified.
 
     A field is certified when it is ``digits [. digits] [e [sign]
     digits]`` with at most _WIDTH bytes before the 'e' (and _WIDTH bytes
@@ -521,7 +513,7 @@ def _read_fields(a, marks, kind, left, right, hi):
     8 exponent digits, its power of ten is in the table, and ``_scale``
     certifies its rounding."""
     # the '.' and 'e' marks inside the field: none, '.', 'e' or '.', 'e'
-    lo = marks[left] + 1
+    lo, hi = marks[left] + 1, marks[right]
     inner = right - left - 1
     top = marks.size - 1
     first = kind[np.minimum(left + 1, top)]

@@ -226,7 +226,8 @@ def _log_domain_integrand(density, s, powers):
     """h(t) with rows h_j(t) = t^n_j e^(s_j t) f(e^t), evaluated safely
     across magnitudes; ``density`` runs once per node for every row.
     ``h.rows`` is the number of rows, ``h.s`` their s values and
-    ``h.points`` counts the nodes seen so far."""
+    ``h.points`` counts the nodes seen so far.  A density value that is
+    nan or negative raises ValueError naming its x."""
     s = np.asarray(s, dtype=float)[:, None]
     powers = np.asarray(powers)[:, None]
 
@@ -234,6 +235,11 @@ def _log_domain_integrand(density, s, powers):
         t = np.asarray(t, dtype=float)
         f_vals = np.asarray(density(np.exp(t)), dtype=float)
         h.points += t.size
+        bad = np.flatnonzero(~(f_vals >= 0.0))
+        if bad.size:
+            raise ValueError(f"the density at x = e^{float(t.flat[bad[0]])!r} "
+                             f"is {float(f_vals.flat[bad[0]])!r}, not a "
+                             "number >= 0")
         log_f = np.log(f_vals, out=np.full(t.shape, -np.inf),
                        where=f_vals > 0.0)
         return np.exp(s * t + log_f) * t ** powers
@@ -359,9 +365,10 @@ def mellin_table(density, s_values) -> TransformTable:
 
     ``density`` must map a numpy array of positive abscissas to density
     values; it is evaluated once per node for all s.  Raises ValueError
-    for a non-finite s, OverflowError for an s whose integrand leaves the
-    doubles, and NonConvergenceError (carrying the best estimates) when
-    the subdivision budget is exhausted.
+    for a non-finite s or a density value that is nan or negative,
+    OverflowError for an s whose integrand leaves the doubles, and
+    NonConvergenceError (carrying the best estimates) when the subdivision
+    budget is exhausted.
     """
     s = tuple(float(v) for v in s_values)
     if not s:
@@ -384,7 +391,8 @@ def mellin_numeric(density, s: float) -> float:
 def log_moments_numeric(density, n_max: int) -> LogStats:
     """Numerical log-moments m_n = E[(log X)^n] for n = 1..n_max
     (n_max <= MAX_ORDER), all orders in one vector pass over the rows
-    t^n e^t f(e^t)."""
+    t^n e^t f(e^t).  Raises ValueError, as ``mellin_table`` does, for a
+    density value that is nan or negative."""
     n_max = check_order(n_max, "log_moments_numeric")
     orders = range(1, n_max + 1)
     moments, _ = _integrate(

@@ -367,6 +367,18 @@ class TestEstimate:
                          "--input", "/does/not/exist.csv")
         assert code == 2
 
+    def test_invalid_utf8_exit_2(self, capsys, tmp_path):
+        # a block past ASCII stays off the kernel, so invalid UTF-8 in a
+        # column the fit does not read is still refused
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"index,x,note\n0,1.5,\xff\n1,2.5,ok\n")
+        code, out, err = run(capsys, "estimate", "--family", "gamma",
+                             "--input", str(path))
+        assert code == 2
+        assert err == (f"error: {path}: 'utf-8' codec can't decode byte 0xff "
+                       "in position 6: invalid start byte\n")
+        assert out == ""
+
     @pytest.mark.parametrize("argv,message", [
         (["--family", "bogus"], "unknown family 'bogus'; expected one of "),
         (["--family", "gamma", "--speckle", "family=bogus"],

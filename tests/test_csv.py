@@ -349,6 +349,16 @@ class TestExactReader:
         with pytest.raises(ValueError, match=re.escape(message + "row")):
             loadtxt_column(path, 1)
 
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"])
+    def test_a_bad_last_field_is_named_without_its_line_end(self, ending,
+                                                            tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes((LEAD + "9,abc\n10,1.0\n").replace("\n", ending)
+                         .encode())
+        with pytest.raises(ValueError, match=r"^could not convert string "
+                           r"'abc' to float64 at line 10, column 2\.$"):
+            _csv.read_column(path)
+
     def test_scale_rounds_as_exact_arithmetic(self):
         # w * 10^q for w < 10^19 over the whole table, against the exact
         # rational rounded once
@@ -379,7 +389,7 @@ class TestExactReader:
                             or parse_line(*args))
         return calls
 
-    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
     @pytest.mark.parametrize("family, params, spec", [
         ("wnak", "c=1.5,alpha=2,b=1", dist.WeibullNakagami(1.5, 2.0, 1.0)),
         ("gamma", "L=4,mu=1", dist.GammaPower(4.0, 1.0))])
@@ -538,19 +548,27 @@ def column_files(draw):
 
 class TestEveryColumn:
     @settings(deadline=None, derandomize=True, database=None)
-    @given(file=column_files(), ending=st.sampled_from(["\n", "\r\n"]),
+    @given(file=column_files(),
+           endings=st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                            min_size=1),
            block=st.sampled_from([64, 257, 4096]))
-    def test_read_column_matches_split_bit_for_bit(self, file, ending, block,
+    def test_read_column_matches_split_bit_for_bit(self, file, endings, block,
                                                    tmp_path_factory):
+        # each line ends in LF, CRLF or CR, in turn from ``endings``
         lines, column = file
+        text = "".join(line + endings[i % len(endings)]
+                       for i, line in enumerate(lines))
         path = tmp_path_factory.mktemp("c") / "c.csv"
-        path.write_bytes((ending.join(lines) + ending).encode())
+        path.write_bytes(text.encode())
+        # the file's own lines: a CR before an empty LF-ended line is one
+        # CRLF, so that blank line is not in the file
         want, blank, short, error = [], 0, 0, None
-        for number, text in enumerate(lines, start=1):
-            fields = text.split(",")
+        for number, line in enumerate(re.split(r"\r\n|\r|\n", text)[:-1],
+                                      start=1):
+            fields = line.split(",")
             if number == 1 and "x" in fields:
                 continue                           # the header
-            if not text.strip():
+            if not line.strip():
                 blank += 1
             elif column >= len(fields):
                 short += 1
@@ -566,7 +584,9 @@ class TestEveryColumn:
             else:
                 with pytest.raises(ValueError, match=f"^{error}$"):
                     _csv.read_column(path)
-        blocks = -(-path.stat().st_size // block)
+        # a final CR cannot end a block before the end of the file, so the
+        # last line comes as a block of its own
+        blocks = -(-path.stat().st_size // block) + text.endswith("\r")
         assert len(calls) <= blank + short + blocks
 
 
