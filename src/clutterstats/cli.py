@@ -175,7 +175,7 @@ def _cmd_estimate(args) -> int:
             params.setdefault(name, 1.0)
         speckle = dist.check_simple(dist.make_spec(speckle_family, params),
                                     "speckle")
-    estimation.check_fit(args.family, orders, args.c_known)
+    estimation.check_fit(args.family, orders)
     # the column is only an argument, so it is freed once its logs exist
     stats = estimation.empirical_log_stats(_read_column(args.input),
                                            n_max=orders)
@@ -183,7 +183,7 @@ def _cmd_estimate(args) -> int:
     if speckle is not None:
         used = estimation.texture_log_cumulants(stats, speckle)
         print(f"speckle: {_spec_text(speckle)} (log-cumulants subtracted)")
-    fit = estimation.fit_molc(args.family, used, c_known=args.c_known)
+    fit = estimation.fit_molc(args.family, used)
     print(f"estimate: {_spec_text(fit.spec)}")
     print(f"iterations: {fit.iterations}")
     print(f"residual: {fit.residual:.6e}")
@@ -265,8 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", type=int, default=4,
                    help=f"highest log-cumulant order estimated, 1 to "
                         f"{MAX_ORDER} (k_4 ranks non-identifiable fits)")
-    p.add_argument("--c-known", type=float, default=None,
-                   help="wnak only: fix the speckle shape c")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("simulate", help="texture log-cumulant sweep over M")

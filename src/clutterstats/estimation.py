@@ -268,37 +268,32 @@ def _entries(form) -> list[float]:
 
 
 class _Layout(NamedTuple):
-    """A family's form as monomials in its free fields: at fields f, entry
-    j is ``ref[j] * prod(f ** powers[j])``.  ``spec`` has the held fields
-    at their values and the free ones at 1; ``shapes`` are the shape
-    entries that some free field owns."""
+    """A family's form as monomials in its fields: at fields f, entry j is
+    ``ref[j] * prod(f ** powers[j])``.  ``spec`` has every field at 1;
+    ``shapes`` are the shape entries that some field owns."""
     spec: dist.DistributionSpec
-    free: list[str]
+    names: list[str]
     ref: list[float]
     powers: np.ndarray
     shapes: list[int]
 
 
-def _layout(cls: type, held: dict[str, float]) -> _Layout:
-    """Probe the form with each free field at 2."""
+def _layout(cls: type) -> _Layout:
+    """Probe the form with every field at 1, then with each field at 2."""
     names = [f.name for f in fields(cls)]
-    if set(held) - set(names):
-        raise ValueError(f"{cls.__name__} has no field(s) "
-                         f"{sorted(set(held) - set(names))} to hold fixed")
-    point = {n: held.get(n, 1.0) for n in names}
-    free = [n for n in names if n not in held]
+    point = dict.fromkeys(names, 1.0)
     ref = _entries(dist._mellin_form(cls(**point)))
     powers = np.array([[math.log2(p / r) for p, r in zip(_entries(
-        dist._mellin_form(cls(**{**point, n: 2.0}))), ref)] for n in free]).T
+        dist._mellin_form(cls(**{**point, n: 2.0}))), ref)] for n in names]).T
     shapes = [j for j in range(1, len(ref)) if powers[j].any()]
-    return _Layout(cls(**point), free, ref, powers, shapes)
+    return _Layout(cls(**point), names, ref, powers, shapes)
 
 
 def scale_fields(family: str) -> tuple[str, ...]:
     """The fields of a catalog family that enter only the scale of its
     canonical form (gamma mu, weibull z, maxwell sigma)."""
-    layout = _layout(dist._family_class(family), {})
-    return tuple(n for n, column in zip(layout.free, layout.powers.T)
+    layout = _layout(dist._family_class(family))
+    return tuple(n for n, column in zip(layout.names, layout.powers.T)
                  if not column[1:].any())
 
 
@@ -320,7 +315,9 @@ def _solve_entry(e: list, j: int, target) -> tuple[np.ndarray, np.ndarray]:
     a, closed form for a c."""
     i, target = j - (j - 1) % 2, np.array(target, dtype=float, ndmin=1)
     if j == i:
-        return _invert_polygamma(1, target / e[i + 1] ** 2)
+        with np.errstate(over="ignore"):   # inf: out of polygamma's range
+            y = target / e[i + 1] ** 2
+        return _invert_polygamma(1, y)
     return (np.copysign(np.sqrt(target / polygamma(1, e[i])), e[j]),
             np.zeros(target.shape, dtype=int))
 
@@ -387,7 +384,8 @@ def _scan_roots(e: list[float], shapes: list[int], excess: float, k,
         q[j2] = _solve_entry(q, j2, rest)[0]
         p[j2] = np.full(tau.shape, e[j2])
         p[j2][on] = q[j2]
-        with np.errstate(over="ignore"):
+        # terms of inf and -inf: a nan gap, which is no point of the curve
+        with np.errstate(over="ignore", invalid="ignore"):
             terms = [dist.term_log_cumulant(a, c, 3)
                      for a, c in zip(q[1::2], q[2::2])]
             noise[on] = 8.0 * np.spacing(sum(map(abs, terms)) + abs(k[2]))
@@ -448,13 +446,13 @@ def _scan_roots(e: list[float], shapes: list[int], excess: float, k,
 
 def _spec_of(layout: _Layout, e: list[float], k1: float):
     """The family member with the shape entries of e and the scale that
-    matches k_1: one linear solve in the logs of the free fields."""
+    matches k_1: one linear solve in the logs of its fields."""
     log_scale = k1 - _k(e, 1)
     rhs = [log_scale - math.log(layout.ref[0])]
     rhs += [math.log(e[j] / layout.ref[j]) for j in layout.shapes]
     logs = np.linalg.solve(layout.powers[[0, *layout.shapes]], rhs)
     values = {}
-    for name, v in zip(layout.free, logs.tolist()):
+    for name, v in zip(layout.names, logs.tolist()):
         values[name] = math.exp(v) if v <= _LOG_DOUBLES[1] else math.inf
         if not 0.0 < values[name] < math.inf:
             raise OutOfRangeError(
@@ -463,14 +461,12 @@ def _spec_of(layout: _Layout, e: list[float], k1: float):
     return dataclasses.replace(layout.spec, **values)
 
 
-def check_fit(family: str, order: int,
-              c_known: float | None = None) -> _Layout:
-    """The checks ``fit_molc(family, stats, c_known)`` makes before it reads
-    statistics of this order: a ValueError for an unknown family, for a
-    ``c_known`` on a family with no c, or for an order below d + 1, d the
-    family's free shapes.  Returns the layout the fit solves."""
-    held = {} if c_known is None else {"c": c_known}
-    layout = _layout(dist._family_class(family), held)
+def check_fit(family: str, order: int) -> _Layout:
+    """The checks ``fit_molc(family, stats)`` makes before it reads
+    statistics of this order: a ValueError for an unknown family or for an
+    order below d + 1, d the family's free shapes.  Returns the layout the
+    fit solves."""
+    layout = _layout(dist._family_class(family))
     d = len(layout.shapes)
     if order < d + 1:
         raise ValueError(
@@ -479,18 +475,17 @@ def check_fit(family: str, order: int,
     return layout
 
 
-def fit_molc(family: str, stats: LogStats,
-             c_known: float | None = None) -> FitResult:
+def fit_molc(family: str, stats: LogStats) -> FitResult:
     """Estimate family parameters by matching analytic log-cumulants.
 
     ``family`` is a catalog tag (gamma, nakagami, maxwell, weibull,
-    rayleigh, ggamma, k, wnak, fisher); ``c_known`` holds the wnak speckle
-    shape c.  The d free shapes of its form match k_2..k_(d+1) and k_1
-    fixes the scale.  Raises NoSolutionError for infeasible moment
-    conditions and SolverNonConvergenceError (with the last iterate) if a
-    polygamma inversion does not converge.
+    rayleigh, ggamma, k, wnak, fisher); a known speckle's texture is fit
+    from ``texture_log_cumulants``.  The d free shapes of its form match
+    k_2..k_(d+1) and k_1 fixes the scale.  Raises NoSolutionError for
+    infeasible moment conditions and SolverNonConvergenceError (with the
+    last iterate) if a polygamma inversion does not converge.
     """
-    layout = check_fit(family, stats.order, c_known)
+    layout = check_fit(family, stats.order)
     shapes, d = layout.shapes, len(layout.shapes)
     k = stats.log_cumulants
     tol = _REL_TOL * max([1.0, *(abs(v) for v in k[1:d + 1])])

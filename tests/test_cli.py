@@ -279,6 +279,24 @@ class TestEstimate:
         l_hat = float(line.split("L=")[1].split(",")[0])
         assert abs(l_hat - 2.0) / 2.0 < 0.05
 
+    def test_wnak_with_known_speckle_shape(self, capsys, tmp_path):
+        # wnak(c, alpha, b) is a Weibull(1, c) speckle on a Nakagami
+        # texture with L = alpha and L / mu^2 = b; a fit that held c at 1.5
+        # printed alpha=1.74385030462, b=0.834962141347 for this file
+        data = tmp_path / "wnak.csv"
+        run(capsys, "sample", "--family", "wnak", "--params",
+            "c=1.5,alpha=2,b=1", "--n", "2000", "--seed", "5",
+            "--out", str(data))
+        code, out, _ = run(capsys, "estimate", "--family", "nakagami",
+                           "--input", str(data), "--speckle",
+                           "family=weibull,b=1.5")
+        assert code == 0
+        line = [ln for ln in out.splitlines() if ln.startswith("estimate")][0]
+        fields = dict(re.findall(r"(\w+)=([^,)]+)", line))
+        assert fields["L"] == "1.74385030462"
+        assert float(fields["L"]) / float(fields["mu"]) ** 2 == \
+            pytest.approx(0.834962141347, rel=1e-10)
+
     def test_speckle_scale_field_defaults_to_one(self, capsys, tmp_path):
         data = tmp_path / "g.csv"
         run(capsys, "sample", "--family", "gamma", "--params", "L=1,mu=1",
@@ -385,11 +403,9 @@ class TestEstimate:
          "unknown family 'bogus'; expected one of "),
         (["--family", "gamma", "--speckle", "L=0"],
          "GammaPower.L must be a positive finite number, got 0.0"),
-        (["--family", "gamma", "--c-known", "2"],
-         "GammaPower has no field(s) ['c'] to hold fixed"),
         (["--family", "wnak", "--orders", "2"],
          "wnak estimation needs log-cumulants up to order 3, got 2"),
-    ], ids=["family", "speckle-family", "speckle-L", "c-known", "orders"])
+    ], ids=["family", "speckle-family", "speckle-L", "orders"])
     def test_arguments_are_checked_before_the_file(self, capsys, argv,
                                                    message):
         # a missing file would report its own error if it were read first
