@@ -334,14 +334,14 @@ def read_column(path) -> np.ndarray:
     the first column.  Blank and whitespace-only lines are skipped.  The
     file is read as UTF-8, ``BLOCK_BYTES`` at a time; a byte-order mark
     at its start is dropped.  A bad value or a short row raises
-    ``ValueError`` naming its file line."""
+    ``ValueError`` naming its file line.  The column is sized from the
+    file's size and grows at least twofold, so a pipe, whose size reads
+    0, costs O(log n) copies of it."""
     column, line, count = None, 1, 0
     values = np.empty(0)
     with open(path, "rb") as fh:
         size, done = os.fstat(fh.fileno()).st_size, 0
         for text in _blocks(fh):
-            if not done:   # the start of the file
-                text = text.removeprefix(codecs.BOM_UTF8)
             done += len(text)
             if column is None:
                 column, text, line = _header(text, line)
@@ -351,9 +351,10 @@ def read_column(path) -> np.ndarray:
             line += lines
             if count + part.size > values.size:
                 # room for the rest of the file at this block's rows per
-                # byte, and 1/16 more
+                # byte, and 1/16 more; never less than twice the rows read
                 rest = max(size - done, 0) * part.size // max(len(text), 1)
-                grown = np.empty(count + part.size + rest + rest // 16)
+                grown = np.empty(max(count + part.size + rest + rest // 16,
+                                     2 * count))
                 grown[:count] = values[:count]
                 values = grown
             values[count:count + part.size] = part
@@ -369,10 +370,10 @@ def read_column(path) -> np.ndarray:
 
 
 def _blocks(fh):
-    """The file in blocks of whole lines, each ending in LF, CRLF or CR.
-    A line longer than a block doubles the next read, so it is copied a
-    bounded number of times."""
-    rest = b""
+    """The file in blocks of whole lines, each ending in LF, CRLF or CR,
+    without the byte-order mark at its start.  A line longer than a block
+    doubles the next read, so it is copied a bounded number of times."""
+    rest = fh.read(len(codecs.BOM_UTF8)).removeprefix(codecs.BOM_UTF8)
     while chunk := fh.read(max(BLOCK_BYTES, len(rest))):
         text = rest + chunk
         # a CR that ends the block may be the first half of a CRLF

@@ -110,7 +110,9 @@ def adaptive_quad(
     sharing.  ``initial_edges`` are interior break points seeding the
     first panels (useful when the caller knows where the integrand mass
     sits); they are evaluated in one call of ``f``, and each split in one
-    more.
+    more.  Only they guard against a peak narrower than the panels' node
+    spacing: where no node sees it, both rules agree without it and the
+    value misses it under a tiny error bound.
 
     Returns ``(value, error_bound)``, arrays of shape (k,).  Raises
     :class:`NonConvergenceError` if the subdivision budget (a cap on the

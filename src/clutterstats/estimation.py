@@ -134,10 +134,7 @@ def empirical_log_stats(values, n_max: int = 4) -> EmpiricalLogStats:
     logs and one buffer that takes each power in turn.  It drops its own
     references to the input once the logs exist, so an input that only
     the call holds (``empirical_log_stats(sample(...).values)``) is freed
-    before the buffer is allocated.  That needs CPython 3.11 or later,
-    whose calls hand the argument to the callee; before 3.11 the caller's
-    stack keeps it alive to the end of the call, which costs an array of
-    memory and changes nothing else.
+    before the buffer is allocated.
     """
     x = np.asarray(values, dtype=float).ravel()
     n_max = check_order(n_max, "empirical_log_stats")

@@ -2,6 +2,7 @@
 Python's own formatter, the ``sample`` and sweep files against the per-row
 f-string loops they replaced, and the ``estimate`` reader."""
 
+import codecs
 import math
 import os
 import re
@@ -495,6 +496,36 @@ class TestReaderBlocks:
         path.write_bytes(b"\xef\xbb\xbfx\n1.0\nabc\n")
         with pytest.raises(ValueError, match="'abc' to float64 at line 3,"):
             _csv.read_column(path)
+
+    @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8])
+    def test_a_pipe_grows_the_column_by_doubling(self, bom, tmp_path,
+                                                 monkeypatch):
+        # a pipe's size reads 0, so the size gives no room: unless the
+        # column grows at least twofold, each block copies every row read
+        values = np.random.default_rng(3).exponential(size=10**5)
+        path = tmp_path / "x.csv"
+        path.write_bytes(bom + "".join(f"{v!r}\n" for v in values.tolist())
+                         .encode())
+        sizes = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, shape, *args, **kwargs):
+                if sys._getframe(1).f_code is _csv.read_column.__code__:
+                    sizes.append(shape)
+                return np.empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(_csv, "np", CountingNumpy())
+        monkeypatch.setattr(_csv, "BLOCK_BYTES", 4096)
+        with subprocess.Popen(["cat", path], stdout=subprocess.PIPE) as cat:
+            got = _csv.read_column(f"/dev/fd/{cat.stdout.fileno()}")
+        assert same_bits(got, values)
+        assert len(sizes) <= 2 + math.log2(values.size)
+        sizes.clear()
+        assert same_bits(_csv.read_column(path), values)
+        assert len(sizes) == 2     # the empty start and one allocation
 
     @pytest.mark.parametrize("block", [1, 3, 4096])
     def test_header_only_and_blank_only(self, block, tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,6 @@ def test_all_names_only_bound_attributes(name):
 
 
 def test_console_scripts_import_to_callables():
-    tomllib = pytest.importorskip("tomllib")   # Python >= 3.11
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     assert scripts
