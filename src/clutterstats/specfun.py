@@ -21,14 +21,14 @@ downstream:
   through order 130 (6e-15 at order 1000), so k_n is at full precision
   through n = 6 = ``MAX_ORDER``, the cap ``check_order`` puts on every
   moment and cumulant order.  Orders whose factorials leave the double
-  range are computed too.  ``polygamma`` also takes an array of x: the
-  one shift loop and series run over every element at once, and only
-  the elements whose plain-float terms leave the doubles take the scaled
-  form, one by one.  Such an element is within a few ulp of the float
-  call (numpy's vectorized ``**`` rounds apart from the C library's
-  ``pow``); an array of fewer than ``_LANES_MIN`` elements takes the
-  float path per element.  A float call keeps its bits, and a bad
-  element gets the float path's message whatever the array's length.
+  range are computed too.  ``polygamma`` also takes an array of x, of
+  any length or shape, by one path: the one shift loop and series run
+  over every element at once, and only the elements whose plain-float
+  terms leave the doubles take the scaled form, one by one.  An element
+  is within a few ulp of the float call (numpy's vectorized ``**``
+  rounds apart from the C library's ``pow``), and its bits do not depend
+  on the other elements of its call.  A float call keeps its bits, and a
+  bad element gets the float call's message.
 * ``log_bessel_k_batch`` -- log K_nu for a whole abscissa array.  K is
   the latent integral of two unit gammas at q = 1
   (``_quad.log_latent_integral``, the kernel of the compound densities),
@@ -65,10 +65,6 @@ _LNG_COEF = tuple(b / ((2 * k) * (2 * k - 1)) for k, b in enumerate(_B2K, start=
 _DG_COEF = tuple(b / (2 * k) for k, b in enumerate(_B2K, start=1))
 
 _SHIFT_THRESHOLD = 10.0
-# arrays of fewer elements take polygamma's float path element by element;
-# a two-shape fit passes 1, 2 or 4 (its open brackets) or 490 to 1202 (its
-# k_2 curve), and each path is the faster one for the calls on its side
-_LANES_MIN = 32
 
 
 def _require_positive_finite(name: str, x: float) -> float:
@@ -190,7 +186,9 @@ def polygamma(order: int, x):
 
     The sign alternates: psi^(m) has sign (-1)^(m+1) everywhere on x > 0.
     A value past the double range is +-inf.  ``x`` is a float (a float
-    back) or an array (an array of its shape back).
+    back) or an array of any length or shape (an array of its shape back,
+    by one vectorized path: each element within a few ulp of the float
+    call, with the same bits in any call that carries it).
     """
     m = check_integer(order, "polygamma order", 1)
     # the series needs y >> m: its terms grow like (2k + m)! / (2 pi y)^(2k)
@@ -198,9 +196,6 @@ def polygamma(order: int, x):
     sign = 1.0 if m % 2 == 1 else -1.0
     if not isinstance(x, np.ndarray) or not x.ndim:
         return sign * _polygamma_float(m, x, threshold)
-    if x.size < _LANES_MIN:
-        return sign * np.array([_polygamma_float(m, v, threshold)
-                                for v in x.ravel().tolist()]).reshape(x.shape)
     x = x.astype(float)
     if not np.all(ok := (0.0 < x) & (x < math.inf)):
         _require_positive_finite("polygamma", x[~ok][0])   # raises

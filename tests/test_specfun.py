@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clutterstats.specfun import (_LANES_MIN, digamma, ln_gamma,
-                                  log_bessel_k_batch, polygamma)
+from clutterstats.specfun import (digamma, ln_gamma, log_bessel_k_batch,
+                                  polygamma)
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" /
                      "specfun_golden.json").read_text())
@@ -220,10 +220,10 @@ class TestPolygamma:
               database=None)
     @given(m=st.sampled_from([1, 2, 3, 4, 5, 6, 171, 400]),
            log10_x=st.lists(st.floats(-300.0, 300.0), min_size=1,
-                            max_size=2 * _LANES_MIN))
+                            max_size=64))
     def test_array_call_matches_the_float_calls(self, m, log10_x):
-        # short arrays take the float path element by element, longer ones
-        # run every lane at once in numpy, whose ** may round apart
+        # an array of any length runs every lane at once in numpy, whose **
+        # may round apart from the float call's pow
         x = 10.0 ** np.array(log10_x)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -238,9 +238,22 @@ class TestPolygamma:
 
     def test_array_domain(self):
         with pytest.raises(ValueError):
-            polygamma(1, np.full(_LANES_MIN, 0.0))
+            polygamma(1, np.full(32, 0.0))
         with pytest.raises(ValueError):
-            polygamma(1, np.full(_LANES_MIN, np.inf))
+            polygamma(1, np.full(32, np.inf))
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_an_element_does_not_depend_on_its_call(self, m):
+        # every slice of a call, called on its own, and the same elements
+        # in another shape keep the bits of the one full call
+        x = np.logspace(-3.0, 3.0, 2000)
+        full = polygamma(m, x)
+        assert np.array_equal(polygamma(m, x.reshape(40, 50)).ravel(), full)
+        for lanes in (1, 2, 3, 31, 32, 33, 601):
+            for start in range(0, x.size, lanes):
+                part = slice(start, start + lanes)
+                assert np.array_equal(polygamma(m, x[part]), full[part]), \
+                    (lanes, start)
 
     @pytest.mark.parametrize("shape", [(2,), (31,), (32,), (41,), (6, 7)],
                              ids=["2", "31", "32", "41", "6x7"])
