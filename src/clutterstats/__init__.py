@@ -11,7 +11,7 @@ from .estimation import (
     EmpiricalLogStats, FitResult, NonFiniteSamplesError,
     NoSolutionError, OutOfRangeError, SolverNonConvergenceError,
     TooFewSamplesError, ZeroSamplesError, empirical_log_stats, fit_molc,
-    invert_polygamma, texture_log_cumulants,
+    texture_log_cumulants,
 )
 from .mellin import (
     LogStats, NonConvergenceError, TransformTable,

@@ -170,11 +170,13 @@ def _cmd_estimate(args) -> int:
     if args.speckle is not None:
         params, speckle_family = _parse_params(args.speckle)
         speckle_family = speckle_family or "gamma"
+        # a compound family is refused before its fields are asked for
+        dist.check_simple(estimation._layout(
+            dist._family_class(speckle_family)).spec, "speckle")
         # unit-scale convention for the known speckle factor
         for name in estimation.scale_fields(speckle_family):
             params.setdefault(name, 1.0)
-        speckle = dist.check_simple(dist.make_spec(speckle_family, params),
-                                    "speckle")
+        speckle = dist.make_spec(speckle_family, params)
     estimation.check_fit(args.family, orders)
     # the column is only an argument, so it is freed once its logs exist
     stats = estimation.empirical_log_stats(_read_column(args.input),

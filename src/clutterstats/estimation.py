@@ -10,13 +10,13 @@ shows which field owns which entry.  The d shape entries some field owns
 (0, 1 or 2) match k_2..k_(d+1) through k_n = sum_i c_i^n psi^(n-1)(a_i),
 whose terms come from ``distributions.term_log_cumulant``; k_1 fixes the
 scale, and one linear solve in logs gives the fields.
-One bracketed root finder, with no derivative, inverts polygamma (in
+One bracketed root finder, with no derivative, inverts trigamma (in
 log x, inside a bracket in closed form) and refines the two-shape roots.
 It takes arrays of brackets and runs them in lockstep, as does the
-two-shape scan: the 601 points of the k_2 curve, their polygamma
+two-shape scan: the 601 points of the k_2 curve, their trigamma
 inversions and k_3 terms are one array pass, and each refinement step is
 one more pass over the brackets still open.  Its settings are constants:
-relative tolerance 1e-10 for the polygamma inversions and for the
+relative tolerance 1e-10 for the trigamma inversions and for the
 residual of a converged fit, and brackets close at 1e-15 relative width.
 """
 
@@ -32,14 +32,14 @@ import numpy as np
 from . import distributions as dist
 from ._quad import LOG_DBL_MAX
 from .mellin import LogStats, cumulants_to_moments, moments_to_cumulants
-from .specfun import check_integer, check_order, polygamma
+from .specfun import check_order, polygamma
 
 __all__ = [
     "EmpiricalLogStats", "FitResult", "EstimationError",
     "ZeroSamplesError", "NonFiniteSamplesError", "TooFewSamplesError",
     "OutOfRangeError",
     "NoSolutionError", "SolverNonConvergenceError",
-    "empirical_log_stats", "invert_polygamma", "check_fit", "fit_molc",
+    "empirical_log_stats", "check_fit", "fit_molc",
     "scale_fields",
     "texture_log_cumulants",
 ]
@@ -75,7 +75,7 @@ class TooFewSamplesError(EstimationError):
 
 
 class OutOfRangeError(EstimationError):
-    """Target outside the range of the polygamma function, or a fitted
+    """Target outside the range of the trigamma function, or a fitted
     field outside the doubles."""
 
 
@@ -104,7 +104,7 @@ class EmpiricalLogStats(LogStats):
 @dataclass(frozen=True)
 class FitResult:
     """A fitted law.  ``iterations`` counts the root finder's evaluations
-    in the polygamma inversion for one free shape and the k_2-curve points
+    in the trigamma inversion for one free shape and the k_2-curve points
     evaluated for two; ``alternatives`` are the other distinct laws that
     match the same log-cumulants, in rank order.  ``converged`` says the
     fitted k_2..k_(d+1) are within 1e-10 of the data's (``residual`` is
@@ -119,7 +119,7 @@ class FitResult:
 
 
 _N_SPLITS = 10
-_REL_TOL = 1e-10   # polygamma inversions, and the fit's residual gate
+_REL_TOL = 1e-10   # trigamma inversions, and the fit's residual gate
 
 
 def empirical_log_stats(values, n_max: int = 4) -> EmpiricalLogStats:
@@ -216,47 +216,36 @@ def _root(f, lo, hi, f_lo, f_hi, tol: float):
     return roots, steps
 
 
-def _invert_polygamma(order: int, target) -> tuple[np.ndarray, np.ndarray]:
-    """x > 0 with psi^(order)(x) = target for each of an array of targets,
-    and the root finder's evaluations for each: one lockstep ``_root``."""
-    m = check_integer(order, "order", 1)
-    target = np.array(target, dtype=float, ndmin=1)
-    sign = 1.0 if m % 2 == 1 else -1.0
-    y = sign * target
+def _invert_trigamma(target) -> tuple[np.ndarray, np.ndarray]:
+    """x > 0 with psi'(x) = target for each of an array of targets, and
+    the root finder's evaluations for each: one lockstep ``_root``."""
+    y = np.array(target, dtype=float, ndmin=1)
     bad = np.flatnonzero(~((0.0 < y) & (y < math.inf)))
     if bad.size:                       # the first lane that fails
-        raise OutOfRangeError(f"polygamma order {m} is finite, of sign "
-                              f"{sign:+.0f}; target "
-                              f"{float(target[bad[0]])!r} is not")
+        raise OutOfRangeError("polygamma order 1 is finite, of sign +1; "
+                              f"target {float(y[bad[0]])!r} is not")
 
-    # |psi^(m)(x)| = m! sum_k (x + k)^-(m+1) is between max(A, B) and A + B
-    # for A = (m-1)!/x^m its integral and B = m!/x^(m+1) its first term, so
-    # the root is in [r, 2r], r the larger root of A = y and B = y.  In
-    # u = log x (m! overflows past 170), widened 2x for rounding, clamped:
+    # psi'(x) = sum_k (x + k)^-2 is between max(1/x, 1/x^2) (its integral
+    # and first term) and their sum, so the root is in [r, 2r] for
+    # r = max(1/y, 1/sqrt(y)).  In u = log x, widened 2x for rounding,
+    # clamped:
     log_y = np.log(y)
-    log_r = np.maximum((math.lgamma(m) - log_y) / m,
-                       (math.lgamma(m + 1) - log_y) / (m + 1))
+    log_r = np.maximum(-log_y, -log_y / 2)
     lo, hi = (np.clip(u, *_LOG_DOUBLES)
               for u in (log_r - math.log(2.0), log_r + math.log(4.0)))
 
-    def gap(u, lanes):                 # nearly linear, slope about -m
+    def gap(u, lanes):                 # nearly linear, slope -1 to -2
         with np.errstate(divide="ignore"):   # log 0 = -inf: too far out
-            return np.log(sign * polygamma(m, np.exp(u))) - log_y[lanes]
+            return np.log(polygamma(1, np.exp(u))) - log_y[lanes]
 
     lanes = np.arange(y.size)          # both ends of every bracket at once
     f_lo, f_hi = np.split(gap(np.concatenate([lo, hi]), np.tile(lanes, 2)), 2)
     bad = np.flatnonzero(~((f_lo >= 0.0) & (0.0 >= f_hi)))
     if bad.size:
-        raise OutOfRangeError(f"polygamma order {m} takes "
-                              f"{float(target[bad[0]])!r} only at an x "
-                              "outside the double range")
+        raise OutOfRangeError(f"polygamma order 1 takes {float(y[bad[0]])!r}"
+                              " only at an x outside the double range")
     u, steps = _root(gap, lo, hi, f_lo, f_hi, _REL_TOL * 0.01)
     return np.exp(u), steps
-
-
-def invert_polygamma(order: int, target: float) -> float:
-    """x > 0 with psi^(order)(x) = target, to 1e-10 relative residual."""
-    return float(_invert_polygamma(order, float(target))[0][0])
 
 
 def _entries(form) -> list[float]:
@@ -308,13 +297,13 @@ def _k(e: list[float], n: int) -> float:
 
 def _solve_entry(e: list, j: int, target) -> tuple[np.ndarray, np.ndarray]:
     """Entry j whose term gives each of an array of targets > 0 of k_2, and
-    the root finder's evaluations for each: a polygamma inversion for an
+    the root finder's evaluations for each: a trigamma inversion for an
     a, closed form for a c."""
     i, target = j - (j - 1) % 2, np.array(target, dtype=float, ndmin=1)
     if j == i:
-        with np.errstate(over="ignore"):   # inf: out of polygamma's range
+        with np.errstate(over="ignore"):   # inf: out of trigamma's range
             y = target / e[i + 1] ** 2
-        return _invert_polygamma(1, y)
+        return _invert_trigamma(y)
     return (np.copysign(np.sqrt(target / polygamma(1, e[i])), e[j]),
             np.zeros(target.shape, dtype=int))
 
@@ -352,7 +341,7 @@ def _scan_roots(e: list[float], shapes: list[int], excess: float, k,
     points is one root, at the run's middle point.  A dip must be deeper
     than that noise on both sides.
 
-    ``point`` takes an array of tau and inverts polygamma for all of their
+    ``point`` takes an array of tau and inverts trigamma for all of their
     second entries in lockstep.  The grid is one call; the dips' golden
     sections and the brackets' ``_root`` make one call per step for all
     dips or brackets still open, and the roots' entries one more.
@@ -480,7 +469,7 @@ def fit_molc(family: str, stats: LogStats) -> FitResult:
     from ``texture_log_cumulants``.  The d free shapes of its form match
     k_2..k_(d+1) and k_1 fixes the scale.  Raises NoSolutionError for
     infeasible moment conditions and SolverNonConvergenceError (with the
-    last iterate) if a polygamma inversion does not converge.
+    last iterate) if a trigamma inversion does not converge.
     """
     layout = check_fit(family, stats.order)
     shapes, d = layout.shapes, len(layout.shapes)

@@ -16,6 +16,8 @@ from clutterstats.cli import main
 from clutterstats.specfun import polygamma
 from clutterstats.sweep import SWEEP_CSV_HEADER
 
+COMPOUND = ("ggamma", "k", "wnak", "fisher")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -405,7 +407,12 @@ class TestEstimate:
          "GammaPower.L must be a positive finite number, got 0.0"),
         (["--family", "wnak", "--orders", "2"],
          "wnak estimation needs log-cumulants up to order 3, got 2"),
-    ], ids=["family", "speckle-family", "speckle-L", "orders"])
+    ] + [  # a compound speckle is refused before its fields are asked for
+        (["--family", "gamma", "--speckle", f"family={family}"],
+         f"speckle must be a simple family, got {family}\n")
+        for family in COMPOUND
+    ], ids=["family", "speckle-family", "speckle-L", "orders",
+            *(f"compound-speckle-{family}" for family in COMPOUND)])
     def test_arguments_are_checked_before_the_file(self, capsys, argv,
                                                    message):
         # a missing file would report its own error if it were read first

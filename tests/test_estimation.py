@@ -15,10 +15,9 @@ from clutterstats.estimation import (EmpiricalLogStats, EstimationError,
                                      OutOfRangeError,
                                      SolverNonConvergenceError,
                                      TooFewSamplesError, ZeroSamplesError,
-                                     _entries, _layout, _root,
-                                     empirical_log_stats, fit_molc,
-                                     invert_polygamma, scale_fields,
-                                     texture_log_cumulants)
+                                     _entries, _invert_trigamma, _layout,
+                                     _root, empirical_log_stats, fit_molc,
+                                     scale_fields, texture_log_cumulants)
 from clutterstats.mellin import LogStats, mellin_table, moments_to_cumulants
 from clutterstats.sampling import sample
 from clutterstats.specfun import MAX_ORDER, digamma, polygamma
@@ -111,74 +110,71 @@ class TestEmpiricalLogStats:
                 empirical_log_stats(np.ones(50), bad)
 
 
-class TestInvertPolygamma:
+def invert_trigamma(target: float) -> float:
+    """``_invert_trigamma`` on one target: the root as a float."""
+    return float(_invert_trigamma(target)[0][0])
+
+
+class TestInvertTrigamma:
     def test_trigamma_at_one(self):
-        assert invert_polygamma(1, math.pi**2 / 6.0) == pytest.approx(
+        assert invert_trigamma(math.pi**2 / 6.0) == pytest.approx(
             1.0, rel=1e-9)
 
     def test_trigamma_at_two(self):
-        assert invert_polygamma(1, math.pi**2 / 6.0 - 1.0) == pytest.approx(
+        assert invert_trigamma(math.pi**2 / 6.0 - 1.0) == pytest.approx(
             2.0, rel=1e-9)
 
     def test_negative_target_out_of_range(self):
         with pytest.raises(OutOfRangeError):
-            invert_polygamma(1, -1.0)
-        with pytest.raises(OutOfRangeError):
-            invert_polygamma(2, 0.5)   # psi'' < 0 everywhere
+            invert_trigamma(-1.0)
 
     def test_round_trip_grid(self):
-        for m in (1, 2, 3):
-            for x in np.logspace(math.log10(0.05), 2.0, 25):
-                back = invert_polygamma(m, polygamma(m, x))
-                assert back == pytest.approx(x, rel=1e-9), (m, x)
+        for x in np.logspace(math.log10(0.05), 2.0, 25):
+            back = invert_trigamma(polygamma(1, x))
+            assert back == pytest.approx(x, rel=1e-9), x
 
-    @pytest.mark.parametrize("m", [171, 200, 400])
-    def test_round_trip_past_order_170(self, m):
-        # (m - 1)! leaves the double range at m = 172: the bracket guesses
-        # are formed in logs
-        for x in (30.0, 300.0):
-            back = invert_polygamma(m, polygamma(m, x))
-            assert back == pytest.approx(x, rel=1e-9), (m, x)
-
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            invert_polygamma(0, 1.0)
-
-    @pytest.mark.parametrize("m, target, root", [
-        (1, 1e-300, 1e300),            # a root near the largest double
-        (1, 1e308, 1e-154),            # a target near the largest double
-        (4, -1e-320, 1.5650789e80),    # a subnormal target
+    @pytest.mark.parametrize("target, root", [
+        (1e-300, 1e300),               # a root near the largest double
+        (1e308, 1e-154),               # a target near the largest double
     ])
-    def test_roots_near_the_ends_of_the_doubles(self, m, target, root):
-        x = invert_polygamma(m, target)
+    def test_roots_near_the_ends_of_the_doubles(self, target, root):
+        x = invert_trigamma(target)
         assert x == pytest.approx(root, rel=1e-7)
-        assert abs(polygamma(m, x) - target) <= 1e-12 * abs(target)
+        assert abs(polygamma(1, x) - target) <= 1e-12 * target
 
     def test_root_past_the_largest_double_is_out_of_range(self):
         # psi'(x) ~ 1/x, so the root of psi'(x) = 1e-310 is about 1e310
         with pytest.raises(OutOfRangeError, match="outside the double range"):
-            invert_polygamma(1, 1e-310)
+            invert_trigamma(1e-310)
+
+    def test_the_root_is_in_the_bracket(self):
+        # max(1/x, 1/x^2) <= psi'(x) <= 1/x + 1/x^2 puts the root of
+        # psi'(x) = y in [r, 2r] for r = max(1/y, 1/sqrt(y))
+        y = np.logspace(-300.0, 300.0, 2001)
+        x, _ = _invert_trigamma(y)
+        r = np.maximum(1.0 / y, 1.0 / np.sqrt(y))
+        assert np.all(r * (1.0 - 1e-12) <= x)
+        assert np.all(x <= 2.0 * r * (1.0 + 1e-12))
 
     @settings(max_examples=400, deadline=None, derandomize=True,
               database=None)
-    @given(m=st.sampled_from([1, 2, 3, 4, 5, 6, 171, 400]),
-           log10_x=st.floats(-300.0, 300.0))
-    def test_round_trip_over_the_doubles(self, m, log10_x):
+    @given(log10_x=st.floats(-300.0, 300.0))
+    def test_round_trip_over_the_doubles(self, log10_x):
         x = 10.0 ** log10_x
-        target = polygamma(m, x)
+        target = polygamma(1, x)
         if target == 0.0 or math.isinf(target):
             with pytest.raises(OutOfRangeError):
-                invert_polygamma(m, target)
+                invert_trigamma(target)
             return
-        back = invert_polygamma(m, target)
-        if abs(target) >= sys.float_info.min:
+        back = invert_trigamma(target)
+        if target >= sys.float_info.min:
             assert back == pytest.approx(x, rel=1e-9)
         else:                          # a subnormal target has few digits
-            assert abs(polygamma(m, back) - target) <= 1e-10 * abs(target)
+            assert abs(polygamma(1, back) - target) <= 1e-10 * target
 
 
 class TestRoot:
-    """The one bracketed root finder of the polygamma inversion and of the
+    """The one bracketed root finder of the trigamma inversion and of the
     two-shape scan."""
 
     def never(self, x):
@@ -492,14 +488,14 @@ class TestInfeasibleConditions:
 
     def test_ggamma_k3_beyond_symmetric_bound(self):
         # less negative than the symmetric extremum: infeasible
-        x_sym = invert_polygamma(1, 0.5)
+        x_sym = invert_trigamma(0.5)
         k3 = 2.0 * polygamma(2, x_sym) * 0.5
         stats = LogStats.from_cumulants([0.0, 1.0, k3])
         with pytest.raises(NoSolutionError):
             fit_molc("ggamma", stats)
 
     def test_fisher_k3_outside_band(self):
-        bound = abs(polygamma(2, invert_polygamma(1, 1.0)))
+        bound = abs(polygamma(2, invert_trigamma(1.0)))
         stats = LogStats.from_cumulants([0.0, 1.0, -1.5 * bound])
         with pytest.raises(NoSolutionError):
             fit_molc("fisher", stats)

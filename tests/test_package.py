@@ -8,16 +8,23 @@ from pathlib import Path
 import pytest
 
 import clutterstats
-from clutterstats import distributions, estimation, sampling, specfun
+from clutterstats import distributions, sampling, specfun
 
 MODULES = ["clutterstats"] + [
     f"clutterstats.{info.name}"
     for info in pkgutil.iter_modules(clutterstats.__path__)]
 
 
+# the package's names are its own imports and cli is the command line;
+# every other module lists its exports, so none is checked vacuously
+UNLISTED = ["clutterstats", "clutterstats.cli"]
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_only_bound_attributes(name):
+    # an unbound name in __all__ breaks ``from <module> import *``
     module = importlib.import_module(name)
+    assert hasattr(module, "__all__") == (name not in UNLISTED)
     unbound = [n for n in getattr(module, "__all__", ())
                if not hasattr(module, n)]
     assert unbound == []
@@ -37,9 +44,6 @@ def test_console_scripts_import_to_callables():
 INTEGER_ARGUMENTS = {
     "polygamma order": (lambda v: specfun.polygamma(v, 1.0), 1,
                         "polygamma order must be an integer >= 1, got "),
-    "invert_polygamma order": (
-        lambda v: estimation.invert_polygamma(v, 1.0), 1,
-        "order must be an integer >= 1, got "),
     "classical_moment order": (
         lambda v: distributions.classical_moment(
             distributions.GammaPower(1.0, 1.0), v), 0,
