@@ -297,7 +297,7 @@ def main(argv=None) -> int:
         print(f"estimation error: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
     except (ValueError, OSError, OverflowError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

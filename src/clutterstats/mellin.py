@@ -24,17 +24,17 @@ and turns log-power weights into plain polynomials:
 
 Every quadrature here is one vector-valued pass: the rows t^n e^(s t)
 f(e^t) for all the (s, n) wanted share one window scan and one GK15
-subdivision (``_quad.adaptive_quad``), and the density is evaluated once
-per node for all of them.  A panel is split while any row misses its own
-tolerance.  ``mellin_table`` gives Phi at several s with each error bound
-and the count of density points; ``mellin_numeric`` is its one-s case and
-``log_moments_numeric`` runs orders 1..n as rows at s = 1.  No setting is
-an option: the engine's default tolerances apply, on a window t in
-[-40, 40] that widens by 40 a side, up to [-200, 200].  Where a row is
-still above the absolute tolerance at +-200, the integral past that end
-is dropped; the row's error bound counts it as |h(end)| / rate, rate its
-log-slope over the last unit of t (inf where it does not decay), and the
-value is left as it is.
+subdivision of the window's panels (``_quad.adaptive_quad``), and the
+density is evaluated once per node for all of them.  A panel is split
+while any row misses its own tolerance.  ``mellin_table`` gives Phi at
+several s with each error bound and the count of density points;
+``mellin_numeric`` is its one-s case and ``log_moments_numeric`` runs
+orders 1..n as rows at s = 1.  No setting is an option: the engine's
+``_quad`` constants apply, on a window t in [-40, 40] that widens by 40 a
+side, up to [-200, 200].  Where a row is still above the tolerance at
++-200, the integral past that end is dropped; the row's error bound
+counts it as |h(end)| / rate, rate its log-slope over the last unit of t
+(inf where it does not decay), and the value is left as it is.
 """
 
 from __future__ import annotations
@@ -255,10 +255,11 @@ def _prepare_window(h):
     The window widens while any row exceeds the absolute tolerance at an
     end; the support is where any row is above 1e-22 of its own peak, and
     the zoom follows the peak of the rows each scaled by its own peak.
-    Returns (lo, hi, edges, tail), ``tail`` each row's bound on what lies
-    past a window end at ``_MAX_WINDOW`` (0 when no end is there); None
-    when the integrand is identically zero on the window.  Raises
-    OverflowError, naming the s, when a row leaves the doubles.
+    Returns (edges, tail): the sorted panel edges, both support bounds
+    included, and each row's bound on what lies past a window end at
+    ``_MAX_WINDOW`` (0 when none is there); None when the integrand is
+    identically zero on the window.  Raises OverflowError, naming the s,
+    when a row leaves the doubles.
     """
     def magnitudes(t):
         with np.errstate(over="ignore"):
@@ -324,7 +325,7 @@ def _prepare_window(h):
             e = t_peak + sign * factor * span
             if lo < e < hi:
                 edges.add(e)
-    return lo, hi, sorted(edges), tail
+    return sorted(edges), tail
 
 
 def _integrate(h):
@@ -334,8 +335,8 @@ def _integrate(h):
     window = _prepare_window(h)
     if window is None:
         return np.zeros(h.rows), np.zeros(h.rows)
-    lo, hi, edges, tail = window
-    values, bounds = adaptive_quad(h, lo, hi, initial_edges=edges)
+    edges, tail = window
+    values, bounds = adaptive_quad(h, edges)
     return values, bounds + tail
 
 

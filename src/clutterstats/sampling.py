@@ -215,11 +215,13 @@ def _draw_simple(spec: dist.DistributionSpec, stream: SplitMix64,
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
-    """``values``, or OverflowError counting those outside the doubles."""
-    bad = values.size - np.count_nonzero(np.isfinite(values))
+    """``values``, or OverflowError counting those outside the doubles:
+    draws are >= 0, and inf and nan are nonzero, so none counts twice."""
+    bad = (2 * values.size - np.count_nonzero(np.isfinite(values))
+           - np.count_nonzero(values))
     if bad:
         raise OverflowError(f"{bad} of {values.size} draws are outside the "
-                            "double range (inf or nan)")
+                            "double range (0, inf or nan)")
     return values
 
 
@@ -229,7 +231,7 @@ def sample(spec: dist.DistributionSpec, n: int, seed: int) -> SampleBatch:
     Compound families draw hidden texture z and speckle u on split streams
     and return x = u * z with the texture retained in the batch.  A law
     whose canonical form leaves the doubles raises the form's ValueError,
-    and a batch with a non-finite draw raises OverflowError.
+    and a batch with a draw of 0, inf or nan raises OverflowError.
     """
     n = check_integer(n, "sample count", 1)
     comps = dist.components(spec)
@@ -248,8 +250,8 @@ def sample_compound(speckle: dist.DistributionSpec,
 
     The speckle stream is seeded with ``seed`` and the texture stream with
     ``seed XOR TEXTURE_SEED_XOR``, so each factor batch is reproducible on
-    its own.  Each component's canonical form is asked first, and a
-    non-finite x (so also a non-finite z) is refused, as in ``sample``.
+    its own.  Each component's canonical form is asked first, and an
+    x of 0, inf or nan (so also such a z) is refused, as in ``sample``.
     """
     n = check_integer(n, "sample count", 1)
     dist._mellin_form(dist.check_simple(speckle, "speckle component"))

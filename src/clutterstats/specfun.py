@@ -17,10 +17,12 @@ downstream:
   m >= 5); ``_series`` is the one sum of the ln_gamma, digamma and
   polygamma series, and ``_shift`` the one upward recurrence of
   ln_gamma, digamma and the scaled polygamma (the plain polygamma keeps
-  its own loop, which also runs over arrays).  ``polygamma(m, x)`` meets mpmath to about 1e-15
-  through order 130 (6e-15 at order 1000), so k_n is at full precision
-  through n = 6 = ``MAX_ORDER``, the cap ``check_order`` puts on every
-  moment and cumulant order.  Orders whose factorials leave the double
+  its own loop, which also runs over arrays).  ``polygamma(m, x)``
+  meets mpmath to about 1e-15 through order 130 (6e-15 at order 1000),
+  so k_n is at full precision through n = 8 = ``MAX_ORDER``, the cap
+  ``check_order`` puts on every moment and cumulant order (against
+  mpmath, each k_7 and k_8 of 2,195 specs is within 7.3e-16 of the sum
+  of its terms' magnitudes).  Orders whose factorials leave the double
   range are computed too.  ``polygamma`` also takes an array of x, of
   any length or shape, by one path: the one shift loop and series run
   over every element at once, and only the elements whose plain-float
@@ -51,7 +53,7 @@ from ._quad import HALF_LOG_TWO_PI, log_latent_integral
 __all__ = ["MAX_ORDER", "check_integer", "check_order", "ln_gamma",
            "log_gamma_ratio", "digamma", "polygamma", "log_bessel_k_batch"]
 
-MAX_ORDER = 6
+MAX_ORDER = 8
 
 # Bernoulli numbers B_2, B_4, ..., B_20
 _B2K = (

@@ -83,7 +83,14 @@ class TestTable:
         assert rows[4][2] == f"{polygamma(4, 2.0):.12g}"
         assert rows[5][2] == f"{polygamma(5, 2.0):.12g}"
 
-    @pytest.mark.parametrize("orders", ["0", "7"])
+    def test_eighth_order_moment(self, capsys):
+        # Maxwell's m_8 is 3 * 5 * 7 * 9
+        code, out, _ = run(capsys, "table", "--family", "maxwell",
+                           "--params", "sigma=1", "--orders", "8")
+        assert code == 0
+        assert out.splitlines()[-1].split()[:2] == ["8", "945"]
+
+    @pytest.mark.parametrize("orders", ["0", "9"])
     def test_orders_out_of_range_exit_2(self, capsys, orders):
         code, _, err = run(capsys, "table", "--family", "gamma",
                            "--params", "L=2,mu=1", "--orders", orders)
@@ -208,13 +215,15 @@ class TestSample:
         ("gamma", "L=1e-10,mu=1e300", "gamma: canonical scale inf of "
          "GammaPower(L=1e-10, mu=1e+300) is outside the double range"),
         ("maxwell", "sigma=1e308",
-         "2 of 5 draws are outside the double range (inf or nan)"),
+         "2 of 5 draws are outside the double range (0, inf or nan)"),
         ("fisher", "L=1,M=1e-320,mu=1",
-         "5 of 5 draws are outside the double range (inf or nan)"),
-    ], ids=["gamma-L", "gamma-mu", "maxwell", "fisher"])
+         "5 of 5 draws are outside the double range (0, inf or nan)"),
+        ("gamma", "L=0.01,mu=1e-300",
+         "1 of 5 draws are outside the double range (0, inf or nan)"),
+    ], ids=["gamma-L", "gamma-mu", "maxwell", "fisher", "gamma-zero"])
     def test_a_law_it_cannot_draw_exit_2(self, capsys, tmp_path, family,
                                          params, message):
-        # each wrote nan or inf rows and exited 0
+        # each wrote nan, inf or 0 rows and exited 0
         path = tmp_path / "x.csv"
         code, out, err = run(capsys, "sample", "--family", family,
                              "--params", params, "--n", "5",
@@ -256,9 +265,9 @@ class TestEstimate:
         errors = [float(v) for v in line.split(":")[1].split(",")]
         assert len(errors) == 6 and all(v > 0.0 for v in errors)
         code, _, err = run(capsys, "estimate", "--family", "gamma",
-                           "--input", str(data), "--orders", "7")
+                           "--input", str(data), "--orders", "9")
         assert code == 2
-        assert "unsupported order 7 for --orders" in err
+        assert "unsupported order 9 for --orders" in err
 
     def test_weibull_fit_on_rayleigh_data(self, capsys, tmp_path):
         data = tmp_path / "ray.csv"
@@ -562,6 +571,16 @@ class TestSimulate:
                 assert value == sweep.default_m_grid()
             else:
                 assert value == wanted[name].default, name
+
+    def test_an_empty_message_names_the_error(self, capsys, monkeypatch,
+                                              tmp_path):
+        # a bare MemoryError() from the sweep printed `error: ` alone
+        def texture_sweep(**kw):
+            raise MemoryError()
+        monkeypatch.setattr(cli, "texture_sweep", texture_sweep)
+        code, out, err = run(capsys, "simulate", "--M-grid", "1:4:3",
+                             "--out", str(tmp_path / "s.csv"))
+        assert (code, out, err) == (2, "", "error: MemoryError\n")
 
     def test_too_few_samples_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--M-grid", "1:4:3",

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from clutterstats import _quad, verify
 from clutterstats import distributions as dist
-from clutterstats import verify
 from clutterstats._quad import adaptive_quad, log_latent_integral
 from clutterstats.distributions import (Fisher, GammaGamma, GammaPower,
                                         InverseGamma, KAmplitude, Maxwell,
@@ -128,6 +128,14 @@ class TestSpecValidation:
                 dist.chf2_analytic(spec, 2.0)
 
 
+@pytest.fixture
+def mixture_quad(monkeypatch):
+    """The engine's settings for the two mixture-integral references."""
+    monkeypatch.setattr(_quad, "REL_TOL", 1e-10)
+    monkeypatch.setattr(_quad, "ABS_TOL", 1e-306)
+    monkeypatch.setattr(_quad, "MAX_PANELS", 1000)
+
+
 class TestPdf:
     def test_exponential_at_origin(self):
         assert dist.pdf(GammaPower(1.0, 2.0), 0.0) == 0.5
@@ -141,6 +149,7 @@ class TestPdf:
         assert dist.pdf(KAmplitude(2.0, 1.0), 1.0) == pytest.approx(
             0.55946352726608970914, rel=1e-12)
 
+    @pytest.mark.usefixtures("mixture_quad")
     def test_k_amplitude_mixture_integral(self):
         # Rayleigh-with-gamma-mean-square mixture, integrated over log z
         alpha, b = 2.0, 1.0
@@ -150,13 +159,12 @@ class TestPdf:
                 return (2.0 * r / z) * np.exp(-r * r / z) \
                     * b**alpha * z**alpha * np.exp(-b * z) / math.gamma(alpha)
             # z-integral of the conditional Rayleigh against the gamma texture
-            (oracle,), _ = adaptive_quad(
-                lambda u: integrand(u)[None, :], -40.0, 40.0, rel_tol=1e-10,
-                abs_tol=1e-306, max_subdivisions=1000,
-                initial_edges=np.linspace(-39, 39, 79))
+            (oracle,), _ = adaptive_quad(lambda u: integrand(u)[None, :],
+                                         np.linspace(-40.0, 40.0, 81))
             assert dist.pdf(KAmplitude(alpha, b), r) == pytest.approx(
                 oracle, rel=1e-8)
 
+    @pytest.mark.usefixtures("mixture_quad")
     def test_wn_pdf_vs_direct_integral(self):
         c, alpha, b = 2.0, 2.0, 1.0
         spec = WeibullNakagami(c, alpha, b)
@@ -166,10 +174,8 @@ class TestPdf:
                 return (2.0 * c * b**alpha / math.gamma(alpha) * r**(c - 1)
                         * z**(2 * alpha - c) * np.exp(-(r / z)**c - b * z * z)
                         / z) * z    # measure dz = z du
-            (oracle,), _ = adaptive_quad(
-                lambda u: integrand(u)[None, :], -40.0, 40.0, rel_tol=1e-10,
-                abs_tol=1e-306, max_subdivisions=1000,
-                initial_edges=np.linspace(-39, 39, 79))
+            (oracle,), _ = adaptive_quad(lambda u: integrand(u)[None, :],
+                                         np.linspace(-40.0, 40.0, 81))
             assert dist.pdf(spec, r) == pytest.approx(oracle, rel=1e-7)
 
     def test_wn_pdf_golden_table(self):

@@ -1,4 +1,3 @@
-import functools
 import math
 import re
 import warnings
@@ -6,9 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+from clutterstats import _quad, mellin, verify
 from clutterstats import distributions as dist
-from clutterstats import mellin, verify
-from clutterstats._quad import adaptive_quad
 from clutterstats.mellin import (LogStats, NonConvergenceError,
                                  central_log_moments,
                                  cumulants_to_moments, log_moments_numeric,
@@ -41,8 +39,9 @@ class TestMellinNumeric:
         assert mellin_numeric(f, 1.0) == pytest.approx(1.0, abs=1e-6)
 
     def test_non_convergence_carries_estimate(self, monkeypatch):
-        monkeypatch.setattr(mellin, "adaptive_quad", functools.partial(
-            adaptive_quad, rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=20))
+        monkeypatch.setattr(_quad, "REL_TOL", 1e-15)
+        monkeypatch.setattr(_quad, "ABS_TOL", 1e-300)
+        monkeypatch.setattr(_quad, "MAX_PANELS", 20)
         f = lambda x: dist.pdf(dist.Weibull(1.0, 0.7), x)
         with pytest.raises(NonConvergenceError) as info:
             mellin_numeric(f, 1.0)
@@ -308,7 +307,7 @@ class TestCumulantAlgebra:
                            match="row 1, the order-2 entry is nan"):
             moments_to_cumulants(stack)
         with pytest.raises(ValueError, match="unsupported order"):
-            cumulants_to_moments(np.zeros((5, 7)))
+            cumulants_to_moments(np.zeros((5, 9)))
 
     def test_central_moments_of_a_stack_equal_the_loop_bit_for_bit(self):
         # the binomial shift written out per vector, as a 1-D call has
@@ -348,7 +347,7 @@ class TestCumulantAlgebra:
 
     def test_unsupported_order(self):
         with pytest.raises(ValueError, match="unsupported order"):
-            moments_to_cumulants([1.0] * 7)
+            moments_to_cumulants([1.0] * 9)
         with pytest.raises(ValueError, match="unsupported order"):
             cumulants_to_moments([])
 

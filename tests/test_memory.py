@@ -32,7 +32,7 @@ def peak_bytes(f, *args):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("n_max", [4, 6])
+@pytest.mark.parametrize("n_max", [4, 6, 8])
 def test_log_stats_hold_two_arrays_whatever_the_order(n_max):
     # the logs and one power buffer: 16 MB, where the stacked powers took
     # 72 MB at order 4 and 104 MB at order 6

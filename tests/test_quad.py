@@ -2,15 +2,17 @@
 pass per spec that the oracle builds on it."""
 
 import math
+import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clutterstats import _quad, verify
 from clutterstats import distributions as dist
-from clutterstats import verify
 from clutterstats._quad import NonConvergenceError, adaptive_quad, gk15
 
 # every pdf point of one default verify ran 428,592 before the tables;
@@ -26,11 +28,28 @@ class TestVectorEngine:
     def test_a_scalar_integrand_is_refused(self):
         # values of shape (m,) have no component axis
         with pytest.raises(ValueError):
-            adaptive_quad(bump, -1.0, 2.0, initial_edges=[0.1, 0.45, 0.9])
+            adaptive_quad(bump, [-1.0, 0.1, 0.45, 0.9, 2.0])
 
-    def test_an_empty_interval_is_refused(self):
-        with pytest.raises(ValueError, match=r"invalid interval \[1.0, 1.0\]"):
-            adaptive_quad(lambda x: np.vstack([x]), 1.0, 1.0)
+    @pytest.mark.parametrize("edges", [
+        [1.0, 1.0], [2.0, 1.0], [1.0], [0.0, math.nan, 1.0]],
+        ids=["equal", "decreasing", "one-edge", "nan"])
+    def test_an_empty_interval_is_refused(self, edges):
+        with pytest.raises(ValueError, match=re.escape(repr(edges))):
+            adaptive_quad(lambda x: np.vstack([x]), edges)
+
+    def test_a_narrow_peak_given_as_an_edge_is_found(self):
+        # the peak falls between the nodes of the one panel [-5, 5]
+        c, w = 1.6875, 0.0546875
+
+        def rows(x):
+            return 1e-6 * (np.exp(-((x - c) / w) ** 2)
+                           + 0.1 * np.sin(x) ** 2)[None, :]
+
+        exact = 1e-6 * (w * math.sqrt(math.pi) / 2
+                        * (math.erf((5 - c) / w) - math.erf((-5 - c) / w))
+                        + 0.1 * (5 - math.sin(10) / 2))
+        (value,), (bound,) = adaptive_quad(rows, [-5.0, c, 5.0])
+        assert abs(value - exact) <= bound
 
     def test_gk15_scalar_panel_keeps_floats(self):
         value, err = gk15(np.exp, 0.0, 1.0)
@@ -58,22 +77,24 @@ class TestVectorEngine:
             return scales[:, None] * (np.exp(-((x - centres) / widths) ** 2)
                                       + 0.1 * np.sin(x) ** 2)
 
-        values, bounds = adaptive_quad(rows, -5.0, 5.0, rel_tol=rel_tol,
-                                       abs_tol=1e-300)
-        for j in range(k):
-            (alone,), _ = adaptive_quad(lambda x: rows(x)[j:j + 1], -5.0, 5.0,
-                                        rel_tol=rel_tol, abs_tol=1e-300)
-            tol = rel_tol * abs(alone)
-            assert bounds[j] <= rel_tol * abs(values[j])
-            assert abs(values[j] - alone) <= tol, (j, values[j], alone)
+        # the peaks are edges: the engine's one guard against missing one
+        edges = np.unique([-5.0, *centres[:, 0], 5.0])
+        with mock.patch.multiple(_quad, REL_TOL=rel_tol, ABS_TOL=1e-300):
+            values, bounds = adaptive_quad(rows, edges)
+            for j in range(k):
+                (alone,), _ = adaptive_quad(lambda x: rows(x)[j:j + 1], edges)
+                tol = rel_tol * abs(alone)
+                assert bounds[j] <= rel_tol * abs(values[j])
+                assert abs(values[j] - alone) <= tol, (j, values[j], alone)
 
     def test_non_convergence_carries_arrays(self):
         def rows(x):
             return np.vstack([np.abs(x - 0.1234) ** 0.5, np.ones_like(x)])
 
-        with pytest.raises(NonConvergenceError) as info:
-            adaptive_quad(rows, 0.0, 1.0, rel_tol=1e-15, abs_tol=1e-300,
-                          max_subdivisions=8)
+        with mock.patch.multiple(_quad, REL_TOL=1e-15, ABS_TOL=1e-300,
+                                 MAX_PANELS=8), \
+                pytest.raises(NonConvergenceError) as info:
+            adaptive_quad(rows, [0.0, 1.0])
         estimate, bound = info.value.estimate, info.value.error_bound
         assert isinstance(estimate, np.ndarray) and estimate.shape == (2,)
         assert isinstance(bound, np.ndarray) and bound.shape == (2,)

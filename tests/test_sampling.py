@@ -205,8 +205,14 @@ class TestLawsPastTheDoubles:
     def test_a_non_finite_draw_is_refused(self, spec, bad):
         # these wrote inf draws
         with pytest.raises(OverflowError, match=rf"^{bad} of 5 draws are "
-                           r"outside the double range \(inf or nan\)$"):
+                           r"outside the double range \(0, inf or nan\)$"):
             sample(spec, 5, 1)
+
+    @pytest.mark.parametrize("scale, zeros", [(1.0, 66), (1e-300, 55_880)])
+    def test_a_draw_that_rounds_to_0_is_refused(self, scale, zeros):
+        # these wrote zeros, which estimate refuses
+        with pytest.raises(OverflowError, match=rf"^{zeros} of 100000 draws"):
+            sample(dist.GammaPower(0.01, scale), 10**5, 1)
 
     @pytest.mark.filterwarnings("error")
     def test_a_non_finite_product_is_refused(self):
