@@ -94,7 +94,7 @@ def gk15(f, a, b):
 def adaptive_quad(f, edges):
     """Globally adaptive bisection of [edges[0], edges[-1]] using GK15
     panels, from the panels between consecutive ``edges``: every edge,
-    both ends included, strictly increasing (ValueError otherwise).
+    both ends included, finite and strictly increasing (ValueError otherwise).
     ``f`` must map a numpy array of m abscissas to values of shape (k, m)
     for a k-component integrand: every component shares one subdivision
     and each node costs one call of ``f`` for all of them (the ``fdim``
@@ -113,8 +113,9 @@ def adaptive_quad(f, edges):
     :class:`NonConvergenceError` past ``MAX_PANELS`` panels.
     """
     edges = np.asarray(edges, dtype=float)
-    if edges.size < 2 or not np.all(edges[1:] > edges[:-1]):
-        raise ValueError(f"adaptive_quad needs two or more strictly "
+    if edges.size < 2 or not (np.all(np.isfinite(edges))
+                              and np.all(edges[1:] > edges[:-1])):
+        raise ValueError(f"adaptive_quad needs two or more finite, strictly "
                          f"increasing edges, got {edges.tolist()!r}")
 
     val, err = gk15(f, edges[:-1], edges[1:])

@@ -109,7 +109,6 @@ def _write(path: str, write) -> None:
 def _cmd_table(args) -> int:
     spec = _build_spec(args.family, args.params)
     orders = check_order(args.orders, "--orders")
-    dist._mellin_form(spec)   # a law past the doubles fails before any line
     print(f"family: {_spec_text(spec)}")
     print(f"{'n':>2s}  {'m_n':>20s}  {'ktilde_n':>20s}")
     for n in range(1, orders + 1):
@@ -169,7 +168,7 @@ def _cmd_estimate(args) -> int:
     speckle = None
     if args.speckle is not None:
         params, speckle_family = _parse_params(args.speckle)
-        speckle_family = speckle_family or "gamma"
+        speckle_family = "gamma" if speckle_family is None else speckle_family
         # a compound family is refused before its fields are asked for
         dist.check_simple(estimation._layout(
             dist._family_class(speckle_family)).spec, "speckle")

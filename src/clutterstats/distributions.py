@@ -12,8 +12,10 @@ Internally every family is reduced to the same canonical transform shape
 
 the transform of X = scale * prod_i G_i^c_i over independent unit gammas
 G_i ~ Gamma(a_i).  The six simple families state their form; a compound
-form multiplies the forms of its ``components``.  The form yields the log
-form, the strip of analyticity, the log-cumulants
+form multiplies the forms of its ``components``.  A spec is refused when
+made if its form's scale is not a positive double (ValueError); s is in
+the strip where each a_i + c_i (s-1), as computed, is > 0 (not nan):
+no rounded pole decides.  The form yields the log form, the log-cumulants
 
     k1 = log(scale) + sum_i c_i psi(a_i)
     kn = sum_i c_i^n psi^(n-1)(a_i),   n >= 2
@@ -64,7 +66,7 @@ class MomentDoesNotExistError(ValueError):
 
 class _Positive:
     """Base of every family: each field is a positive finite number, kept
-    as a float."""
+    as a float, and the canonical form is asked when the spec is made."""
 
     def __post_init__(self):
         for f in fields(self):
@@ -76,6 +78,7 @@ class _Positive:
                     f"finite number, got {v!r}"
                 )
             object.__setattr__(self, f.name, float(v))
+        _mellin_form(self)
 
 
 @dataclass(frozen=True)
@@ -253,14 +256,12 @@ def strip(spec: DistributionSpec) -> tuple[float, float]:
 
 
 def _check_strip(spec: DistributionSpec, s: float) -> None:
+    """The one strip test: every gamma argument a + c (s - 1) is > 0."""
     s = float(s)
     if not math.isfinite(s):
         raise ValueError(f"transform variable must be finite, got {s!r}")
-    lo, hi = strip(spec)
-    # s - 1 may round onto a pole next to the edge: a + c (s - 1) = 0
-    if not (lo < s < hi) or any(a + c * (s - 1.0) <= 0.0
-                                for a, c in _mellin_form(spec).terms):
-        raise StripError(family_tag(spec), s, lo, hi)
+    if not all(a + c * (s - 1.0) > 0.0 for a, c in _mellin_form(spec).terms):
+        raise StripError(family_tag(spec), s, *strip(spec))
 
 
 def _exp2_parts(log2_value: float) -> tuple[float, int]:
@@ -341,15 +342,14 @@ def log_chf2_analytic(spec: DistributionSpec, s: float) -> float:
 
 
 def classical_moment(spec: DistributionSpec, n: int) -> float:
-    """Classical moment m_n = Phi(n+1); m_0 = 1 always."""
+    """Classical moment m_n = Phi(n+1) where s = n + 1 is in the strip."""
     n = specfun.check_integer(n, "moment order", 0)
-    _, hi = strip(spec)
-    if n + 1 >= hi:
-        raise MomentDoesNotExistError(
-            f"moment m_{n} of {family_tag(spec)} does not exist: requires "
-            f"n < {hi - 1:g}"
-        )
-    return chf2_analytic(spec, n + 1.0)
+    try:
+        return chf2_analytic(spec, n + 1.0)
+    except StripError as exc:
+        raise MomentDoesNotExistError(f"moment m_{n} of {family_tag(spec)} "
+                                      f"does not exist: requires n < "
+                                      f"{exc.hi - 1:g}") from None
 
 
 def log_cumulants_analytic(spec: DistributionSpec, n_max: int) -> list[float]:

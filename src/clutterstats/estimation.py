@@ -441,7 +441,7 @@ def _spec_of(layout: _Layout, e: list[float], k1: float):
     for name, v in zip(layout.names, logs.tolist()):
         values[name] = math.exp(v) if v <= _LOG_DOUBLES[1] else math.inf
         if not 0.0 < values[name] < math.inf:
-            raise OutOfRangeError(
+            raise ValueError(
                 f"the fitted {type(layout.spec).__name__}.{name} is "
                 f"exp({v:.6g}), outside the double range")
     return dataclasses.replace(layout.spec, **values)
@@ -464,12 +464,13 @@ def check_fit(family: str, order: int) -> _Layout:
 def fit_molc(family: str, stats: LogStats) -> FitResult:
     """Estimate family parameters by matching analytic log-cumulants.
 
-    ``family`` is a catalog tag (gamma, nakagami, maxwell, weibull,
-    rayleigh, ggamma, k, wnak, fisher); a known speckle's texture is fit
-    from ``texture_log_cumulants``.  The d free shapes of its form match
-    k_2..k_(d+1) and k_1 fixes the scale.  Raises NoSolutionError for
-    infeasible moment conditions and SolverNonConvergenceError (with the
-    last iterate) if a trigamma inversion does not converge.
+    ``family`` is a catalog tag (``distributions.FAMILY_TAGS``); a known
+    speckle's texture is fit from ``texture_log_cumulants``.  The d free
+    shapes of its form match k_2..k_(d+1) and k_1 fixes the scale.  Raises
+    NoSolutionError for infeasible moment conditions,
+    SolverNonConvergenceError (with the last iterate) if a trigamma
+    inversion does not converge, and OutOfRangeError ``<family> fit:
+    <reason>`` for a fitted law outside the doubles.
     """
     layout = check_fit(family, stats.order)
     shapes, d = layout.shapes, len(layout.shapes)
@@ -495,10 +496,10 @@ def fit_molc(family: str, stats: LogStats) -> FitResult:
             roots, iterations = _scan_roots(e, shapes, excess, k, tol)
         if not roots:
             raise NoSolutionError(f"no {family} law matches (k_2, k_3)")
-    specs = [_spec_of(layout, e, k[0]) for e in roots]
-    try:
+    try:   # a field, the form's scale or a k_n past the doubles
+        specs = [_spec_of(layout, e, k[0]) for e in roots]
         fitted = dist.log_cumulants_analytic(specs[0], d + 1)
-    except (OverflowError, ValueError) as exc:   # k_n or the form's scale
+    except (OverflowError, ValueError) as exc:
         raise OutOfRangeError(f"{family} fit: {exc}") from None
     residual = max((abs(a - b) for a, b in zip(fitted[1:], k[1:])),
                    default=0.0)

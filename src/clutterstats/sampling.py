@@ -229,13 +229,11 @@ def sample(spec: dist.DistributionSpec, n: int, seed: int) -> SampleBatch:
     """n independent draws; deterministic for fixed (spec, n, seed).
 
     Compound families draw hidden texture z and speckle u on split streams
-    and return x = u * z with the texture retained in the batch.  A law
-    whose canonical form leaves the doubles raises the form's ValueError,
-    and a batch with a draw of 0, inf or nan raises OverflowError.
+    and return x = u * z with the texture retained in the batch.  A batch
+    with a draw of 0, inf or nan raises OverflowError.
     """
     n = check_integer(n, "sample count", 1)
     comps = dist.components(spec)
-    dist._mellin_form(spec)
     if comps is not None:
         return sample_compound(*comps, n, seed)
     with np.errstate(all="ignore"):
@@ -250,12 +248,12 @@ def sample_compound(speckle: dist.DistributionSpec,
 
     The speckle stream is seeded with ``seed`` and the texture stream with
     ``seed XOR TEXTURE_SEED_XOR``, so each factor batch is reproducible on
-    its own.  Each component's canonical form is asked first, and an
+    its own.  Each component must be simple (``check_simple``), and an
     x of 0, inf or nan (so also such a z) is refused, as in ``sample``.
     """
     n = check_integer(n, "sample count", 1)
-    dist._mellin_form(dist.check_simple(speckle, "speckle component"))
-    dist._mellin_form(dist.check_simple(texture, "texture component"))
+    dist.check_simple(speckle, "speckle component")
+    dist.check_simple(texture, "texture component")
     speckle_stream = SplitMix64(seed)
     texture_stream = SplitMix64(speckle_stream.seed ^ TEXTURE_SEED_XOR)
     with np.errstate(all="ignore"):

@@ -416,11 +416,17 @@ class TestEstimate:
          "GammaPower.L must be a positive finite number, got 0.0"),
         (["--family", "wnak", "--orders", "2"],
          "wnak estimation needs log-cumulants up to order 3, got 2"),
+        (["--family", "gamma", "--speckle", "family=,L=4"],
+         "unknown family ''; expected one of "),
+        (["--family", "gamma", "--speckle", "L=1e-320"],
+         "gamma: canonical scale inf of GammaPower(L=1e-320, mu=1.0) is "
+         "outside the double range\n"),
     ] + [  # a compound speckle is refused before its fields are asked for
         (["--family", "gamma", "--speckle", f"family={family}"],
          f"speckle must be a simple family, got {family}\n")
         for family in COMPOUND
     ], ids=["family", "speckle-family", "speckle-L", "orders",
+            "speckle-empty-family", "speckle-past-the-doubles",
             *(f"compound-speckle-{family}" for family in COMPOUND)])
     def test_arguments_are_checked_before_the_file(self, capsys, argv,
                                                    message):

@@ -2,6 +2,7 @@ import math
 import sys
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -119,13 +120,14 @@ class TestSpecValidation:
             call()
 
     def test_canonical_scale_outside_double_range(self):
-        # mu / L underflows to 0 and sqrt(2) sigma overflows
-        for spec in (GammaPower(1e300, 1e-300), Maxwell(1.7e308),
-                     GammaGamma(1e300, 1.0, 1e-300)):
-            with pytest.raises(ValueError, match="outside the double range"):
-                dist.pdf(spec, 1.0)
-            with pytest.raises(ValueError, match=dist.family_tag(spec)):
-                dist.chf2_analytic(spec, 2.0)
+        # mu / L underflows to 0 and sqrt(2) sigma overflows: each spec is
+        # refused where it is made, its message naming its family
+        for tag, cls, args in (("gamma", GammaPower, (1e300, 1e-300)),
+                               ("maxwell", Maxwell, (1.7e308,)),
+                               ("ggamma", GammaGamma, (1e300, 1.0, 1e-300))):
+            with pytest.raises(ValueError, match=rf"^{tag}: canonical scale "
+                               r".* is outside the double range$"):
+                cls(*args)
 
 
 @pytest.fixture
@@ -477,6 +479,24 @@ class TestClassicalMoments:
     def test_m0_is_one(self):
         for spec in ALL_SPECS:
             assert dist.classical_moment(spec, 0) == 1.0
+
+    # every field 10^U(-300, 300); below about 5.6e-309 a Weibull shape
+    # has c = 1/b = inf, which no spec refuses yet
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(cls=st.sampled_from([*dist.FAMILY_TAGS.values(), InverseGamma]),
+           exponents=st.lists(st.floats(-300.0, 300.0), min_size=3,
+                              max_size=3))
+    @example(cls=GammaPower, exponents=[-17.0, 0.0, 0.0])
+    @example(cls=Weibull, exponents=[0.0, -17.0, 0.0])
+    @example(cls=Fisher, exponents=[-300.0, -300.0, 0.0])
+    def test_every_spec_made_has_phi_1_and_m_0(self, cls, exponents):
+        # a pole 1 - a/c that rounds onto s = 1 once refused these
+        try:
+            spec = cls(*(10.0 ** e for e in exponents[:len(fields(cls))]))
+        except ValueError:
+            return                     # its form is past the doubles
+        assert dist.chf2_analytic(spec, 1.0) == 1.0
+        assert dist.classical_moment(spec, 0) == 1.0
 
     def test_exponential_moments_exact(self):
         for mu in (1.0, 2.0, 3.5):

@@ -31,10 +31,13 @@ class TestVectorEngine:
             adaptive_quad(bump, [-1.0, 0.1, 0.45, 0.9, 2.0])
 
     @pytest.mark.parametrize("edges", [
-        [1.0, 1.0], [2.0, 1.0], [1.0], [0.0, math.nan, 1.0]],
-        ids=["equal", "decreasing", "one-edge", "nan"])
+        [1.0, 1.0], [2.0, 1.0], [1.0], [0.0, math.nan, 1.0],
+        [-math.inf, 0.0], [0.0, 1.0, math.inf]],
+        ids=["equal", "decreasing", "one-edge", "nan", "inf-left",
+             "inf-right"])
     def test_an_empty_interval_is_refused(self, edges):
-        with pytest.raises(ValueError, match=re.escape(repr(edges))):
+        with pytest.raises(ValueError, match="finite, strictly increasing "
+                           + re.escape(f"edges, got {edges!r}")):
             adaptive_quad(lambda x: np.vstack([x]), edges)
 
     def test_a_narrow_peak_given_as_an_edge_is_found(self):

@@ -187,17 +187,13 @@ class TestLawsPastTheDoubles:
     """A law the sampler cannot draw is refused, and nothing warns."""
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("spec", [dist.GammaPower(1e-320, 1.0),
-                                      dist.GammaPower(1e-10, 1e300)])
-    def test_a_form_past_the_doubles_is_refused(self, spec):
-        # these wrote nan draws
+    @pytest.mark.parametrize("fields", [(1e-320, 1.0), (1e-10, 1e300)])
+    def test_a_form_past_the_doubles_is_refused(self, fields):
+        # these once wrote nan draws; such a spec is refused where it is
+        # made, so no sampler is given one
         with pytest.raises(ValueError, match=r"^gamma: canonical scale inf "
                            r".* is outside the double range$"):
-            sample(spec, 5, 1)
-        with pytest.raises(ValueError, match="canonical scale inf"):
-            sample_compound(spec, dist.GammaPower(1.0, 1.0), 5, 1)
-        with pytest.raises(ValueError, match="canonical scale inf"):
-            sample_compound(dist.GammaPower(1.0, 1.0), spec, 5, 1)
+            dist.GammaPower(*fields)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("spec, bad", [
