@@ -15,15 +15,29 @@ for a whole column with numpy:
   the fraction; for ``0 <= 16-E <= 22`` the power and the product are exact
   and a tie rounds half to even, as CPython's formatter does;
 * lay out: uint64 division cuts ``D`` into one digit and four groups of
-  four, and a table of the ASCII of 0000..9999 fills a 32-byte row per
-  value with its digits, '.' and the exponent suffix.  ``E`` and the
-  trailing zeros of ``D`` (counted past the last group only in the rows
-  where it is 0000) pick one of 391 byte patterns (fixed notation for
-  ``-4 <= E < 17``, scientific otherwise).  The pattern's row
-  positions, plus each row's offset added in place, index one gather
-  into the column's own contiguous buffer, which ``format_rows`` copies
-  into the chunk's rows once; the NUL padding of the patterns is deleted
-  from each chunk's bytes.
+  four, and shifted copies of a table of the ASCII of 0000..9999 place
+  them at bytes 1-17 of three 64-bit words ``S``, with ``E``'s 'e±XX'
+  suffix at bytes 19-23 in scientific notation.  ``E`` and the digits
+  kept after stripping the trailing zeros of ``D`` (counted past the last
+  group only in the rows where it is 0000) give each value a layout, one
+  of 23 * 17 (``E`` in ``[-4, 16]`` in fixed notation, -5 and 17 for
+  scientific notation below and above).  Output word k is ``FIXED |
+  (S_k & BEFORE) | (S_k & AFTER) << up``, plus the bits that ``(S_k-1 &
+  AFTER) << up`` carries out of the word below: 1-D tables read with
+  ``take`` give each layout's fixed bytes ('.' and the '0.000' prefix),
+  masks of the digits before the point (and of the suffix) and after
+  it, and the shift of the latter (one byte past the '.', or ``1 - E``
+  bytes past '0.000').  The NULs between the digits and the suffix go
+  with the rest.
+
+``format_rows`` gives each field its own slot of whole words in the
+chunk's row, so each kernel writes its words straight into the rows.
+Byte 0 of a slot is the byte before the field: ',', or LF for a row's
+first field, NUL on the chunk's first row, whose text then ends with an
+LF.  The field's text follows, NUL-padded, and the NULs are deleted from
+each chunk's bytes.  A float slot is 24 bytes, 32 in a chunk whose
+column holds a negative value (``-4.9406564584124654e-324`` takes 24);
+an integer slot is ``8 * ceil((digits + 1) / 8)`` bytes.
 
 An element the kernel cannot certify is formatted by ``'%.17g' %`` itself:
 every ``x`` outside ``[1e-240, 1e240]`` (so every value that is not
@@ -31,9 +45,10 @@ positive, inf and nan), an ``E`` that ``log10`` got off by one, a ``D``
 that rounds up to ``10^17``, and an inexact product whose fraction lies
 within 1e-6 of one half.  So every value prints as Python prints it.
 
-An integer column takes the same digit groups; a group is looked up in a
-second table, whose words have their leading zeros as NUL, until a group
-before it is nonzero, so the number comes out right-aligned after NULs.
+An integer column takes the same digit groups as uint32 words; a group
+is looked up in a second table, whose words have their leading zeros as
+NUL, until a group before it is nonzero, so the number comes out
+right-aligned after NULs.
 
 ``read_column`` reads the file in blocks of ``BLOCK_BYTES`` whole lines,
 each ending in LF, CRLF or CR; a block holding a CR is read with every
@@ -72,7 +87,7 @@ notation, inf, infinity or nan, each with an optional sign; Python's own
 ``float`` also takes ``1_000`` and non-ASCII digits), reads the value
 with ``float`` and raises ``ValueError`` naming the file line and column.
 
-The power and pattern tables are built on first use, not at import.
+The power, digit and word tables are built on first use, not at import.
 """
 
 from __future__ import annotations
@@ -87,12 +102,11 @@ import numpy as np
 __all__ = ["CHUNK_ROWS", "BLOCK_BYTES", "write_csv", "format_rows",
            "read_column"]
 
-# rows per chunk.  A chunk's largest work array is the gather index, 24
-# intp per float: 0.8 MB here, which stays in a 2 MB L2 cache.  Its work
-# arrays also stay under glibc's heap trim threshold, so a fresh `sample`
-# process reuses their pages: at 8192 rows, writing 10^6 K rows took about
-# 10^5 minor page faults and at 4096 rows about 2,600, those of the draws
-# (2-core Xeon, numpy 2.4.6)
+# rows per chunk.  A chunk's work, its rows' words and the kernels' uint64
+# arrays, peaks at 1.0 MB for `index,x,z` rows here, in cache and under
+# glibc's heap trim threshold, so a fresh `sample` process reuses its
+# pages.  At 8192 rows `format_rows` ran about 8 % faster warm, but the
+# roundtrip workload's peak RSS rose 1.2 MB (2-core Xeon, numpy 2.4.6)
 CHUNK_ROWS = 4096
 # bytes the reader takes from the file at a time: about 5,800 rows of a
 # three-column sample file, whose work arrays stay in cache
@@ -118,11 +132,10 @@ _ZEROS = 0x3030303030303030  # '00000000'
 _ONES = np.uint64(2**64 - 1)
 _MARGIN = 2.0**-100
 
-# A pattern picks each output byte from a 32-byte row per element: '000'
-# and the 17 digits of D (bytes 0-19), '.', NUL, NUL, NUL (20-23) and the
-# exponent suffix, NUL-padded (24-31).
-_DIGIT0, _DOT, _PAD, _SUFFIX = 3, 20, 21, 24
-_ROW = 32
+# The writer: a field's slot in its row, in little-endian uint64 words,
+# holds the byte before the field, its text and NUL padding.  A float's
+# text takes 23 bytes, or 24 with a sign ('-4.9406564584124654e-324').
+_FLOAT_WORDS, _SIGNED_WORDS = 3, 4
 
 
 def _split(v: np.ndarray):
@@ -161,48 +174,67 @@ def _powers() -> tuple[np.ndarray, ...]:
     return (hi, *_split(hi)[:2], np.array(lo))
 
 
-def _suffix(x: int) -> str:
-    return f"e{x:+03d}"
-
-
-def _layout(x: int, kept: int) -> list[int]:
-    """Row positions of the bytes of '%.17g' for a positive value of
-    decimal exponent x and `kept` significant digits (trailing zeros
-    stripped); x = -5 or 17 stands for every exponent written in
-    scientific notation, whose suffix the row holds NUL-padded."""
-    digits = [_DIGIT0 + k for k in range(kept)]
-    if 0 <= x < 17:
-        # zeros left of the point are written, not stripped
-        digits += range(_DIGIT0 + kept, _DIGIT0 + x + 1)
-        text = digits[:x + 1]
-        if kept > x + 1:
-            text += [_DOT] + digits[x + 1:]
-    elif -4 <= x < 0:
-        text = [0, _DOT] + [0] * (-x - 1) + digits
-    else:
-        text = digits[:1] + ([_DOT] + digits[1:] if kept > 1 else [])
-        text += range(_SUFFIX, _SUFFIX + len(_suffix(_E_MIN)))
-    return text + [_PAD] * (_WIDTH - len(text))
+@functools.cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """The tables of the groups of four digits: the ASCII of 0000..9999
+    as uint64 words, first digit in the lowest byte; as uint32 words after
+    the same words with their leading zeros as NUL (all four for 0); the
+    trailing zero count of each of 0..9999 (4 for 0)."""
+    i = np.arange(10**4)
+    quads = np.zeros(i.size, dtype=np.uint64)
+    led = np.zeros(i.size, dtype=np.uint64)
+    for k in range(4):
+        byte = (i // 10**(3 - k) % 10 + 48).astype(np.uint64) << 8 * k
+        quads |= byte
+        led |= np.where(i >= 10**(3 - k), byte, 0).astype(np.uint64)
+    zeros = sum((i % 10**k == 0).astype(np.intp) for k in range(1, 5))
+    return quads, np.concatenate((led, quads)).astype("<u4"), zeros
 
 
 @functools.cache
-def _tables() -> tuple[np.ndarray, ...]:
-    """The layouts of every (x, kept digits) with x in [-5, 17], indexed
-    (x + 5) * 17 + kept - 1, as intp row positions; each E's suffix as a
-    uint64; the ASCII of 0000..9999 as uint32 words, after the same words
-    with their leading zeros as NUL (all four for 0); the trailing zero
-    count of each of 0..9999 (4 for 0)."""
-    layouts = np.array([_layout(x, kept) for x in range(-5, 18)
-                        for kept in range(1, 18)], dtype=np.intp)
-    suffixes = np.frombuffer(b"".join(
-        _suffix(x).encode().ljust(8, b"\0")
-        for x in range(_E_MIN, _E_MAX + 1)), dtype="<u8")
-    led = "".join(f"{i:>4}" if i else "    " for i in range(10**4))
-    quads = np.frombuffer((led.replace(" ", "\0") + "".join(
-        f"{i:04d}" for i in range(10**4))).encode(), dtype="<u4")
-    i = np.arange(10**4)
-    zeros = sum((i % 10**k == 0).astype(np.intp) for k in range(1, 5))
-    return layouts, suffixes, quads, zeros
+def _words() -> tuple:
+    """1-D tables of uint64 words, word k of a slot in table k: for each
+    layout (E + 5) * 17 + kept - 1 of the fields of decimal exponent E in
+    [-5, 17] and `kept` significant digits (trailing zeros stripped), E =
+    -5 and 17 standing for scientific notation, its fixed bytes ('.' and
+    the '0.000' prefix), the masks of S's digits before the point (and of
+    the suffix) and after it, and the bits the latter move up; for each E
+    in [_E_MIN, _E_MAX], word 2 of S's 'e±XX' suffix (0 in fixed
+    notation) and E's layout at 17 digits.  S holds the 17 digits of D at
+    bytes 1-17, so the digits before the point stay, and the suffix at
+    bytes 19-23, where it stays too: the NULs before it are deleted."""
+    e = np.repeat(np.arange(-5, 18), 17)
+    kept = np.tile(np.arange(1, 18), 23)
+    positional = (0 <= e) & (e < 17)
+    small = (-4 <= e) & (e < 0)
+    # the digits before the point, bytes 1..head (zeros left of the point
+    # are written, not stripped); those after move up 1 byte, past the
+    # '.', or 1 - E bytes, past '0.000'
+    head = np.where(positional, e + 1, np.where(small, 0, 1))
+    up = np.where(small, 1 - e, 1)
+    dot = np.where(small | (kept > head), np.where(small, 2, head + 1), -1)
+    # table, word, layout, byte: each word's bytes are one uint64
+    tables = np.zeros((3, _FLOAT_WORDS, e.size, 8), dtype=np.uint8)
+    for at in range(8 * _FLOAT_WORDS):
+        column = tables[:, at // 8, :, at % 8]
+        column[0] = np.select(
+            [at == dot, small & ((at == 1) | ((3 <= at) & (at <= 1 - e)))],
+            [ord("."), ord("0")])
+        column[1] = ((1 <= at) & (at <= head) | (at >= 19)) * 0xFF
+        column[2] = ((head < at) & (at <= kept)) * 0xFF
+    fixed, before, after = tables.view("<u8")[..., 0]
+    # each E's suffix, 'e', its sign and 2 or 3 digits of |E|, at bytes
+    # 3-7 of word 2
+    e = np.arange(_E_MIN, _E_MAX + 1)
+    width = 2 + (np.abs(e) >= 100)
+    suffix = ord("e") << 24 | np.where(e < 0, ord("-"), ord("+")) << 32
+    for place in range(3):
+        digit = np.abs(e) // 10**place % 10 + ord("0")
+        suffix |= np.where(place < width, digit << 8 * (4 + width - place), 0)
+    suffix[(-4 <= e) & (e < 17)] = 0
+    return (tuple(fixed), tuple(before), tuple(after),
+            (8 * up).astype(np.uint64), suffix.astype(np.uint64),
+            (np.clip(e, -5, 17) + 5) * 17 + 16)
 
 
 def _groups(d: np.ndarray, count: int) -> list[np.ndarray]:
@@ -217,10 +249,10 @@ def _groups(d: np.ndarray, count: int) -> list[np.ndarray]:
     return [g.view(np.int64) for g in groups + [d]]
 
 
-def _g17(x: np.ndarray, out: np.ndarray) -> None:
-    """Write ``'%.17g' % v`` of each float into the rows of ``out``, a
-    contiguous (n, 24) uint8 block, NUL-padded."""
-    n = x.size
+def _g17(x: np.ndarray, out: np.ndarray, sep: int) -> None:
+    """Write each float's field into its slot, a row of ``out``, whose
+    (n, 3) or (n, 4) uint64 words lie in the chunk's rows: the byte
+    ``sep``, then ``'%.17g' % v``, NUL-padded."""
     ok = x >= _LO
     ok &= x <= _HI
     a = np.where(ok, x, 1.0)
@@ -238,81 +270,122 @@ def _g17(x: np.ndarray, out: np.ndarray) -> None:
     ok &= (base >= 10**16) & (d < 10**17)
     ok &= exact | (np.abs(frac - 0.5) > _TIE_MARGIN)
 
-    # D = g0 g1 g2 g3 g4: one digit, then four groups of four
-    layouts, suffixes, quads, zeros = _tables()
-    groups = _groups(d.view(np.uint64), 5)
-    row = np.empty((n, _ROW // 4), dtype="<u4")
-    for c, g in enumerate(groups):
-        row[:, c] = quads[10**4:][g]
-    row[:, 5] = 0x2E                                       # '.'
-    row[:, 6:].view("<u8")[:, 0] = suffixes[e - _E_MIN]
-    trailing = zeros[groups[4]]
-    rows = np.flatnonzero(groups[4] == 0)
+    # D = g0 g1 g2 g3 g4, one digit then four groups of four, as ASCII at
+    # bytes 1-17 of the three words s, and E's suffix at bytes 19-23.
+    # take's mode "clip" skips the bounds check of "raise" (1.0 against
+    # 1.8 ns a value); every index is in range, an uncertified value's too
+    quads, _, zeros = _tables()
+    fixed, before, after, up, suffixes, layouts = _words()
+    e -= _E_MIN
+    g0, g1, g2, g3, g4 = _groups(d.view(np.uint64), 5)
+    s0 = np.take(quads, g1, mode="clip")
+    s0 <<= 16
+    s0 |= (g0.view(np.uint64) + 48) << 8
+    s1 = np.take(quads, g3, mode="clip")
+    s1 <<= 16
+    s2 = np.take(quads, g2, mode="clip")
+    s0 |= s2 << 48
+    s1 |= s2 >> 16
+    s2 = np.take(quads, g4, mode="clip")
+    s1 |= s2 << 48
+    s2 >>= 16
+    s2 |= np.take(suffixes, e, mode="clip")
+    trailing = zeros[g4]
+    rows = np.flatnonzero(g4 == 0)
     if rows.size:
         tail = trailing[rows]
         run = np.ones(rows.size, dtype=bool)
-        for g in groups[3:0:-1]:
+        for g in (g3, g2, g1):
             g = g[rows]
             tail += run * zeros[g]
             run &= g == 0
         trailing[rows] = tail
-    code = np.clip(e, -5, 17)
-    code *= 17
-    code += 5 * 17 + 16
-    code -= trailing
-    index = np.take(layouts, code, axis=0)
-    index += np.arange(0, n * _ROW, _ROW)[:, None]
-    np.take(row.view(np.uint8).ravel(), index, out=out, mode="clip")
+    layout = np.take(layouts, e, mode="clip")
+    layout -= trailing
+
+    # each word: its fixed bytes, the digits before the point in place,
+    # those after it moved up, and the bits they carry up from the word
+    # below
+    up = np.take(up, layout, mode="clip")
+    down = 64 - up
+    work = tmp.view(np.uint64)
+    carry = None
+    for k, s in enumerate((s0, s1, s2)):
+        moved = np.take(after[k], layout, mode="clip")
+        moved &= s
+        s &= np.take(before[k], layout, mode="clip", out=work)
+        s |= np.take(fixed[k], layout, mode="clip", out=work)
+        if carry is None:
+            s |= sep
+        else:
+            s |= np.right_shift(carry, down, out=carry)
+        carry = moved
+        np.bitwise_or(s, np.left_shift(moved, up, out=work), out=out[:, k])
+    out[:, _FLOAT_WORDS:] = 0
     for i in np.flatnonzero(~ok):
-        text = b"%.17g" % x[i]
-        out[i] = 0
-        out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+        text = (bytes((sep,)) + b"%.17g" % x[i]).ljust(8 * out.shape[1],
+                                                        b"\0")
+        out[i] = np.frombuffer(text, dtype="<u8")
 
 
-def _decimal_width(v: np.ndarray) -> int:
-    """Bytes ``_decimal`` needs for the integers v: four per group of four
-    digits."""
+def _decimal_words(v: np.ndarray) -> int:
+    """Words ``_decimal`` needs for the integers v and the byte before
+    them."""
     if v.size and (v.min() < 0 or v.max() >= 10**16):
         raise ValueError("integer CSV columns must lie in [0, 10^16)")
-    return 4 * -(-len(str(int(v.max(initial=0)))) // 4)
+    return len(str(int(v.max(initial=0)))) // 8 + 1
 
 
-def _decimal(v: np.ndarray, out: np.ndarray) -> None:
-    """Write ``str(i)`` of each integer into the rows of ``out``, a
-    contiguous block, right-aligned, with NUL for the leading zeros."""
-    quads = _tables()[2]
+def _decimal(v: np.ndarray, out: np.ndarray, sep: int) -> None:
+    """Write each integer's field into its slot, a row of ``out`` (uint64
+    words in the chunk's rows): the byte ``sep``, then ``str(i)``
+    right-aligned, with NUL for the leading zeros."""
+    quads = _tables()[1]
     words = out.view("<u4")
+    # the groups of four digits fill the last four words or fewer, NUL
+    # before them; a slot leaves the separator room, so when the groups
+    # fill it the first holds 3 digits at most and its first byte is NUL
+    count = min(words.shape[1], 4)
+    words[:, :-count] = 0
     # a group takes its NUL-led word until a group before it is nonzero
     started = np.zeros(v.size, dtype=bool)
-    for c, g in enumerate(_groups(v.astype(np.uint64), words.shape[1])):
+    for c, g in enumerate(_groups(v.astype(np.uint64), count), -count):
         words[:, c] = quads[g + started * 10**4]
         started |= g != 0
     words[~started, -1] = 0x30000000      # 0 is '0'
+    words[:, 0] |= sep
 
 
 def format_rows(columns) -> bytes:
     """Rows of the given equal-length columns, comma-separated and
-    LF-terminated: floats as ``%.17g``, integers in decimal."""
-    blocks = []
+    LF-terminated: floats as ``%.17g``, integers in decimal.  Each field
+    has its own slot of whole words in the row, whose byte 0 is the byte
+    before the field: ',', or LF for a row's first field (NUL on the
+    first row; the chunk then ends with an LF).  The NULs are deleted."""
+    slots = []
     for col in columns:
         # np.asarray would convert a range one Python int at a time
         col = np.arange(col.start, col.stop, col.step) \
             if isinstance(col, range) else np.asarray(col)
         if col.dtype.kind in "iu":
-            blocks.append((_decimal, col, _decimal_width(col)))
+            slots.append((_decimal, col, _decimal_words(col)))
         else:
-            blocks.append((_g17, col.astype(np.float64, copy=False), _WIDTH))
-    n = len(blocks[0][1])
-    text = np.empty((n, sum(w + 1 for _, _, w in blocks)), dtype=np.uint8)
-    start = 0
-    for kernel, col, width in blocks:
-        # each kernel fills a contiguous buffer, copied into the rows once
-        buffer = np.empty((n, width), dtype=np.uint8)
-        kernel(col, buffer)
-        text[:, start:start + width] = buffer
-        text[:, start + width] = ord(",")
-        start += width + 1
-    text[:, -1] = ord("\n")
+            col = col.astype(np.float64, copy=False)
+            signed = bool((col < 0.0).any())
+            slots.append((_g17, col, _SIGNED_WORDS if signed
+                          else _FLOAT_WORDS))
+    n = len(slots[0][1])
+    if not n:
+        return b""
+    width = sum(words for _, _, words in slots)
+    text = np.empty(8 * n * width + 1, dtype=np.uint8)
+    rows = text[:-1].view("<u8").reshape(n, width)
+    start, sep = 0, ord("\n")
+    for kernel, col, words in slots:
+        kernel(col, rows[:, start:start + words], sep)
+        start, sep = start + words, ord(",")
+    text[0] = 0
+    text[-1] = ord("\n")
     return text.tobytes().translate(None, b"\0")
 
 

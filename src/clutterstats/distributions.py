@@ -234,12 +234,21 @@ def _mellin_form(spec: DistributionSpec) -> _MellinForm:
             form = _MellinForm(scale, ((a, -1.0),))
         case _:
             # X = U * Z multiplies the transforms (Mellin convolution theorem)
-            speckle, texture = map(_mellin_form, components(spec))
+            try:
+                speckle, texture = map(_mellin_form, components(spec))
+            except ValueError as exc:
+                raise ValueError(f"{family_tag(spec)}: a component of "
+                                 f"{spec!r} is outside the double range: "
+                                 f"{exc}") from None
             form = _MellinForm(speckle.scale * texture.scale,
                                speckle.terms + texture.terms)
     if not 0.0 < form.scale < math.inf:
         raise ValueError(f"{family_tag(spec)}: canonical scale {form.scale:g} "
                          f"of {spec!r} is outside the double range")
+    for _, c in form.terms:
+        if not math.isfinite(c):
+            raise ValueError(f"{family_tag(spec)}: canonical exponent {c:g} "
+                             f"of {spec!r} is outside the double range")
     return form
 
 

@@ -170,6 +170,110 @@ class TestChunks:
             for i in range(_csv.CHUNK_ROWS)).encode()
 
 
+def code_of(text: str) -> tuple[int, int]:
+    """The code (E, kept) of one positive '%.17g' text: its decimal
+    exponent and its significant digits without trailing zeros, which
+    with E's suffix fix the text's layout."""
+    mantissa, _, exponent = text.partition("e")
+    whole, _, frac = mantissa.partition(".")
+    if exponent:
+        e = int(exponent)
+    elif whole != "0":
+        e = len(whole) - 1
+    else:
+        e = -1 - (len(frac) - len(frac.lstrip("0")))
+    return e, len((whole + frac).strip("0"))
+
+
+def every_code() -> dict:
+    """A double in [_LO, _HI] for each code (E, kept) its '%.17g' text can
+    have.  A text of `kept` digits at E is the text of the double nearest
+    to it, so trying every candidate of 1 or 2 digits proves the codes
+    missing there unreachable; 60 candidates of 3 to 17 digits each find
+    every code of E in (_E_MIN, _E_MAX).  At E = _E_MIN and _E_MAX only
+    the range's ends lie in it."""
+    rng = np.random.default_rng(33)
+    found = {}
+    for e in range(_csv._E_MIN, _csv._E_MAX + 1):
+        for kept in range(1, 18):
+            if kept <= 2:
+                # 1 last: the kernel may decline a power of ten
+                candidates = [d for d in range(10**kept - 1, 0, -1)
+                              if d % 10]
+            else:
+                candidates = (rng.integers(10**(kept - 2), 10**(kept - 1),
+                                           60) * 10
+                              + rng.integers(1, 10, 60)).tolist()
+            for d in candidates:
+                v = float(f"{d}e{e - kept + 1}")
+                if _csv._LO <= v <= _csv._HI \
+                        and code_of("%.17g" % v) == (e, kept):
+                    found[e, kept] = v
+                    break
+    for v in (_csv._LO, _csv._HI):
+        found[code_of("%.17g" % v)] = v
+    return found
+
+
+class NoScalars(np.ndarray):
+    """A column whose elements cannot be read one at a time, as the
+    writer's Python fallback reads them."""
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            raise AssertionError(f"element {key} was not certified")
+        return super().__getitem__(key)
+
+
+class TestEveryCode:
+    """Every code (E, kept) the kernel certifies, against Python's
+    formatter."""
+
+    @pytest.fixture(scope="class")
+    def values(self):
+        found = every_code()
+        inner = {(e, kept) for e in range(_csv._E_MIN + 1, _csv._E_MAX)
+                 for kept in range(3, 18)}
+        assert inner <= found.keys()
+        # the range's ends: 1e-240 lies below 10^-240, 1e240 is 10^240
+        assert {code for code in found if code[0] == _csv._E_MIN} \
+            == {(_csv._E_MIN, 17)}
+        assert {code for code in found if code[0] == _csv._E_MAX} \
+            == {(_csv._E_MAX, 1)}
+        # 1 and 2 digits: every candidate was tried, so no double has the
+        # 109 codes of one digit and the two of two digits not found
+        assert 480 - sum(kept == 1 for e, kept in found if e < _csv._E_MAX) \
+            == 109
+        assert 480 - sum(kept == 2 for _, kept in found) == 2
+        assert len(found) == 8051
+        return np.array(list(found.values()))
+
+    def test_the_kernel_certifies_every_code(self, values):
+        # by design a value goes to Python when log10 gets its E off by
+        # one: here only 1e-240, the one double at E = _E_MIN
+        e = np.array([code_of("%.17g" % v)[0] for v in values])
+        values = values[np.floor(np.log10(values)) == e]
+        assert values.size == 8050
+        out = np.zeros((values.size, _csv._FLOAT_WORDS), dtype=np.uint64)
+        _csv._g17(values.view(NoScalars), out, ord(","))
+        assert out.tobytes().translate(None, b"\0") == \
+            "".join(f",{v:.17g}" for v in values).encode()
+
+    @pytest.mark.parametrize("signed", [False, True],
+                             ids=["unsigned", "signed"])
+    @pytest.mark.parametrize("place", ["first", "middle", "last"])
+    def test_every_code_in_every_place(self, values, place, signed):
+        # a negative value gives the column's slots 32 bytes
+        column = np.append(values, -values[:1]) if signed else values
+        index = range(column.size)
+        other = np.linspace(0.5, 2.0, column.size)
+        columns = {"first": [column, index], "middle": [index, column, other],
+                   "last": [index, other, column]}[place]
+        assert _csv.format_rows(columns) == "".join(",".join(
+            str(c[i]) if isinstance(c, range) else f"{c[i]:.17g}"
+            for c in columns) + "\n" for i in index).encode()
+
+
 class TestSampleFiles:
     @pytest.mark.parametrize("family", sorted(dist.FAMILY_TAGS))
     def test_every_family_matches_the_loop(self, family, tmp_path, capsys):
@@ -639,9 +743,10 @@ def test_cli_start_up_builds_no_tables():
     probe = ("import clutterstats.cli as cli, clutterstats._csv as c; "
              "cli._build_parser().format_help(); "
              "print(c._powers.cache_info().currsize, "
-             "c._tables.cache_info().currsize)")
+             "c._tables.cache_info().currsize, "
+             "c._words.cache_info().currsize)")
     src = Path(clutterstats.__file__).resolve().parent.parent
     out = subprocess.run([sys.executable, "-c", probe], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}).stdout
-    assert out.split() == ["0", "0"]
+    assert out.split() == ["0", "0", "0"]

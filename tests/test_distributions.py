@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import json
@@ -128,6 +129,44 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match=rf"^{tag}: canonical scale "
                                r".* is outside the double range$"):
                 cls(*args)
+
+    @pytest.mark.parametrize("cls, args, message", [
+        # a Weibull shape below about 5.6e-309 has c = 1/b = inf
+        (Weibull, (1.0, 1e-309), "weibull: canonical exponent inf of "
+         "Weibull(z=1.0, b=1e-309) is outside the double range"),
+        (WeibullNakagami, (1e-309, 2.0, 1.0), "wnak: a component of "
+         "WeibullNakagami(c=1e-309, alpha=2.0, b=1.0) is outside the double "
+         "range: weibull: canonical exponent inf of Weibull(z=1.0, "
+         "b=1e-309) is outside the double range"),
+    ], ids=["weibull", "wnak"])
+    def test_canonical_exponent_outside_double_range(self, cls, args,
+                                                     message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cls(*args)
+
+    @pytest.mark.parametrize("tag, params, message", [
+        # sqrt(alpha / b) underflows to 0 and overflows to inf
+        ("k", {"alpha": 1e-300, "b": 1e300}, "k: a component of "
+         "KAmplitude(alpha=1e-300, b=1e+300) is outside the double range: "
+         "Nakagami.mu must be a positive finite number, got 0.0"),
+        ("k", {"alpha": 1e300, "b": 1e-300}, "k: a component of "
+         "KAmplitude(alpha=1e+300, b=1e-300) is outside the double range: "
+         "Nakagami.mu must be a positive finite number, got inf"),
+        # the texture GammaPower(M, mu) has the scale mu / M = inf
+        ("ggamma", {"L": 2.0, "M": 1e-300, "mu": 1e300}, "ggamma: a "
+         "component of GammaGamma(L=2.0, M=1e-300, mu=1e+300) is outside "
+         "the double range: gamma: canonical scale inf of GammaPower("
+         "L=1e-300, mu=1e+300) is outside the double range"),
+        # the texture's scale M mu overflows
+        ("fisher", {"L": 1.0, "M": 1e300, "mu": 1e300}, "fisher: a "
+         "component of Fisher(L=1.0, M=1e+300, mu=1e+300) is outside the "
+         "double range: InverseGamma.scale must be a positive finite "
+         "number, got inf"),
+    ], ids=["k-under", "k-over", "ggamma", "fisher"])
+    def test_a_component_past_the_doubles_names_the_spec(self, tag, params,
+                                                         message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dist.make_spec(tag, params)
 
 
 @pytest.fixture
@@ -480,15 +519,21 @@ class TestClassicalMoments:
         for spec in ALL_SPECS:
             assert dist.classical_moment(spec, 0) == 1.0
 
-    # every field 10^U(-300, 300); below about 5.6e-309 a Weibull shape
-    # has c = 1/b = inf, which no spec refuses yet
+    # every field 10^U(-323.3, 300), down to the least subnormal; below
+    # about 5.6e-309 a Weibull shape has c = 1/b = inf, which is refused
     @settings(deadline=None, derandomize=True, database=None)
     @given(cls=st.sampled_from([*dist.FAMILY_TAGS.values(), InverseGamma]),
-           exponents=st.lists(st.floats(-300.0, 300.0), min_size=3,
+           exponents=st.lists(st.floats(-323.3, 300.0), min_size=3,
                               max_size=3))
     @example(cls=GammaPower, exponents=[-17.0, 0.0, 0.0])
     @example(cls=Weibull, exponents=[0.0, -17.0, 0.0])
     @example(cls=Fisher, exponents=[-300.0, -300.0, 0.0])
+    @example(cls=Weibull, exponents=[0.0, -308.0, 0.0])
+    @example(cls=Weibull, exponents=[0.0, -309.0, 0.0])
+    @example(cls=Weibull, exponents=[0.0, -323.3, 0.0])
+    @example(cls=WeibullNakagami, exponents=[-308.0, 0.0, 0.0])
+    @example(cls=WeibullNakagami, exponents=[-309.0, 0.0, 0.0])
+    @example(cls=WeibullNakagami, exponents=[-323.3, 0.0, 0.0])
     def test_every_spec_made_has_phi_1_and_m_0(self, cls, exponents):
         # a pole 1 - a/c that rounds onto s = 1 once refused these
         try:
