@@ -46,9 +46,9 @@ that rounds up to ``10^17``, and an inexact product whose fraction lies
 within 1e-6 of one half.  So every value prints as Python prints it.
 
 An integer column takes the same digit groups as uint32 words; a group
-is looked up in a second table, whose words have their leading zeros as
-NUL, until a group before it is nonzero, so the number comes out
-right-aligned after NULs.
+is looked up in the table's other row, whose words have their leading
+zeros as NUL, until a group before it is nonzero, so the number comes
+out right-aligned after NULs.
 
 ``read_column`` reads the file in blocks of ``BLOCK_BYTES`` whole lines,
 each ending in LF, CRLF or CR; a block holding a CR is read with every
@@ -87,7 +87,7 @@ notation, inf, infinity or nan, each with an optional sign; Python's own
 ``float`` also takes ``1_000`` and non-ASCII digits), reads the value
 with ``float`` and raises ``ValueError`` naming the file line and column.
 
-The power, digit and word tables are built on first use, not at import.
+The power table and the writer's tables are built on first use, not at import.
 """
 
 from __future__ import annotations
@@ -175,27 +175,13 @@ def _powers() -> tuple[np.ndarray, ...]:
 
 
 @functools.cache
-def _tables() -> tuple[np.ndarray, ...]:
-    """The tables of the groups of four digits: the ASCII of 0000..9999
-    as uint64 words, first digit in the lowest byte; as uint32 words after
-    the same words with their leading zeros as NUL (all four for 0); the
-    trailing zero count of each of 0..9999 (4 for 0)."""
-    i = np.arange(10**4)
-    quads = np.zeros(i.size, dtype=np.uint64)
-    led = np.zeros(i.size, dtype=np.uint64)
-    for k in range(4):
-        byte = (i // 10**(3 - k) % 10 + 48).astype(np.uint64) << 8 * k
-        quads |= byte
-        led |= np.where(i >= 10**(3 - k), byte, 0).astype(np.uint64)
-    zeros = sum((i % 10**k == 0).astype(np.intp) for k in range(1, 5))
-    return quads, np.concatenate((led, quads)).astype("<u4"), zeros
-
-
-@functools.cache
-def _words() -> tuple:
-    """1-D tables of uint64 words, word k of a slot in table k: for each
-    layout (E + 5) * 17 + kept - 1 of the fields of decimal exponent E in
-    [-5, 17] and `kept` significant digits (trailing zeros stripped), E =
+def _tables() -> tuple:
+    """The writer's tables.  The ASCII of 0000..9999 as uint64 words, first
+    digit in the lowest byte: row 0 with the leading zeros as NUL (all four
+    for 0), row 1 plain; the trailing zero count of each of 0..9999 (4 for
+    0).  Then 1-D tables of uint64 words, word k of a slot in table k: for
+    each layout (E + 5) * 17 + kept - 1 of the fields of decimal exponent E
+    in [-5, 17] and `kept` significant digits (trailing zeros stripped), E =
     -5 and 17 standing for scientific notation, its fixed bytes ('.' and
     the '0.000' prefix), the masks of S's digits before the point (and of
     the suffix) and after it, and the bits the latter move up; for each E
@@ -203,6 +189,13 @@ def _words() -> tuple:
     notation) and E's layout at 17 digits.  S holds the 17 digits of D at
     bytes 1-17, so the digits before the point stay, and the suffix at
     bytes 19-23, where it stays too: the NULs before it are deleted."""
+    i = np.arange(10**4)
+    quads = np.zeros((2, i.size), dtype=np.uint64)
+    for k in range(4):
+        byte = (i // 10**(3 - k) % 10 + 48).astype(np.uint64) << 8 * k
+        quads[0] |= byte * (i >= 10**(3 - k))
+        quads[1] |= byte
+    zeros = sum((i % 10**k == 0).astype(np.intp) for k in range(1, 5))
     e = np.repeat(np.arange(-5, 18), 17)
     kept = np.tile(np.arange(1, 18), 23)
     positional = (0 <= e) & (e < 17)
@@ -232,7 +225,7 @@ def _words() -> tuple:
         digit = np.abs(e) // 10**place % 10 + ord("0")
         suffix |= np.where(place < width, digit << 8 * (4 + width - place), 0)
     suffix[(-4 <= e) & (e < 17)] = 0
-    return (tuple(fixed), tuple(before), tuple(after),
+    return (quads, zeros, tuple(fixed), tuple(before), tuple(after),
             (8 * up).astype(np.uint64), suffix.astype(np.uint64),
             (np.clip(e, -5, 17) + 5) * 17 + 16)
 
@@ -274,8 +267,8 @@ def _g17(x: np.ndarray, out: np.ndarray, sep: int) -> None:
     # bytes 1-17 of the three words s, and E's suffix at bytes 19-23.
     # take's mode "clip" skips the bounds check of "raise" (1.0 against
     # 1.8 ns a value); every index is in range, an uncertified value's too
-    quads, _, zeros = _tables()
-    fixed, before, after, up, suffixes, layouts = _words()
+    quads, zeros, fixed, before, after, up, suffixes, layouts = _tables()
+    quads = quads[1]
     e -= _E_MIN
     g0, g1, g2, g3, g4 = _groups(d.view(np.uint64), 5)
     s0 = np.take(quads, g1, mode="clip")
@@ -340,7 +333,7 @@ def _decimal(v: np.ndarray, out: np.ndarray, sep: int) -> None:
     """Write each integer's field into its slot, a row of ``out`` (uint64
     words in the chunk's rows): the byte ``sep``, then ``str(i)``
     right-aligned, with NUL for the leading zeros."""
-    quads = _tables()[1]
+    quads = _tables()[0].ravel()
     words = out.view("<u4")
     # the groups of four digits fill the last four words or fewer, NUL
     # before them; a slot leaves the separator room, so when the groups

@@ -9,12 +9,13 @@ The algebra holds at every order up to ``specfun.MAX_ORDER`` through one
 partition sum: moments from cumulants are complete Bell polynomials, and
 cumulants from moments the same sums with weights (-1)^(b-1) (b-1)! for b
 parts (Kendall & Stuart, The Advanced Theory of Statistics, Vol. 1).
-Both directions take a stack of vectors as well as one vector, and work
-along the last axis in one pass.  Every power in them is Python's float
-power (libm ``pow``), so each row of a stack keeps the bits it has alone.
-Central moments come from the binomial shift.  One helper, ``_power``,
-takes every power of the algebra and the shift, and names the order and
-the entry when a power leaves the doubles.
+Each direction's table of partitions is built on its first call, not at
+import.  Both directions take a stack of vectors as well as one vector,
+and work along the last axis in one pass.  Every power in them is
+Python's float power (libm ``pow``), so each row of a stack keeps the
+bits it has alone.  Central moments come from the binomial shift.  One
+helper, ``_power``, takes every power of the algebra and the shift, and
+names the order and the entry when a power leaves the doubles.
 
 Every improper integral is evaluated after the substitution x = e^t, which
 makes the integrand doubly-exponentially decaying for all catalog families
@@ -39,6 +40,7 @@ counts it as |h(end)| / rate, rate its log-slope over the last unit of t
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -104,6 +106,7 @@ def _finite(values, what: str) -> np.ndarray:
     return x
 
 
+@functools.cache
 def _bell_terms(signed: bool) -> tuple:
     """Per order n <= MAX_ORDER, (coefficient, ((part p, multiplicity e),
     ...)) for each partition of n into b >= 2 parts: n! / prod(p!^e e!),
@@ -123,9 +126,6 @@ def _bell_terms(signed: bool) -> tuple:
                     terms.append((float(sign * math.factorial(n) // den), mult))
         table.append(tuple(terms))
     return tuple(table)
-
-
-_MOMENT_TERMS, _CUMULANT_TERMS = _bell_terms(False), _bell_terms(True)
 
 
 def _power(column: np.ndarray, e: int, what: str, order: int,
@@ -181,7 +181,7 @@ def moments_to_cumulants(log_moments):
     generating object), so k_4 carries the -3 m_2^2 correction and every
     k_n past the second vanishes for Gaussian-shaped input.
     """
-    return _bell(log_moments, "moments_to_cumulants", _CUMULANT_TERMS)
+    return _bell(log_moments, "moments_to_cumulants", _bell_terms(True))
 
 
 def cumulants_to_moments(log_cumulants):
@@ -191,7 +191,7 @@ def cumulants_to_moments(log_cumulants):
     Both take one vector (and give a list) or a stack of vectors along the
     last axis (and give an array of its shape), with the same bits per
     row either way."""
-    return _bell(log_cumulants, "cumulants_to_moments", _MOMENT_TERMS)
+    return _bell(log_cumulants, "cumulants_to_moments", _bell_terms(False))
 
 
 def central_log_moments(log_moments):

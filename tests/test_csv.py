@@ -739,12 +739,14 @@ def test_weak_k4_vote_is_reported(tmp_path, capsys):
 
 
 def test_cli_start_up_builds_no_tables():
-    # `clutterstats --help` must not pay for the kernel's tables
-    probe = ("import clutterstats.cli as cli, clutterstats._csv as c; "
+    # `clutterstats --help` must not pay for the CSV kernels' tables or
+    # the partition tables of the moment/cumulant algebra
+    probe = ("import clutterstats.cli as cli, clutterstats._csv as c, "
+             "clutterstats.mellin as m; "
              "cli._build_parser().format_help(); "
              "print(c._powers.cache_info().currsize, "
              "c._tables.cache_info().currsize, "
-             "c._words.cache_info().currsize)")
+             "m._bell_terms.cache_info().currsize)")
     src = Path(clutterstats.__file__).resolve().parent.parent
     out = subprocess.run([sys.executable, "-c", probe], check=True,
                          capture_output=True, text=True,

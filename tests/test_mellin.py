@@ -282,9 +282,9 @@ class TestCumulantAlgebra:
         for order in range(1, MAX_ORDER + 1):
             stack = vectors[:, :order]
             for algebra, table in ((moments_to_cumulants,
-                                    mellin._CUMULANT_TERMS),
+                                    mellin._bell_terms(True)),
                                    (cumulants_to_moments,
-                                    mellin._MOMENT_TERMS)):
+                                    mellin._bell_terms(False))):
                 batched = algebra(stack)
                 assert batched.shape == stack.shape
                 want = np.array([row_by_row(row, table) for row in stack])
