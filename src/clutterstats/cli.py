@@ -2,7 +2,8 @@
 
 Subcommands: ``table`` (analytic moments and log-cumulants), ``verify``
 (oracle suite), ``sample`` (seeded CSV generation), ``estimate`` (MoLC fit
-from a CSV), ``simulate`` (texture sweep with CSV and optional SVG).
+from a CSV; its ``--speckle`` is ``estimation.known_speckle``'s spec),
+``simulate`` (texture sweep with CSV and optional SVG).
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or I/O error (out
 of memory too), 3 estimation failure, 141 stdout closed by its reader
@@ -168,14 +169,8 @@ def _cmd_estimate(args) -> int:
     speckle = None
     if args.speckle is not None:
         params, speckle_family = _parse_params(args.speckle)
-        speckle_family = "gamma" if speckle_family is None else speckle_family
-        # a compound family is refused before its fields are asked for
-        dist.check_simple(estimation._layout(
-            dist._family_class(speckle_family)).spec, "speckle")
-        # unit-scale convention for the known speckle factor
-        for name in estimation.scale_fields(speckle_family):
-            params.setdefault(name, 1.0)
-        speckle = dist.make_spec(speckle_family, params)
+        speckle = estimation.known_speckle(
+            "gamma" if speckle_family is None else speckle_family, params)
     estimation.check_fit(args.family, orders)
     # the column is only an argument, so it is freed once its logs exist
     stats = estimation.empirical_log_stats(_read_column(args.input),

@@ -64,9 +64,9 @@ class MomentDoesNotExistError(ValueError):
     """Requested classical moment diverges (heavy tail)."""
 
 
-class _Positive:
-    """Base of every family: each field is a positive finite number, kept
-    as a float, and the canonical form is asked when the spec is made."""
+class DistributionSpec:
+    """Base class of every spec: each field is a positive finite number,
+    kept as a float, and the canonical form is asked when it is made."""
 
     def __post_init__(self):
         for f in fields(self):
@@ -82,40 +82,40 @@ class _Positive:
 
 
 @dataclass(frozen=True)
-class GammaPower(_Positive):
+class GammaPower(DistributionSpec):
     """Clutter power: gamma with shape L (looks) and mean mu."""
     L: float
     mu: float
 
 
 @dataclass(frozen=True)
-class Nakagami(_Positive):
+class Nakagami(DistributionSpec):
     """Clutter amplitude: Nakagami with shape L and RMS amplitude mu."""
     L: float
     mu: float
 
 
 @dataclass(frozen=True)
-class Maxwell(_Positive):
+class Maxwell(DistributionSpec):
     """Maxwell amplitude (norm of three centered normals with scale sigma)."""
     sigma: float
 
 
 @dataclass(frozen=True)
-class Weibull(_Positive):
+class Weibull(DistributionSpec):
     """Weibull amplitude with scale z and shape b."""
     z: float
     b: float
 
 
 @dataclass(frozen=True)
-class Rayleigh(_Positive):
+class Rayleigh(DistributionSpec):
     """Rayleigh amplitude with scale z; identical to Weibull(z, b=2)."""
     z: float
 
 
 @dataclass(frozen=True)
-class GammaGamma(_Positive):
+class GammaGamma(DistributionSpec):
     """Compound power: gamma speckle (shape L) modulated by gamma texture
     (shape M), overall mean mu."""
     L: float
@@ -124,7 +124,7 @@ class GammaGamma(_Positive):
 
 
 @dataclass(frozen=True)
-class KAmplitude(_Positive):
+class KAmplitude(DistributionSpec):
     """K-distributed amplitude: Rayleigh speckle whose mean square follows a
     gamma texture with shape alpha and rate b."""
     alpha: float
@@ -132,7 +132,7 @@ class KAmplitude(_Positive):
 
 
 @dataclass(frozen=True)
-class WeibullNakagami(_Positive):
+class WeibullNakagami(DistributionSpec):
     """Weibull speckle (shape c) with Nakagami-distributed scale: texture
     amplitude squared is gamma with shape alpha and rate b."""
     c: float
@@ -141,7 +141,7 @@ class WeibullNakagami(_Positive):
 
 
 @dataclass(frozen=True)
-class Fisher(_Positive):
+class Fisher(DistributionSpec):
     """Fisher (scaled F) heavy-tailed power law with shapes L, M and scale mu."""
     L: float
     M: float
@@ -149,16 +149,11 @@ class Fisher(_Positive):
 
 
 @dataclass(frozen=True)
-class InverseGamma(_Positive):
+class InverseGamma(DistributionSpec):
     """Inverse-gamma texture (shape, scale); the hidden factor of Fisher."""
     shape: float
     scale: float
 
-
-DistributionSpec = (
-    GammaPower | Nakagami | Maxwell | Weibull | Rayleigh
-    | GammaGamma | KAmplitude | WeibullNakagami | Fisher | InverseGamma
-)
 
 # CLI-facing tags; InverseGamma is an internal component family
 FAMILY_TAGS: dict[str, type] = {

@@ -2,7 +2,8 @@
 
 Empirical log statistics from arrays of draws, one fit for every family
 read off its canonical Mellin form, and texture log-cumulant extraction
-through the additivity of log-cumulants under the product model.
+through the additivity of log-cumulants under the product model, less the
+log-cumulants of a known speckle that ``known_speckle`` builds.
 
 Each entry of a form (the scale, each a_i and each |c_i|) is a monomial in
 the family's fields, so probing the form with each field at 1 and at 2
@@ -40,8 +41,7 @@ __all__ = [
     "OutOfRangeError",
     "NoSolutionError", "SolverNonConvergenceError",
     "empirical_log_stats", "check_fit", "fit_molc",
-    "scale_fields",
-    "texture_log_cumulants",
+    "known_speckle", "texture_log_cumulants",
 ]
 
 
@@ -275,12 +275,17 @@ def _layout(cls: type) -> _Layout:
     return _Layout(cls(**point), names, ref, powers, shapes)
 
 
-def scale_fields(family: str) -> tuple[str, ...]:
-    """The fields of a catalog family that enter only the scale of its
-    canonical form (gamma mu, weibull z, maxwell sigma)."""
+def known_speckle(family: str,
+                  params: dict[str, float]) -> dist.DistributionSpec:
+    """The simple family ``family`` with ``params`` as a known speckle: a
+    compound family is refused before its fields are asked for, and each
+    field that enters only the form's scale (gamma mu, weibull z, maxwell
+    sigma) is 1 unless given, the unit scale of ``dist.components``."""
     layout = _layout(dist._family_class(family))
-    return tuple(n for n, column in zip(layout.names, layout.powers.T)
-                 if not column[1:].any())
+    dist.check_simple(layout.spec, "speckle")
+    unit = {n: 1.0 for n, column in zip(layout.names, layout.powers.T)
+            if not column[1:].any()}
+    return dist.make_spec(family, {**unit, **params})
 
 
 def _term_k(e: list[float], j: int, n: int) -> float:

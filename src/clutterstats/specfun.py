@@ -197,7 +197,16 @@ def polygamma(order: int, x):
     threshold = max(_SHIFT_THRESHOLD, 2.0 * m + 2.0)
     sign = 1.0 if m % 2 == 1 else -1.0
     if not isinstance(x, np.ndarray) or not x.ndim:
-        return sign * _polygamma_float(m, x, threshold)
+        x = _require_positive_finite("polygamma", x)
+        value, consts = math.nan, _plain_constants(m)
+        try:                           # in plain floats while they hold
+            if consts is not None:
+                value = _polygamma_plain(m, x, threshold, consts)[0]
+        except ArithmeticError:        # a term left the double range
+            pass
+        if not math.isfinite(value):
+            value = _polygamma_scaled(m, x, threshold)
+        return sign * value
     x = x.astype(float)
     if not np.all(ok := (0.0 < x) & (x < math.inf)):
         _require_positive_finite("polygamma", x[~ok][0])   # raises
@@ -210,19 +219,6 @@ def polygamma(order: int, x):
     value[scaled] = [_polygamma_scaled(m, v, threshold)
                      for v in x[scaled].tolist()]
     return sign * value
-
-
-def _polygamma_float(m: int, x: float, threshold: float) -> float:
-    """|psi^(m)(x)| for one x."""
-    x, consts = _require_positive_finite("polygamma", x), _plain_constants(m)
-    try:                               # in plain floats while they hold
-        if consts is not None:
-            value = _polygamma_plain(m, x, threshold, consts)[0]
-            if math.isfinite(value):
-                return value
-    except ArithmeticError:            # a term left the double range
-        pass
-    return _polygamma_scaled(m, x, threshold)
 
 
 def _polygamma_scaled(m: int, x: float, threshold: float) -> float:

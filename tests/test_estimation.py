@@ -17,7 +17,7 @@ from clutterstats.estimation import (EmpiricalLogStats, EstimationError,
                                      TooFewSamplesError, ZeroSamplesError,
                                      _entries, _invert_trigamma, _layout,
                                      _root, empirical_log_stats, fit_molc,
-                                     scale_fields, texture_log_cumulants)
+                                     known_speckle, texture_log_cumulants)
 from clutterstats.mellin import LogStats, mellin_table, moments_to_cumulants
 from clutterstats.sampling import sample
 from clutterstats.specfun import MAX_ORDER, digamma, polygamma
@@ -334,11 +334,31 @@ class TestFormLayout:
         want = _entries(dist._mellin_form(spec))
         assert got == pytest.approx(want, rel=1e-12)
 
-    def test_scale_fields(self):
-        assert scale_fields("gamma") == ("mu",)
-        assert scale_fields("weibull") == ("z",)
-        assert scale_fields("maxwell") == ("sigma",)
-        assert scale_fields("k") == ("b",)
+    def test_known_speckle(self):
+        # the fields that enter only the scale are 1 unless given
+        assert known_speckle("gamma", {"L": 4.0}) == dist.GammaPower(4.0, 1.0)
+        assert known_speckle("gamma", {"L": 4.0, "mu": 2.0}) \
+            == dist.GammaPower(4.0, 2.0)
+        assert known_speckle("nakagami", {"L": 2.0}) == dist.Nakagami(2.0, 1.0)
+        assert known_speckle("weibull", {"b": 2.0}) == dist.Weibull(1.0, 2.0)
+        assert known_speckle("rayleigh", {}) == dist.Rayleigh(1.0)
+        assert known_speckle("maxwell", {}) == dist.Maxwell(1.0)
+        # a compound family is refused before its fields are asked for
+        with pytest.raises(ValueError,
+                           match="^speckle must be a simple family, got k$"):
+            known_speckle("k", {})
+
+    @pytest.mark.parametrize("spec", [
+        spec for specs in verify.PARAM_GRID.values() for spec in specs
+        if dist.components(spec) is not None], ids=repr)
+    def test_known_speckle_is_the_speckle_of_components(self, spec):
+        # --speckle and components share one unit-scale convention: the
+        # speckle's shape fields alone give the speckle components builds
+        speckle = dist.components(spec)[0]
+        shapes = {"gamma": ["L"], "rayleigh": [], "weibull": ["b"]}
+        tag = dist.family_tag(speckle)
+        given = {name: getattr(speckle, name) for name in shapes[tag]}
+        assert known_speckle(tag, given) == speckle
 
 
 class TestNoiselessRoundTripProperty:

@@ -30,6 +30,12 @@ def test_all_names_only_bound_attributes(name):
     assert unbound == []
 
 
+def test_every_spec_class_has_a_tag():
+    # the specs are the subclasses of DistributionSpec, each with its tag
+    assert set(distributions._TAG_OF) == set(
+        distributions.DistributionSpec.__subclasses__())
+
+
 def test_console_scripts_import_to_callables():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
