@@ -3,11 +3,11 @@
 * :func:`log_latent_integral` -- the log density of c1 log G1 + c2 log G2
   (unit gammas G1, G2; c1, c2 > 0), an integral over the hidden log G2:
   the compound densities, and at q = c2/c1 = 1 the Bessel function K_nu.
-* :func:`log_trapezoid` -- the rule it runs on.  Its exponent is smooth and
-  strictly concave on the whole real line, so a peak-centred trapezoid
-  rule converges exponentially (Trefethen & Weideman, "The exponentially
-  convergent trapezoidal rule", SIAM Review 56(3), 2014), for all
-  abscissas at once.
+* :func:`_log_trapezoid` -- the rule it runs on, for its one exponent
+  (``_latent_exponent``).  The exponent is smooth and strictly concave on
+  the whole real line, so a peak-centred trapezoid rule converges
+  exponentially (Trefethen & Weideman, "The exponentially convergent
+  trapezoidal rule", SIAM Review 56(3), 2014), for all abscissas at once.
 * :func:`adaptive_quad` -- globally adaptive Gauss-Kronrod bisection of
   given panels at fixed settings, used by the Mellin oracle (and the
   tests) only, so the oracle shares no integration code with the
@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 __all__ = ["ABS_TOL", "HALF_LOG_TWO_PI", "NonConvergenceError",
-           "adaptive_quad", "gk15", "log_latent_integral", "log_trapezoid"]
+           "adaptive_quad", "gk15", "log_latent_integral"]
 
 REL_TOL = 1e-9   # adaptive_quad's settings, read at each call, not options
 ABS_TOL = 1e-12   # (mellin's window scan reads this one too)
@@ -167,49 +167,46 @@ _GAUSSIAN = 1e-10   # narrower integrands are Gaussian to double precision
 _CHUNK = 256   # problems per pass; bounds the (problems x nodes) work arrays
 
 
-def log_trapezoid(g, width, strip: float, *params) -> np.ndarray:
-    """log of the integral of exp(g(d)) over the real line, per problem.
-
-    ``g(d, *cols)`` is a strictly concave exponent measured from its peak,
-    so ``g(0) = 0``; ``d`` has shape (k, m) and each of ``cols`` is a
-    (k, 1) column of the matching per-problem array in ``params``, or the
-    scalar itself.
-    ``width`` is the Laplace width 1/sqrt(-g''(0)) per problem and
+def _log_trapezoid(width, strip: float, q: float, slope: float, *params):
+    """log of the integral of exp(_latent_exponent(d, q, slope, *params))
+    over the real line, per problem: ``params`` are the per-problem
+    arrays t1, t2, shift1 and shift2, and the exponent is strictly concave
+    and measured from its peak, so it is 0 at d = 0.
+    ``width`` is the Laplace width 1/sqrt(-p''(w)) per problem and
     ``strip`` the half-width of the strip around the real line on which
     the integrand is analytic.  The step is min(width/2, strip/6) with the
-    width capped at 1, and the grid runs out to where g has fallen by
-    about 46 on each side, found by doubling from 8 widths (where a
-    Gaussian has fallen by 32) and then bisecting to within four steps.
+    width capped at 1, and the grid runs out to where the exponent has
+    fallen by about 46 on each side, found by doubling from 8 widths
+    (where a Gaussian has fallen by 32) and then bisecting to within four
+    steps.
 
     Below a width of 1e-10 the result is Laplace's log(sqrt(2 pi) width).
-    For the exponents here (built from exp and cosh, whose higher
-    derivatives scale like the curvature) its relative error is of the
-    order of the squared width, below double precision, while the peak
-    itself can no longer be placed to within a width.
+    For this exponent (built from exp, whose higher derivatives scale like
+    the curvature) its relative error is of the order of the squared
+    width, below double precision, while the peak itself can no longer be
+    placed to within a width.
     """
-    width = np.minimum(np.asarray(width, dtype=float), 1.0)
-    params = [np.asarray(p, dtype=float) for p in params]
+    width = np.minimum(width, 1.0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = HALF_LOG_TWO_PI + np.log(width)
         rows = np.flatnonzero(width >= _GAUSSIAN)
         for start in range(0, rows.size, _CHUNK):
             part = rows[start:start + _CHUNK]
             out[part] = _log_trapezoid_chunk(
-                g, width[part], strip,
-                [p[part][:, None] if p.ndim else p for p in params])
+                width[part], strip, q, slope, [p[part, None] for p in params])
     return out
 
 
 _SIDES = np.array([-1.0, 1.0])
 
 
-def _log_trapezoid_chunk(g, width, strip, cols):
+def _log_trapezoid_chunk(width, strip, q, slope, cols):
     step = np.minimum(0.5 * width, strip / 6.0)[:, None]
 
     def above(dist):   # (k, 2) distances to the left and right of the peak
-        return g(dist * _SIDES, *cols) > -_DROP
+        return _latent_exponent(dist * _SIDES, q, slope, *cols) > -_DROP
 
-    # bracket each end: g(lo) > -46 >= g(hi), then narrow it to four steps
+    # bracket each end: p(lo) > -46 >= p(hi), then narrow it to four steps
     lo = np.zeros((width.size, 2))
     hi = np.repeat(8.0 * width[:, None], 2, axis=1)
     for _ in range(64):
@@ -231,7 +228,8 @@ def _log_trapezoid_chunk(g, width, strip, cols):
     k = np.arange(-nodes[:, 0].max(), nodes[:, 1].max() + 1)
     inside = (k >= -nodes[:, :1]) & (k <= nodes[:, 1:])
     d = np.where(inside, k * step, 0.0)
-    total = np.where(inside, np.exp(g(d, *cols)), 0.0).sum(axis=1)
+    exponent = _latent_exponent(d, q, slope, *cols)
+    total = np.where(inside, np.exp(exponent), 0.0).sum(axis=1)
     return np.log(step[:, 0]) + np.log(total)
 
 
@@ -266,10 +264,9 @@ def log_latent_integral(a1: float, c1: float, a2: float, c2: float,
     (t1, t2), shifts = np.exp(clipped), clipped - log_t
     with np.errstate(over="ignore"):
         return (a1 * big_t + slope * w - t1 - t2
-                + log_trapezoid(_latent_exponent,
-                                1.0 / np.sqrt(q * q * t1 + t2),
-                                min(0.5 * math.pi, 0.5 * math.pi / q),
-                                q, slope, t1, t2, *shifts))
+                + _log_trapezoid(1.0 / np.sqrt(q * q * t1 + t2),
+                                 min(0.5 * math.pi, 0.5 * math.pi / q),
+                                 q, slope, t1, t2, *shifts))
 
 
 def _latent_exponent(d, q, slope, t1, t2, shift1, shift2):

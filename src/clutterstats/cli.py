@@ -171,6 +171,7 @@ def _cmd_estimate(args) -> int:
         params, speckle_family = _parse_params(args.speckle)
         speckle = estimation.known_speckle(
             "gamma" if speckle_family is None else speckle_family, params)
+        dist.log_cumulants_analytic(speckle, orders)   # k_1..k_orders finite
     estimation.check_fit(args.family, orders)
     # the column is only an argument, so it is freed once its logs exist
     stats = estimation.empirical_log_stats(_read_column(args.input),

@@ -15,22 +15,21 @@ downstream:
 * ``digamma`` / ``polygamma`` -- Bernoulli asymptotic series, shifted
   upward until the argument is >= 10 (>= 2m + 2 for polygamma of order
   m >= 5); ``_series`` is the one sum of the ln_gamma, digamma and
-  polygamma series, and ``_shift`` the one upward recurrence of
-  ln_gamma, digamma and the scaled polygamma (the plain polygamma keeps
-  its own loop, which also runs over arrays).  ``polygamma(m, x)``
-  meets mpmath to about 1e-15 through order 130 (6e-15 at order 1000),
-  so k_n is at full precision through n = 8 = ``MAX_ORDER``, the cap
-  ``check_order`` puts on every moment and cumulant order (against
-  mpmath, each k_7 and k_8 of 2,195 specs is within 7.3e-16 of the sum
-  of its terms' magnitudes).  Orders whose factorials leave the double
-  range are computed too.  ``polygamma`` also takes an array of x, of
-  any length or shape, by one path: the one shift loop and series run
-  over every element at once, and only the elements whose plain-float
-  terms leave the doubles take the scaled form, one by one.  An element
-  is within a few ulp of the float call (numpy's vectorized ``**``
-  rounds apart from the C library's ``pow``), and its bits do not depend
-  on the other elements of its call.  A float call keeps its bits, and a
-  bad element gets the float call's message.
+  polygamma series, and ``_shift`` the one upward recurrence of all
+  three, lane by lane over a float or an array.  ``polygamma`` takes
+  the orders 1 to ``MAX_ORDER`` = 8 (through ``check_order``, the cap
+  on every moment and cumulant order), and ``polygamma(m, x)`` meets
+  40-digit mpmath to 1e-15 at each of them for x in [1e-3, 1e6], so k_n
+  is at full precision through n = 8 (against mpmath, each k_7 and k_8
+  of 2,195 specs is within 7.3e-16 of the sum of its terms'
+  magnitudes).  ``polygamma`` also takes an array of x, of any length
+  or shape, by one path: the one shift loop and series run over every
+  element at once, and only the elements whose plain-float terms leave
+  the doubles take the scaled form, one by one.  An element is within
+  a few ulp of the float call (numpy's vectorized ``**`` rounds apart
+  from the C library's ``pow``), and its bits do not depend on the
+  other elements of its call.  A float call keeps its bits, and a bad
+  element gets the float call's message.
 * ``log_bessel_k_batch`` -- log K_nu for a whole abscissa array.  K is
   the latent integral of two unit gammas at q = 1
   (``_quad.log_latent_integral``, the kernel of the compound densities),
@@ -104,14 +103,16 @@ def ln_gamma(x: float) -> float:
             + _stirling_series(y) - log_shift)
 
 
-def _shift(x: float, threshold: float, term) -> tuple[float, float]:
-    """The upward recurrence of ln_gamma, digamma and the scaled
-    polygamma: the sum of term(y) over y = x, x + 1, ... below
-    ``threshold``, and the first y past it."""
-    acc, y = 0.0, x
-    while y < threshold:
-        acc += term(y)
-        y += 1.0
+def _shift(x, threshold: float, term):
+    """The upward recurrence of ln_gamma, digamma and both polygamma
+    paths, lane by lane over a float (one lane) or an array: the sum of
+    term(y) over y = x, x + 1, ... below ``threshold``, and the first y
+    past it.  A lane past the threshold adds 0 and stays put."""
+    acc, y, live = 0.0, x, x < threshold
+    while live is True or live is not False and live.any():  # bool or mask
+        acc = acc + live * term(y)
+        y = y + live
+        live = y < threshold
     return acc, y
 
 
@@ -152,39 +153,31 @@ def digamma(x: float) -> float:
 
 
 @functools.cache
-def _plain_constants(m: int) -> tuple[float, float, tuple[float, ...]] | None:
+def _plain_constants(m: int) -> tuple[float, float, tuple[float, ...]]:
     """m!, (m-1)! and the series coefficients B_2k (2k + m - 1)! / (2k)!,
-    k = 1..10, as floats for polygamma of order m; None where a factorial
-    is past the doubles.  Either that or a coefficient of inf (m = 159)
-    leaves no finite plain-float value: the order is always scaled."""
-    try:
-        return (float(math.factorial(m)), float(math.factorial(m - 1)),
-                tuple(b * math.prod(range(2 * k + 1, 2 * k + m))
-                      for k, b in enumerate(_B2K, start=1)))
-    except OverflowError:
-        return None
+    k = 1..10, as floats for polygamma of order m."""
+    return (float(math.factorial(m)), float(math.factorial(m - 1)),
+            tuple(b * math.prod(range(2 * k + 1, 2 * k + m))
+                  for k, b in enumerate(_B2K, start=1)))
 
 
-def _polygamma_plain(m: int, x, threshold: float, consts):
+def _polygamma_plain(m: int, x, threshold: float):
     """|psi^(m)(x)| in plain floats over a float or an array x, and the
     last series factor t = 1/y^(m+2).  m!/y^(m+1) is summed over y = x,
     x + 1, ... below ``threshold``, then the asymptotic series is taken
     at the first y past it.  A float raises ArithmeticError where a term
     leaves the double range; under np.errstate an array lane is then
     non-finite, or has t = 0 (a power of its y past the doubles)."""
-    fact_m, fact_m1, coefs = consts
-    acc, y, live = 0.0, x, x < threshold
-    while live is True or live is not False and live.any():  # bool or mask
-        acc = acc + live * (fact_m / y ** (m + 1))   # a lane past adds 0
-        y = y + live
-        live = y < threshold
+    fact_m, fact_m1, coefs = _plain_constants(m)
+    acc, y = _shift(x, threshold, lambda y: fact_m / y ** (m + 1))
     t = 1.0 / y ** (m + 2)
     body = fact_m1 / y**m + fact_m / (2.0 * y ** (m + 1))
     return acc + _series(coefs, t, 1.0 / (y * y), body), t
 
 
 def polygamma(order: int, x):
-    """psi^(order)(x), the order-th derivative of digamma, for order >= 1.
+    """psi^(order)(x), the order-th derivative of digamma, for an order
+    from 1 to ``MAX_ORDER``.
 
     The sign alternates: psi^(m) has sign (-1)^(m+1) everywhere on x > 0.
     A value past the double range is +-inf.  ``x`` is a float (a float
@@ -192,29 +185,25 @@ def polygamma(order: int, x):
     by one vectorized path: each element within a few ulp of the float
     call, with the same bits in any call that carries it).
     """
-    m = check_integer(order, "polygamma order", 1)
+    m = check_order(order, "polygamma")
     # the series needs y >> m: its terms grow like (2k + m)! / (2 pi y)^(2k)
     threshold = max(_SHIFT_THRESHOLD, 2.0 * m + 2.0)
     sign = 1.0 if m % 2 == 1 else -1.0
     if not isinstance(x, np.ndarray) or not x.ndim:
         x = _require_positive_finite("polygamma", x)
-        value, consts = math.nan, _plain_constants(m)
         try:                           # in plain floats while they hold
-            if consts is not None:
-                value = _polygamma_plain(m, x, threshold, consts)[0]
+            value = _polygamma_plain(m, x, threshold)[0]
         except ArithmeticError:        # a term left the double range
-            pass
+            value = math.nan
         if not math.isfinite(value):
             value = _polygamma_scaled(m, x, threshold)
         return sign * value
     x = x.astype(float)
     if not np.all(ok := (0.0 < x) & (x < math.inf)):
         _require_positive_finite("polygamma", x[~ok][0])   # raises
-    value, consts = np.full(x.shape, math.nan), _plain_constants(m)
-    if consts is not None:             # every lane in plain floats at once
-        with np.errstate(all="ignore"):
-            value, t = _polygamma_plain(m, x, threshold, consts)
-        value[t == 0.0] = math.nan
+    with np.errstate(all="ignore"):    # every lane in plain floats at once
+        value, t = _polygamma_plain(m, x, threshold)
+    value[t == 0.0] = math.nan
     scaled = ~np.isfinite(value)       # lanes past the doubles, one by one
     value[scaled] = [_polygamma_scaled(m, v, threshold)
                      for v in x[scaled].tolist()]
@@ -225,13 +214,9 @@ def _polygamma_scaled(m: int, x: float, threshold: float) -> float:
     """|psi^(m)(x)| as (m-1)!/x^m, held as mantissa and binary exponent,
     times (m/x) sum_j (x/(x+j))^(m+1) + (x/y)^m (1 + m/(2y)
     + sum_k B_2k C(2k + m - 1, 2k) / y^(2k)): each part is in range."""
-    f = math.factorial(m - 1)
-    drop = max(f.bit_length() - 64, 0)
-    (mant, e), (mx, ex) = math.frexp(float(f >> drop)), math.frexp(x)
-    e += drop - ex * m
-    for n in range(m, 0, -512):        # mx^512 >= 2^-512 stays normal
-        mant, k = math.frexp(mant / mx ** min(n, 512))
-        e += k
+    (mant, e), (mx, ex) = math.frexp(math.factorial(m - 1)), math.frexp(x)
+    mant, k = math.frexp(mant / mx**m)  # mx^8 >= 2^-8 stays normal
+    e += k - ex * m
     shifts, y = _shift(x, threshold, lambda y: (x / y) ** (m + 1))
     z, series = 1.0 / (y * y), 1.0 + m / (2.0 * y)
     for k, b in enumerate(_B2K, start=1):

@@ -421,12 +421,19 @@ class TestEstimate:
         (["--family", "gamma", "--speckle", "L=1e-320"],
          "gamma: canonical scale inf of GammaPower(L=1e-320, mu=1.0) is "
          "outside the double range\n"),
+        (["--family", "gamma", "--speckle", "L=1e-200"],
+         "log_cumulants_analytic: k_2 of GammaPower(L=1e-200, mu=1.0) is "
+         "outside the double range\n"),
+        (["--family", "gamma", "--orders", "8", "--speckle", "L=1e-40"],
+         "log_cumulants_analytic: k_8 of GammaPower(L=1e-40, mu=1.0) is "
+         "outside the double range\n"),
     ] + [  # a compound speckle is refused before its fields are asked for
         (["--family", "gamma", "--speckle", f"family={family}"],
          f"speckle must be a simple family, got {family}\n")
         for family in COMPOUND
     ], ids=["family", "speckle-family", "speckle-L", "orders",
             "speckle-empty-family", "speckle-past-the-doubles",
+            "speckle-k2-past-the-doubles", "speckle-k8-past-the-doubles",
             *(f"compound-speckle-{family}" for family in COMPOUND)])
     def test_arguments_are_checked_before_the_file(self, capsys, argv,
                                                    message):
@@ -436,6 +443,16 @@ class TestEstimate:
         assert code == 2
         assert err.startswith("error: " + message)
         assert "exist.csv" not in err
+        assert out == ""
+
+    def test_a_speckle_is_checked_at_the_orders_asked_for(self, capsys):
+        # L=1e-40 leaves the doubles at k_8 only: at --orders 4 the file
+        # is opened
+        code, out, err = run(capsys, "estimate", "--family", "gamma",
+                             "--input", "/does/not/exist.csv", "--orders",
+                             "4", "--speckle", "L=1e-40")
+        assert code == 2
+        assert err.startswith("error: ") and "exist.csv" in err
         assert out == ""
 
     def test_compound_speckle_is_rejected_before_the_file(self, capsys):

@@ -273,6 +273,13 @@ class TestEveryCode:
             str(c[i]) if isinstance(c, range) else f"{c[i]:.17g}"
             for c in columns) + "\n" for i in index).encode()
 
+    def test_zero_rows(self, tmp_path):
+        # no rows format to no bytes, and a file of none is its header line
+        assert _csv.format_rows([range(0), np.empty(0), np.empty(0)]) == b""
+        path = tmp_path / "empty.csv"
+        _csv.write_csv(path, "i,x", [range(0), np.empty(0)])
+        assert path.read_bytes() == b"i,x\n"
+
 
 class TestSampleFiles:
     @pytest.mark.parametrize("family", sorted(dist.FAMILY_TAGS))

@@ -45,11 +45,10 @@ def test_console_scripts_import_to_callables():
         assert callable(getattr(importlib.import_module(module), attr)), name
 
 
-# every public entry point that takes an integer argument: the call, the
-# least value it takes (None: any integer) and its message before the value
+# every public entry point that takes an integer argument without a cap:
+# the call, the least value it takes (None: any integer) and its message
+# before the value (a capped order, as polygamma's, is tested below)
 INTEGER_ARGUMENTS = {
-    "polygamma order": (lambda v: specfun.polygamma(v, 1.0), 1,
-                        "polygamma order must be an integer >= 1, got "),
     "classical_moment order": (
         lambda v: distributions.classical_moment(
             distributions.GammaPower(1.0, 1.0), v), 0,
@@ -72,3 +71,13 @@ def test_integer_arguments_reject_bools_fractions_and_small_values(name):
         with pytest.raises(ValueError) as info:
             call(value)
         assert str(info.value) == message + repr(value)
+
+
+@pytest.mark.parametrize("order", [0, 9, True, 1.5])
+def test_polygamma_takes_the_orders_check_order_takes(order):
+    # an order outside 1..MAX_ORDER gets check_order's one message
+    message = (f"unsupported order {order!r} for polygamma: orders are "
+               "integers from 1 to 8")
+    with pytest.raises(ValueError) as info:
+        specfun.polygamma(order, 1.0)
+    assert str(info.value) == message
