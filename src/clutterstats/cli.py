@@ -145,8 +145,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sample(args) -> int:
     spec = _build_spec(args.family, args.params)
-    if args.n < 1:
-        raise ValueError(f"--n must be >= 1, got {args.n}")
     batch = sample(spec, args.n, args.seed)
     header, columns = "index,x", [range(args.n), batch.values]
     if batch.texture is not None:

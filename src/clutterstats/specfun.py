@@ -15,8 +15,8 @@ downstream:
 * ``digamma`` / ``polygamma`` -- Bernoulli asymptotic series, shifted
   upward until the argument is >= 10 (>= 2m + 2 for polygamma of order
   m >= 5); ``_series`` is the one sum of the ln_gamma, digamma and
-  polygamma series, and ``_shift`` the one upward recurrence of all
-  three, lane by lane over a float or an array.  ``polygamma`` takes
+  both polygamma paths' series, and ``_shift`` the one recurrence of
+  all of them, lane by lane over a float or an array.  ``polygamma`` takes
   the orders 1 to ``MAX_ORDER`` = 8 (through ``check_order``, the cap
   on every moment and cumulant order), and ``polygamma(m, x)`` meets
   40-digit mpmath to 1e-15 at each of them for x in [1e-3, 1e6], so k_n
@@ -218,9 +218,9 @@ def _polygamma_scaled(m: int, x: float, threshold: float) -> float:
     mant, k = math.frexp(mant / mx**m)  # mx^8 >= 2^-8 stays normal
     e += k - ex * m
     shifts, y = _shift(x, threshold, lambda y: (x / y) ** (m + 1))
-    z, series = 1.0 / (y * y), 1.0 + m / (2.0 * y)
-    for k, b in enumerate(_B2K, start=1):
-        series += b * math.comb(2 * k + m - 1, 2 * k) * z**k
+    z = 1.0 / (y * y)
+    series = _series([b * math.comb(2 * k + m - 1, 2 * k) for k, b
+                      in enumerate(_B2K, start=1)], z, z, 1.0 + m / (2.0 * y))
     mant, k = math.frexp(mant * (m / x * shifts + (x / y) ** m * series))
     return math.ldexp(mant, e + k) if e + k <= 1024 else math.inf
 

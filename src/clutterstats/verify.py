@@ -58,8 +58,8 @@ class CheckOutcome:
                 f"max_err={self.max_error:.3e}  gate={self.threshold:.1e}{extra}")
 
 
-# five parameter sets per family; Fisher keeps M > 2 so the s = 3 grid
-# point stays inside the strip
+# five parameter sets per family; every strip holds all of GRID_S (Fisher
+# keeps M > 2 for s = 3), as test_grid_s_lies_inside_every_strip checks
 PARAM_GRID: dict[str, list[dist.DistributionSpec]] = {
     "gamma": [dist.GammaPower(0.3, 1.0), dist.GammaPower(1.0, 2.0),
               dist.GammaPower(2.5, 1.0), dist.GammaPower(4.0, 3.0),
@@ -132,18 +132,12 @@ def _selected(families) -> list[str]:
 
 def transform_tables(families=None) -> dict[dist.DistributionSpec,
                                             mellin.TransformTable]:
-    """Per spec of the selected families, its transform at every s the
-    quadrature checks read (``GRID_S``, 1 and ``CONVOLUTION_S``, kept to
-    those inside the strip), from one vector-valued pass per spec."""
-    wanted = sorted({*GRID_S, 1.0, *CONVOLUTION_S})
-    tables = {}
-    for family in _selected(families):
-        for spec in PARAM_GRID[family]:
-            lo, hi = dist.strip(spec)
-            tables[spec] = mellin.mellin_table(
-                lambda x, spec=spec: dist.pdf(spec, x),
-                [s for s in wanted if lo < s < hi])
-    return tables
+    """Per spec of the selected families, its transform at every s of
+    ``GRID_S``, which holds 1 and ``CONVOLUTION_S`` and lies inside every
+    ``PARAM_GRID`` strip, from one vector-valued pass per spec."""
+    return {spec: mellin.mellin_table(lambda x, spec=spec: dist.pdf(spec, x),
+                                      GRID_S)
+            for family in _selected(families) for spec in PARAM_GRID[family]}
 
 
 def _quadrature_outcome(name: str, family: str, gate: float, rows,
@@ -194,12 +188,12 @@ def normalization_checks(tables) -> list[CheckOutcome]:
 
 def transform_agreement_checks(tables) -> list[CheckOutcome]:
     """Analytic transform vs quadrature within ``AGREEMENT_GATE`` at each s
-    of the grid that a spec's table holds, one outcome per family."""
+    of ``GRID_S``, one outcome per family."""
     out = []
     for family, specs in _by_family(tables).items():
         rows = []
         for spec in specs:
-            for s in (s for s in tables[spec].s if s in GRID_S):
+            for s in GRID_S:
                 analytic = dist.chf2_analytic(spec, s)
                 err = abs(tables[spec].at(s)[0] - analytic) / abs(analytic)
                 rows.append((err, f"{_spec_label(spec)} s={s:g}", spec, [s]))

@@ -185,12 +185,14 @@ class TestSample:
             "--n", "50", "--seed", "1", "--out", str(out))
         assert out.read_text().splitlines()[0] == "index,x"
 
-    def test_zero_draws_exit_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_zero_draws_exit_2(self, capsys, tmp_path, n):
+        out = tmp_path / "x.csv"
         code, _, err = run(capsys, "sample", "--family", "gamma",
-                           "--params", "L=4,mu=1", "--n", "0",
-                           "--out", str(tmp_path / "x.csv"))
+                           "--params", "L=4,mu=1", "--n", n, "--out", str(out))
         assert code == 2
-        assert ">= 1" in err
+        assert err == f"error: sample count must be an integer >= 1, got {n}\n"
+        assert not out.exists()
 
     def test_unwritable_path_exit_2(self, capsys):
         code, _, _ = run(capsys, "sample", "--family", "gamma",

@@ -130,11 +130,21 @@ class TestOnePassPerSpec:
         assert seen[0] == 2 * counted   # the count repeats exactly
 
     def test_tables_hold_every_s_the_checks_read(self):
-        for spec, table in verify.transform_tables(["fisher", "k"]).items():
+        tables = verify.transform_tables()
+        assert {dist.family_tag(spec) for spec in tables} \
+            == set(verify.PARAM_GRID)
+        for table in tables.values():
+            assert table.s == verify.GRID_S
+
+    def test_grid_s_lies_inside_every_strip(self):
+        # the tables are built at GRID_S with no per-spec filter, so every
+        # s the checks read must be inside every spec's strip
+        assert 1.0 in verify.GRID_S
+        assert set(verify.CONVOLUTION_S) <= set(verify.GRID_S)
+        for spec in (spec for family in verify.PARAM_GRID.values()
+                     for spec in family):
             lo, hi = dist.strip(spec)
-            assert 1.0 in table.s
-            assert {s for s in verify.GRID_S if lo < s < hi} <= set(table.s)
-            assert set(verify.CONVOLUTION_S) <= set(table.s)
+            assert lo < min(verify.GRID_S) and max(verify.GRID_S) < hi, spec
 
     def test_no_table_outlives_a_run(self, monkeypatch):
         seen = count_pdf_points(monkeypatch)

@@ -195,9 +195,12 @@ class TestPolygamma:
         (2, 0.05, "-0x1.f410dd81f3f86p+13"), (2, 3.7, "-0x1.86bd3b32e5397p-4"),
         (2, 1e100, "-0x1.87e92154ef7acp-665"),
         (3, 1.5, "0x1.68ba30a420962p+0"), (3, 42.0, "0x1.d554d34691559p-16"),
+        (3, 1e70, "0x1.50a6110d6a9b6p-697"),
         (4, 14.0, "-0x1.791c5f3a20e68p-13"), (4, 0.3, "-0x1.34dbbf9a063f6p+13"),
         (4, 1e70, "-0x1.5c8503b6d70a2p-928"),
-        (5, 0.7, "0x1.005503c118edep+10"), (6, 13.0, "-0x1.04f75fd87b403p-15"),
+        (5, 0.7, "0x1.005503c118edep+10"), (5, 1e50, "0x1.12eef8639e1b7p-826"),
+        (6, 13.0, "-0x1.04f75fd87b403p-15"),
+        (6, 1e45, "-0x1.fb29a9fa1000ep-891"),
         (7, 25.0, "0x1.22ae298416b90p-23"), (7, 2.5, "0x1.c859aa304c704p+1"),
         (7, 1e40, "0x1.46bcb37b69998p-921"),
         (8, 19.5, "-0x1.3c042864894dfp-22"),
