@@ -5,6 +5,20 @@ Subcommands: ``table`` (analytic moments and log-cumulants), ``verify``
 from a CSV; its ``--speckle`` is ``estimation.known_speckle``'s spec),
 ``simulate`` (texture sweep with CSV and optional SVG).
 
+Building and parsing the command line imports no numerical code (the
+parser reads ``_catalog``), so ``--help`` and a usage error load no numpy.
+Each command imports what it runs: ``table`` the catalog
+(``distributions``, with ``specfun`` and ``_quad``); ``verify`` the oracle
+(``verify``, which loads ``mellin``, ``estimation`` and ``sampling``);
+``sample`` the samplers and the CSV writer; ``estimate`` the CSV reader
+and the fit (``estimation``, with ``mellin``); ``simulate`` the sweep
+(``sweep``, which loads the samplers, the log statistics and the CSV
+writer).  An option left out takes the library's own default, read when
+the command runs.  The commands call ``sample``, ``texture_sweep``,
+``write_sweep_csv`` and ``render_sweep_svg`` through this module's names,
+bound at import to forwarders that import their module on the first
+call, so a caller may rebind them.
+
 Exit codes: 0 pass, 1 verification failure, 2 usage or I/O error (out
 of memory too), 3 estimation failure, 141 stdout closed by its reader
 (128 + SIGPIPE).
@@ -13,26 +27,33 @@ of memory too), 3 estimation failure, 141 stdout closed by its reader
 from __future__ import annotations
 
 import argparse
-import json
+import importlib
 import math
 import os
 import sys
-from dataclasses import asdict, astuple, fields
 
-from . import _csv
-from . import distributions as dist
-from . import estimation, verify
-from .sampling import sample
-from .specfun import MAX_ORDER, check_order
-from .sweep import (DEFAULT_L, DEFAULT_M_GRID, DEFAULT_MU, DEFAULT_SAMPLES,
-                    DEFAULT_SEED, default_m_grid, render_sweep_svg,
-                    texture_sweep, write_sweep_csv)
+from ._catalog import FAMILY_TAGS, MAX_ORDER
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_ESTIMATION = 3
 EXIT_BROKEN_PIPE = 128 + 13   # SIGPIPE, as a shell reports it
+
+
+def _forward(module: str, name: str):
+    """A stand-in for ``module.name``: a call imports the module (the
+    first one loads it) and calls through it."""
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f".{module}", __package__),
+                       name)(*args, **kwargs)
+    return call
+
+
+sample = _forward("sampling", "sample")
+texture_sweep = _forward("sweep", "texture_sweep")
+write_sweep_csv = _forward("sweep", "write_sweep_csv")
+render_sweep_svg = _forward("sweep", "render_sweep_svg")
 
 
 def _parse_params(text: str) -> tuple[dict[str, float], str | None]:
@@ -62,10 +83,11 @@ def _parse_params(text: str) -> tuple[dict[str, float], str | None]:
 
 
 def _build_spec(family: str, params_text: str) -> dist.DistributionSpec:
+    from .distributions import make_spec
     params, extra_family = _parse_params(params_text)
     if extra_family is not None:
         raise ValueError("family= belongs in --family, not --params")
-    return dist.make_spec(family, params)
+    return make_spec(family, params)
 
 
 def _parse_m_grid(text: str) -> list[float]:
@@ -86,15 +108,32 @@ def _parse_m_grid(text: str) -> list[float]:
     if not (0.0 < start < stop < math.inf) or count < 2:
         raise ValueError("--M-grid needs 0 < start < stop < inf, count >= 2")
     if log_spaced:
+        from .sweep import default_m_grid
         return default_m_grid(start, stop, count)
     step = (stop - start) / (count - 1)
     return [start + i * step for i in range(count)]
 
 
 def _spec_text(spec: dist.DistributionSpec) -> str:
+    from dataclasses import astuple, fields
+
+    from .distributions import family_tag
     inner = ", ".join(f"{f.name}={v:.12g}"
                       for f, v in zip(fields(spec), astuple(spec)))
-    return f"{dist.family_tag(spec)}({inner})"
+    return f"{family_tag(spec)}({inner})"
+
+
+def _given(**options) -> dict:
+    """The options given on the command line; one left out (None) takes
+    the library's own default."""
+    return {name: value for name, value in options.items()
+            if value is not None}
+
+
+def _estimation_error() -> type:
+    """``main``'s exit-3 class, imported only when an error reaches it."""
+    from .estimation import EstimationError
+    return EstimationError
 
 
 def _write(path: str, write) -> None:
@@ -108,6 +147,8 @@ def _write(path: str, write) -> None:
 # subcommands ----------------------------------------------------------------
 
 def _cmd_table(args) -> int:
+    from . import distributions as dist
+    from .specfun import check_order
     spec = _build_spec(args.family, args.params)
     orders = check_order(args.orders, "--orders")
     print(f"family: {_spec_text(spec)}")
@@ -128,10 +169,13 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
     families = None if args.families is None else args.families.split(",")
-    outcomes = verify.run_all(families=families, seed=args.seed)
+    outcomes = verify.run_all(families=families, **_given(seed=args.seed))
     failed = [o for o in outcomes if not o.passed]
     if args.json:
+        import json
+        from dataclasses import asdict
         # JSON has no inf or nan: a non-finite number prints as null
         print(json.dumps([
             {k: None if isinstance(v, float) and not math.isfinite(v) else v
@@ -144,6 +188,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from . import _csv
     spec = _build_spec(args.family, args.params)
     batch = sample(spec, args.n, args.seed)
     header, columns = "index,x", [range(args.n), batch.values]
@@ -155,6 +200,7 @@ def _cmd_sample(args) -> int:
 
 
 def _read_column(path: str):
+    from . import _csv
     try:
         return _csv.read_column(path)
     except ValueError as exc:
@@ -162,6 +208,9 @@ def _read_column(path: str):
 
 
 def _cmd_estimate(args) -> int:
+    from . import distributions as dist
+    from . import estimation
+    from .specfun import check_order
     # the arguments are checked before the file is read
     orders = check_order(args.orders, "--orders")
     speckle = None
@@ -206,9 +255,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    grid = _parse_m_grid(args.m_grid)
-    rows = texture_sweep(L=args.L, mu=args.mu, m_grid=grid, n=args.samples,
-                         seed=args.seed)
+    grid = None if args.m_grid is None else _parse_m_grid(args.m_grid)
+    rows = texture_sweep(**_given(L=args.L, mu=args.mu, m_grid=grid,
+                                  n=args.samples, seed=args.seed))
     _write(args.out, lambda: write_sweep_csv(rows, args.out))
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     if args.plot:
@@ -224,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "families: tables, oracle verification, sampling, "
                     "estimation, texture sweeps.")
     sub = parser.add_subparsers(dest="command", required=True)
-    family_help = f"one of {{{','.join(dist.FAMILY_TAGS)}}}"
+    family_help = f"one of {{{','.join(FAMILY_TAGS)}}}"
 
     p = sub.add_parser("table", help="print analytic moments and log-cumulants")
     p.add_argument("--family", required=True, help=family_help)
@@ -237,8 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the oracle verification suite")
     p.add_argument("--families", default=None,
                    help="comma list restricting the family checks")
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_MC_SEED,
-                   help="Monte-Carlo seed")
+    p.add_argument("--seed", type=int, help="Monte-Carlo seed")
     p.add_argument("--json", action="store_true",
                    help="print the outcomes as one JSON array")
     p.set_defaults(func=_cmd_verify)
@@ -263,13 +311,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("simulate", help="texture log-cumulant sweep over M")
-    p.add_argument("--L", type=float, default=DEFAULT_L, help="speckle shape")
-    p.add_argument("--mu", type=float, default=DEFAULT_MU, help="texture mean")
-    p.add_argument("--M-grid", dest="m_grid",
-                   default="{:g}:{:g}:{}:log".format(*DEFAULT_M_GRID),
-                   help="start:stop:count[:log]")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--L", type=float, help="speckle shape")
+    p.add_argument("--mu", type=float, help="texture mean")
+    p.add_argument("--M-grid", dest="m_grid", help="start:stop:count[:log]")
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--plot", default=None, help="optional SVG path")
     p.set_defaults(func=_cmd_simulate)
@@ -286,7 +332,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:   # `| head -1`: devnull takes the final flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except estimation.EstimationError as exc:
+    except _estimation_error() as exc:
         print(f"estimation error: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
     except (ValueError, OSError, OverflowError, MemoryError) as exc:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import specfun
+from . import _catalog, specfun
 from ._quad import adaptive_quad  # noqa: F401  bound for bench/tracing.py
 from ._quad import log_latent_integral
 
@@ -155,18 +155,11 @@ class InverseGamma(DistributionSpec):
     scale: float
 
 
-# CLI-facing tags; InverseGamma is an internal component family
-FAMILY_TAGS: dict[str, type] = {
-    "gamma": GammaPower,
-    "nakagami": Nakagami,
-    "maxwell": Maxwell,
-    "weibull": Weibull,
-    "rayleigh": Rayleigh,
-    "ggamma": GammaGamma,
-    "k": KAmplitude,
-    "wnak": WeibullNakagami,
-    "fisher": Fisher,
-}
+# CLI-facing tags, in ``_catalog``'s order; InverseGamma is an internal
+# component family
+FAMILY_TAGS: dict[str, type] = dict(zip(_catalog.FAMILY_TAGS, (
+    GammaPower, Nakagami, Maxwell, Weibull, Rayleigh, GammaGamma, KAmplitude,
+    WeibullNakagami, Fisher), strict=True))
 
 
 # every spec class's tag, the internal component family's included

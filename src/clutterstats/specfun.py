@@ -2,7 +2,8 @@
 the package's one integer-argument check.
 
 Self-contained (no dependency on the rest of the package beyond the
-latent-integral kernel in ``_quad``) and accurate enough for everything
+latent-integral kernel in ``_quad`` and ``MAX_ORDER``, which ``_catalog``
+states for the command-line parser) and accurate enough for everything
 downstream:
 
 * ``ln_gamma``  -- Stirling series after an upward recurrence shift,
@@ -46,13 +47,12 @@ import math
 
 import numpy as np
 
+from ._catalog import MAX_ORDER
 from ._quad import adaptive_quad  # noqa: F401  bound for bench/tracing.py
 from ._quad import HALF_LOG_TWO_PI, log_latent_integral
 
 __all__ = ["MAX_ORDER", "check_integer", "check_order", "ln_gamma",
            "log_gamma_ratio", "digamma", "polygamma", "log_bessel_k_batch"]
-
-MAX_ORDER = 8
 
 # Bernoulli numbers B_2, B_4, ..., B_20
 _B2K = (

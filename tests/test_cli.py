@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import clutterstats
-from clutterstats import cli, estimation, sweep, verify
+from clutterstats import cli, distributions, estimation, sweep, verify
 from clutterstats.cli import main
 from clutterstats.specfun import polygamma
 from clutterstats.sweep import SWEEP_CSV_HEADER
@@ -384,7 +384,7 @@ class TestEstimate:
         data = tmp_path / "g.csv"
         run(capsys, "sample", "--family", "gamma", "--params", "L=4,mu=1",
             "--n", "100", "--out", str(data))
-        monkeypatch.setattr(cli.dist, "log_cumulants_analytic",
+        monkeypatch.setattr(distributions, "log_cumulants_analytic",
                             lambda spec, n: [-1e200] + [1.0] * (n - 1))
         code, out, err = run(capsys, "estimate", "--family", "gamma",
                              "--input", str(data), "--speckle", "L=4")
@@ -504,9 +504,9 @@ class TestEstimate:
             "--n", "100", "--out", str(data))
 
         def ambiguous_fit(*args, **kwargs):
-            return estimation.FitResult(cli.dist.GammaPower(4.0, 1.0), 1,
-                                        0.0, True,
-                                        (cli.dist.GammaPower(2.0, 1.0),))
+            return estimation.FitResult(
+                distributions.GammaPower(4.0, 1.0), 1, 0.0, True,
+                (distributions.GammaPower(2.0, 1.0),))
         monkeypatch.setattr(estimation, "fit_molc", ambiguous_fit)
         code, out, err = run(capsys, "estimate", "--family", "gamma",
                              "--orders", "3", "--input", str(data))
@@ -583,19 +583,21 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
 
     def test_defaults_are_the_documented_sweep(self, monkeypatch, tmp_path):
-        # the parser reads its defaults from sweep: a bare `simulate` runs
-        # texture_sweep() exactly
+        # an option left out takes sweep's own default: a bare `simulate`
+        # runs texture_sweep() exactly, and each given option is passed on
         calls = []
         monkeypatch.setattr(cli, "texture_sweep",
                             lambda **kw: calls.append(kw) or [])
         monkeypatch.setattr(cli, "write_sweep_csv", lambda rows, path: None)
-        assert main(["simulate", "--out", str(tmp_path / "s.csv")]) == 0
+        out = str(tmp_path / "s.csv")
+        assert main(["simulate", "--out", out]) == 0
+        assert main(["simulate", "--L", "2", "--mu", "3", "--M-grid",
+                     "1:4:2", "--samples", "20000", "--seed", "5",
+                     "--out", out]) == 0
+        assert calls == [{}, {"L": 2.0, "mu": 3.0, "m_grid": [1.0, 4.0],
+                              "n": 20000, "seed": 5}]
         wanted = inspect.signature(sweep.texture_sweep).parameters
-        for name, value in calls[0].items():
-            if name == "m_grid":
-                assert value == sweep.default_m_grid()
-            else:
-                assert value == wanted[name].default, name
+        assert set(calls[1]) <= set(wanted)
 
     def test_an_empty_message_names_the_error(self, capsys, monkeypatch,
                                               tmp_path):

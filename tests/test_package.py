@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import sys
 import tomllib
 from pathlib import Path
 
@@ -15,9 +16,9 @@ MODULES = ["clutterstats"] + [
     for info in pkgutil.iter_modules(clutterstats.__path__)]
 
 
-# the package's names are its own imports and cli is the command line;
-# every other module lists its exports, so none is checked vacuously
-UNLISTED = ["clutterstats", "clutterstats.cli"]
+# cli is the command line; every other module, the package included,
+# lists its exports, so none is checked vacuously
+UNLISTED = ["clutterstats.cli"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -28,6 +29,55 @@ def test_all_names_only_bound_attributes(name):
     unbound = [n for n in getattr(module, "__all__", ())
                if not hasattr(module, n)]
     assert unbound == []
+
+
+# what `from clutterstats import *` gave when the package imported every
+# module eagerly: the exports and the six modules that define them
+PACKAGE_MODULES = {"distributions", "estimation", "mellin", "sampling",
+                   "specfun", "sweep"}
+PACKAGE_NAMES = PACKAGE_MODULES | {
+    "DistributionSpec", "EmpiricalLogStats", "Fisher", "FitResult",
+    "GammaGamma", "GammaPower", "InverseGamma", "KAmplitude", "LogStats",
+    "Maxwell", "MomentDoesNotExistError", "Nakagami", "NoSolutionError",
+    "NonConvergenceError", "NonFiniteSamplesError", "OutOfRangeError",
+    "Rayleigh", "SampleBatch", "SolverNonConvergenceError", "SplitMix64",
+    "StripError", "SweepRow", "TooFewSamplesError", "TransformTable",
+    "Weibull", "WeibullNakagami", "ZeroSamplesError", "central_log_moments",
+    "chf2_analytic", "classical_moment", "components",
+    "cumulants_to_moments", "default_m_grid", "digamma",
+    "empirical_log_stats", "fit_molc", "ln_gamma", "log_chf2_analytic",
+    "log_cumulants_analytic", "log_moments_numeric", "make_spec",
+    "mellin_numeric", "mellin_table", "moments_to_cumulants", "pdf",
+    "polygamma", "sample", "sample_compound", "strip",
+    "texture_log_cumulants", "texture_sweep"}
+
+
+def test_star_import_gives_the_package_names():
+    namespace = {}
+    exec("from clutterstats import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PACKAGE_NAMES
+    assert set(clutterstats.__all__) == PACKAGE_NAMES
+    assert PACKAGE_NAMES <= set(dir(clutterstats))
+
+
+@pytest.mark.parametrize("name", sorted(PACKAGE_NAMES - PACKAGE_MODULES))
+def test_each_package_name_is_its_defining_modules_object(name):
+    # served lazily, a name is still the object its module defines
+    value = getattr(clutterstats, name)
+    assert value is getattr(sys.modules[value.__module__], name)
+    module = importlib.import_module(
+        f"clutterstats.{clutterstats._HOME[name]}")
+    assert value is getattr(module, name)
+
+
+def test_every_submodule_is_a_package_attribute():
+    for module in MODULES[1:]:
+        name = module.rpartition(".")[2]
+        assert getattr(clutterstats, name) is importlib.import_module(module)
+        assert name in dir(clutterstats)
+    assert clutterstats.pdf is clutterstats.distributions.pdf
+    with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+        clutterstats.nothing
 
 
 def test_every_spec_class_has_a_tag():
