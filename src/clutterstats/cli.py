@@ -82,7 +82,9 @@ def _parse_params(text: str) -> tuple[dict[str, float], str | None]:
     return params, family
 
 
-def _build_spec(family: str, params_text: str) -> dist.DistributionSpec:
+def _build_spec(family: str, params_text: str):
+    """``make_spec``'s spec of ``family`` from ``--params``; unannotated,
+    as this module imports ``distributions`` only when a command runs."""
     from .distributions import make_spec
     params, extra_family = _parse_params(params_text)
     if extra_family is not None:
@@ -114,7 +116,7 @@ def _parse_m_grid(text: str) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
-def _spec_text(spec: dist.DistributionSpec) -> str:
+def _spec_text(spec) -> str:
     from dataclasses import astuple, fields
 
     from .distributions import family_tag

@@ -28,13 +28,8 @@ Every sampler works in blocks of at most ``_BLOCK`` values (Marsaglia-Tsang
 trials for the gammas), so its temporaries stay cache-sized whatever n is.
 Since each raw word is a pure function of its index and every derived
 variate is elementwise, the block size moves neither the values nor the
-stream position.
-
-How a block computes is not part of the stream rule, and the rule above is
-unchanged by it: each block mixes its counters in place, forms its
-uniforms in the raw words' own buffer, and runs the Marsaglia-Tsang test
-on every trial, rejecting those with ``v <= 0`` after it.  Every value,
-and the words each trial reads, are those of the rule.
+stream position.  Each block computes the rule as written above, in the
+order of operations that the recorded stream digests pin.
 
 Compound families draw speckle from the stream seeded with ``seed`` and
 texture from the stream seeded with ``seed XOR TEXTURE_SEED_XOR``, so the
@@ -89,24 +84,19 @@ class SplitMix64:
         z = np.arange(self.position + 1, self.position + n + 1,
                       dtype=np.uint64)
         self.position += n
-        # the mix, in place on the counters with one shift buffer
-        z *= np.uint64(SPLITMIX64_GAMMA)
-        z += np.uint64(self.seed)
-        shifted = np.empty_like(z)
-        for shift, factor in ((30, 0xBF58476D1CE4E5B9),
-                              (27, 0x94D049BB133111EB)):
-            z ^= np.right_shift(z, np.uint64(shift), out=shifted)
-            z *= np.uint64(factor)
-        z ^= np.right_shift(z, np.uint64(31), out=shifted)
+        z *= SPLITMIX64_GAMMA
+        z += self.seed
+        z ^= z >> 30
+        z *= 0xBF58476D1CE4E5B9
+        z ^= z >> 27
+        z *= 0x94D049BB133111EB
+        z ^= z >> 31
         return z
 
     @staticmethod
     def _to_uniform(raw: np.ndarray) -> np.ndarray:
-        """The uniforms of fresh raw words, formed in their buffer."""
-        raw >>= np.uint64(11)
-        u = np.add(raw, 0.5, out=raw.view(np.float64))
-        u *= _INV_2_53
-        return u
+        """((raw >> 11) + 0.5) * 2^-53, strictly inside (0, 1)."""
+        return ((raw >> 11) + 0.5) * _INV_2_53
 
     def uniform_open(self, n: int) -> np.ndarray:
         """n uniforms strictly inside (0, 1)."""
@@ -138,33 +128,16 @@ class SplitMix64:
         c = 1.0 / math.sqrt(9.0 * d)
 
         def trials(k):
-            # one row per word of a trial, so each variate is contiguous
-            u1, u2, u = self._to_uniform(self.raw(3 * k).reshape(k, 3).T
-                                         .copy())
-            w = np.multiply(u2, _TWO_PI)
-            np.cos(w, out=w)
-            x = np.log(u1)
-            x *= -2.0
-            np.sqrt(x, out=x)
-            x *= w
-            v = c * x
-            v += 1.0
-            v **= 3
-            # log u < x^2 / 2 + d - d v + d log v on every trial; one with
-            # v <= 0 gets nan or -inf from log v and is rejected after it
-            x **= 2
-            x *= 0.5
-            x += d
-            x -= np.multiply(v, d, out=w)
+            # trial j reads the block's words 3j, 3j+1, 3j+2 as u1, u2, u
+            u1, u2, u = (self._to_uniform(words)
+                         for words in self.raw(3 * k).reshape(k, 3).T)
+            x = np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
+            v = (c * x + 1.0) ** 3
+            # log v is nan or -inf, unwarned, where v <= 0: v > 0 rejects those
             with np.errstate(invalid="ignore", divide="ignore"):
-                np.log(v, out=w)
-            w *= d
-            x += w
-            accept = np.log(u, out=w) < x
-            accept &= v > 0.0
-            v = v[accept]
-            v *= d
-            return v
+                accept = ((np.log(u) < x ** 2 * 0.5 + d - v * d
+                           + np.log(v) * d) & (v > 0.0))
+            return v[accept] * d
         return _fill(n, trials)
 
 

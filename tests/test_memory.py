@@ -15,7 +15,7 @@ from clutterstats import _csv
 from clutterstats import distributions as dist
 from clutterstats.cli import main
 from clutterstats.estimation import empirical_log_stats
-from clutterstats.sampling import sample
+from clutterstats.sampling import SplitMix64, sample
 from clutterstats.verify import monte_carlo_checks
 
 N = 10**6
@@ -52,6 +52,16 @@ def test_boosted_gamma_draws_hold_one_array_per_factor(spec, budget):
     batch, peak = peak_bytes(sample, spec, N, 1)
     assert batch.values.size == N
     assert peak <= budget
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: SplitMix64(1).gammas(4.0, N),
+    lambda: sample(dist.Maxwell(1.0), N, 1),
+], ids=["gammas", "maxwell"])
+def test_a_sampler_holds_its_output_and_a_block(draw):
+    # the 8 MB output and one block's temporaries, whatever n is
+    _, peak = peak_bytes(draw)
+    assert peak <= 10 * MB
 
 
 def test_csv_writer_holds_one_chunk_of_buffers(tmp_path):

@@ -103,6 +103,75 @@ class TestSplitMix64:
         assert stream.position == 0
 
 
+class TestTheStreamRule:
+    """The module docstring's rule, computed one value at a time with
+    ``math`` from the raw words, anchors the samplers without the recorded
+    digests.  ``uniform_open`` is exact arithmetic of the rule and must
+    agree bit for bit.  numpy's ``log``, ``cos`` and ``power`` may round
+    apart from the C library's by an ulp (ROADMAP item 8), so the normals
+    and the gammas agree to 1e-14 relative, and their streams end at the
+    same position."""
+
+    N = 500
+
+    @staticmethod
+    def uniforms(seed, m):
+        words = [int(w) for w in SplitMix64(seed).raw(m)]
+        return [((w >> 11) + 0.5) * 2.0**-53 for w in words]
+
+    @staticmethod
+    def normal(u1, u2):
+        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    def gammas(self, seed, shape, n):
+        """n draws and the words they took, by the rule."""
+        if shape < 1.0:
+            base, used = self.gammas(seed, shape + 1.0, n)
+            boost = self.uniforms(seed, used + n)[used:]
+            return [g * u ** (1.0 / shape) for g, u in zip(base, boost)], \
+                used + n
+        d = shape - 1.0 / 3.0
+        c = 1.0 / math.sqrt(9.0 * d)
+        # 2n trials, where n draws take about 1.05n
+        words = self.uniforms(seed, 6 * n)
+        draws, used = [], 0
+        while len(draws) < n:
+            u1, u2, u = words[used:used + 3]
+            used += 3
+            x = self.normal(u1, u2)
+            v = (c * x + 1.0) ** 3
+            if v > 0.0 and (math.log(u) < x ** 2 * 0.5 + d - v * d
+                            + math.log(v) * d):
+                draws.append(v * d)
+        return draws, used
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_uniforms_are_the_rule_bit_for_bit(self, seed):
+        stream = SplitMix64(seed)
+        got = stream.uniform_open(self.N)
+        assert [u.hex() for u in got.tolist()] == \
+            [u.hex() for u in self.uniforms(seed, self.N)]
+        assert stream.position == self.N
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_normals_follow_the_rule(self, seed):
+        stream = SplitMix64(seed)
+        got = stream.normals(self.N)
+        u = self.uniforms(seed, 2 * self.N)
+        want = [self.normal(u1, u2) for u1, u2 in zip(u[0::2], u[1::2])]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        assert stream.position == 2 * self.N
+
+    @pytest.mark.parametrize("shape", [1.0, 4.0, 0.5])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_gammas_follow_the_rule(self, seed, shape):
+        stream = SplitMix64(seed)
+        got = stream.gammas(shape, self.N)
+        want, used = self.gammas(seed, shape, self.N)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        assert stream.position == used
+
+
 def _stream_digest(batch) -> str:
     digest = hashlib.sha256(batch.values.tobytes())
     if batch.texture is not None:

@@ -2,16 +2,18 @@
 numerical code until a command runs, and the names the benchmark tracer
 wraps exist as soon as ``clutterstats.cli`` is imported."""
 
+import inspect
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
 import clutterstats
-from clutterstats import _catalog, distributions, specfun
+from clutterstats import _catalog, cli, distributions, specfun
 
 SRC = Path(clutterstats.__file__).resolve().parent.parent
 NUMERICAL = {"numpy", *(f"clutterstats.{name}" for name in (
@@ -105,3 +107,16 @@ def test_the_traced_names_exist_at_import_and_the_commands_call_them(
                      "render_sweep_svg"]
     assert codes == [0, 0]
     assert (tmp_path / "k.csv").read_text().count("\n") == 11
+
+
+def test_every_cli_annotation_names_what_cli_binds():
+    # the commands import the numerical modules when they run, so an
+    # annotation naming one of them cannot be resolved in cli's namespace
+    functions = [f for f in vars(cli).values()
+                 if inspect.isfunction(f) and f.__module__ == cli.__name__]
+    assert len(functions) > 10
+    for function in functions:
+        try:
+            typing.get_type_hints(function)
+        except NameError as exc:
+            pytest.fail(f"{function.__name__}: {exc}")
